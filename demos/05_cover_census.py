@@ -20,7 +20,7 @@ records = enumerate_covers(a, 4)
 print(f"{len(records)} normal covers of base degree 1..4\n")
 print(f"{'deg':>3} {'fiber index':>14} {'cycle':>6} {'dual':>6}")
 for r in records:
-    print(f"{r.base_degree:>3} {r.fiber_index:>14} {len(r.cycle):>6} {len(r.dual):>6}")
+    print(f"{r.base_degree:>3} {r.fiber.index:>14} {len(r.cycle):>6} {len(r.dual):>6}")
 
 cert = verify(a)
 print(f"\nverdict: {cert.verdict}")
@@ -31,7 +31,7 @@ print(f"shortest cycle or dual among covers: "
 small = verify_cycle((2, 2, 2, 3))
 w = small.covers[small.witness]
 print(f"\ncycle (2,2,2,3): {small.verdict}, witnessed by the degree-{w.base_degree} "
-      f"cover with fiber index {w.fiber_index}")
+      f"cover with fiber index {w.fiber.index}")
 
 # Halving the census by duality keeps the verdict.
 half = verify(a, half=True)

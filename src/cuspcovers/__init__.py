@@ -40,7 +40,7 @@ from .cycles import (
     is_ci_link,
     monodromy_of,
 )
-from .intmath import is_prime, isqrt, solve_quadratic_congruence
+from .intmath import is_prime, solve_quadratic_congruence
 from .matrices import (
     IDENTITY,
     Mat2,
@@ -50,7 +50,6 @@ from .matrices import (
     inverse,
     mul,
     power,
-    smith_normal_form,
     trace_power_polynomial,
 )
 from .verifier import (
@@ -100,12 +99,10 @@ __all__ = [
     "is_invariant",
     "is_prime",
     "is_purely_periodic",
-    "isqrt",
     "monodromy_of",
     "mul",
     "power",
     "prime_index_invariant_lattices",
-    "smith_normal_form",
     "solve_quadratic_congruence",
     "step",
     "sublattices_of_index",

@@ -9,8 +9,9 @@ order 10**27 cost nothing in accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
-from .intmath import divisors, isqrt
+from .intmath import divisors
 from .matrices import Mat2
 
 

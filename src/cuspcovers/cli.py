@@ -19,15 +19,11 @@ from .matrices import Mat2
 from .verifier import Certificate, admissible_traces, candidate_matrices, verify
 
 
-def _fmt_cycle(c: Cycle) -> str:
-    return str(c)
-
-
 def _record_dict(rec: CoverRecord) -> dict:
     # Induced entries exceed 64-bit ranges at degree 4, hence decimal strings.
     return {
         "degree": rec.base_degree,
-        "fiber_index": str(rec.fiber_index),
+        "fiber_index": str(rec.fiber.index),
         "fiber_hnf": [rec.fiber.x, rec.fiber.y, rec.fiber.z],
         "induced": [str(e) for e in rec.induced.entries()],
         "cycle_len": len(rec.cycle),
@@ -58,7 +54,7 @@ def _cover_table(records: Sequence[CoverRecord]) -> list[str]:
     for r in records:
         hnf = f"[{r.fiber.x}, {r.fiber.y}, {r.fiber.z}]"
         lines.append(
-            f"{r.base_degree:>3}  {r.fiber_index:>14}  {hnf:>24}  {len(r.cycle):>6}  {len(r.dual):>6}"
+            f"{r.base_degree:>3}  {r.fiber.index:>14}  {hnf:>24}  {len(r.cycle):>6}  {len(r.dual):>6}"
         )
     return lines
 
@@ -67,8 +63,8 @@ def certificate_to_text(cert: Certificate) -> str:
     lines = [
         f"monodromy: {cert.monodromy}",
         f"trace:     {cert.trace}",
-        f"cycle:     {_fmt_cycle(cert.cycle)}",
-        f"dual:      {_fmt_cycle(cert.dual)}",
+        f"cycle:     {cert.cycle}",
+        f"dual:      {cert.dual}",
         "",
     ]
     lines += _cover_table(cert.covers)
@@ -78,7 +74,7 @@ def certificate_to_text(cert: Certificate) -> str:
     else:
         w = cert.covers[cert.witness]
         lines.append(
-            f"verdict: {cert.verdict} (witness: degree {w.base_degree}, fiber index {w.fiber_index},"
+            f"verdict: {cert.verdict} (witness: degree {w.base_degree}, fiber index {w.fiber.index},"
             f" cycle length {len(w.cycle)}, dual length {len(w.dual)})"
         )
     return "\n".join(lines) + "\n"
@@ -143,13 +139,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_options(p_covers)
     p_covers.add_argument("--max-degree", type=int, default=4, choices=(1, 2, 3, 4))
     p_covers.add_argument("--half", action="store_true", help="one fiber per dual pair")
-    p_covers.add_argument("--parallel", action="store_true")
 
     p_verify = sub.add_parser("verify", help="certify existence of a CI Galois cover")
     _add_input_options(p_verify)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--half", action="store_true", help="one fiber per dual pair")
-    p_verify.add_argument("--parallel", action="store_true")
     p_verify.add_argument("-o", "--output", type=str, default=None, metavar="PATH")
 
     p_traces = sub.add_parser("search-traces", help="traces passing the prime-factor filter")
@@ -166,18 +160,18 @@ def run(args: argparse.Namespace) -> int:
     if args.command == "cycle":
         a = _input_matrix(args)
         c = cycle_of(a)
-        sys.stdout.write(f"cycle: {_fmt_cycle(c)}  dual: {_fmt_cycle(dual_cycle(c))}\n")
+        sys.stdout.write(f"cycle: {c}  dual: {dual_cycle(c)}\n")
     elif args.command == "monodromy":
         sys.stdout.write(f"{monodromy_of(_parse_cycle_arg(args.cycle))}\n")
     elif args.command == "dual":
-        sys.stdout.write(f"{_fmt_cycle(dual_cycle(_parse_cycle_arg(args.cycle)))}\n")
+        sys.stdout.write(f"{dual_cycle(_parse_cycle_arg(args.cycle))}\n")
     elif args.command == "covers":
         a = _input_matrix(args)
-        records = enumerate_covers(a, args.max_degree, half=args.half, parallel=args.parallel)
+        records = enumerate_covers(a, args.max_degree, half=args.half)
         sys.stdout.write("\n".join(_cover_table(records)) + "\n")
     elif args.command == "verify":
         a = _input_matrix(args)
-        cert = verify(a, half=args.half, parallel=args.parallel)
+        cert = verify(a, half=args.half)
         if args.format == "json":
             _emit(certificate_to_json(cert), args.output)
         else:

@@ -9,7 +9,6 @@ cycles as cover records for base degrees 1 through 4.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -67,7 +66,6 @@ class CoverRecord:
 
     base_degree: int
     fiber: Lattice2
-    fiber_index: int
     induced: Mat2
     cover_monodromy: Mat2
     cycle: Cycle
@@ -75,7 +73,6 @@ class CoverRecord:
 
     def __post_init__(self) -> None:
         assert self.induced.det == 1
-        assert self.fiber_index == self.fiber.index
 
 
 def sublattices_of_index(d: int) -> list[Lattice2]:
@@ -225,7 +222,6 @@ def _build_record(a: Mat2, n: int, lat: Lattice2) -> CoverRecord:
     return CoverRecord(
         base_degree=n,
         fiber=lat,
-        fiber_index=lat.index,
         induced=ind,
         cover_monodromy=cover,
         cycle=cyc,
@@ -233,33 +229,21 @@ def _build_record(a: Mat2, n: int, lat: Lattice2) -> CoverRecord:
     )
 
 
-def enumerate_covers(
-    a: Mat2,
-    max_degree: int = 4,
-    *,
-    half: bool = False,
-    parallel: bool = False,
-) -> list[CoverRecord]:
+def enumerate_covers(a: Mat2, max_degree: int = 4, *, half: bool = False) -> list[CoverRecord]:
     """Cover records for every base degree 1..max_degree and invariant fiber.
 
     With half=True only one fiber of each dual pair (index <= sqrt of the
-    total) is kept, which never changes the CI verdict.  With parallel=True
-    the per-record work is fanned out to a thread pool; the output order is
-    deterministic either way: degree, then fiber index, then HNF triple.
+    total) is kept, which never changes the CI verdict.  Records come in
+    degree order, then in the order invariant_sublattices_between returns
+    the fibers: index, then HNF triple.
     """
     if not 1 <= max_degree <= 4:
         raise ValueError("base degree must lie in 1..4")
-    tasks: list[tuple[int, Lattice2]] = []
+    records = []
     for n in range(1, max_degree + 1):
         total = index_formula(a.trace, n)
         for lat in invariant_sublattices_between(a, n):
             if half and lat.index * lat.index > total:
                 continue
-            tasks.append((n, lat))
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            records = list(pool.map(lambda nl: _build_record(a, nl[0], nl[1]), tasks))
-    else:
-        records = [_build_record(a, n, lat) for n, lat in tasks]
-    records.sort(key=lambda r: (r.base_degree, r.fiber_index, r.fiber.x, r.fiber.y, r.fiber.z))
+            records.append(_build_record(a, n, lat))
     return records

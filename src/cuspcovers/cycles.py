@@ -14,10 +14,6 @@ from typing import Iterable, Iterator, Sequence, Union
 from .cfrac import ExpansionError, expand, fixed_point
 from .matrices import Mat2, mul, trace_power_polynomial
 
-# Concatenation count in a cycle search is bounded by the trace recurrence
-# blowing past any realistic input long before this.
-_POWER_CAP = 64
-
 
 def _validated(entries: Iterable[int]) -> tuple[int, ...]:
     seq = tuple(int(e) for e in entries)
@@ -83,8 +79,9 @@ def cycle_of(a: Mat2) -> Cycle:
 
     Expands the fixed slope of a, takes the primitive period, and repeats it
     n times where n solves trace_power_polynomial(trace(period matrix), n) =
-    trace(a).  The preperiod absorbs matrices outside the purely periodic
-    region, so any hyperbolic conjugate works.
+    trace(a).  The period matrix has trace >= 3, so P_n strictly increases
+    and the search for n ends.  The preperiod absorbs matrices outside the
+    purely periodic region, so any hyperbolic conjugate works.
     """
     if a.det != 1:
         raise ValueError("cycle_of requires determinant 1")
@@ -93,14 +90,13 @@ def cycle_of(a: Mat2) -> Cycle:
         raise ValueError("not a cusp monodromy: trace < 3")
     period = expand(fixed_point(a)).period
     t_block = monodromy_of(period).trace
-    for n in range(1, _POWER_CAP + 1):
-        tn = trace_power_polynomial(t_block, n)
-        if tn == t:
-            result = Cycle(period * n)
-            assert monodromy_of(result).trace == t
-            return result
-        if tn > t:
-            break
+    n = 1
+    while (tn := trace_power_polynomial(t_block, n)) < t:
+        n += 1
+    if tn == t:
+        result = Cycle(period * n)
+        assert monodromy_of(result).trace == t
+        return result
     raise ExpansionError(
         f"no power of the period matrix has trace {t}; expansion is inconsistent"
     )

@@ -1,4 +1,4 @@
-"""Unbounded-integer primitives: square roots, primality, quadratic congruences.
+"""Unbounded-integer primitives: primality, factoring, quadratic congruences.
 
 Everything here is exact and deterministic; no floating point, no
 probabilistic shortcuts.  Monodromy entries reach ~10**27 in the degree-4
@@ -6,18 +6,9 @@ cover computations, so all arithmetic rides on Python's arbitrary-precision
 integers.
 """
 
-import math
-
 # Direct residue scan is the normative congruence solver; all moduli that
 # occur in practice are small primes (<= a few thousand).
 SCAN_LIMIT = 10**6
-
-
-def isqrt(n: int) -> int:
-    """Floor of the square root of n >= 0, exact at any magnitude."""
-    if n < 0:
-        raise ValueError("isqrt is undefined for negative integers")
-    return math.isqrt(n)
 
 
 def is_prime(n: int) -> bool:

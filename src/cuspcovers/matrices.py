@@ -1,8 +1,8 @@
 """Exact 2x2 integer matrix algebra.
 
 Products, powers, inverses, conjugation with an integrality verdict,
-trace-power recurrences, fiber-index formulas, and the two normal forms
-(Hermite, Smith) used to canonicalize sublattices of Z^2.
+trace-power recurrences, fiber-index formulas, and the Hermite normal form
+used to canonicalize sublattices of Z^2.
 """
 
 from __future__ import annotations
@@ -144,42 +144,3 @@ def hermite_normal_form(columns: Iterable[Sequence[int]]) -> Mat2:
     if x == 0:
         raise ValueError("columns do not span a finite-index sublattice")
     return Mat2(x, v0 % x, 0, z)
-
-
-def smith_normal_form(m: Mat2) -> tuple[int, int, Mat2, Mat2]:
-    """Diagonalize m as U*m*V = diag(d1, d2) with d1 >= 1, d1 | d2.
-
-    U and V are integer matrices with determinant +-1, and d1*d2 = |det m|.
-    """
-    if m.det == 0:
-        raise ValueError("Smith normal form requires a nonsingular matrix")
-    a, b, c, d = m.entries()
-    u = IDENTITY
-    v = IDENTITY
-    while True:
-        if c != 0:
-            g, s, t = xgcd(a, c)
-            r10, r11 = -c // g, a // g  # [[s, t], [r10, r11]] has det 1
-            a, b, c, d = s * a + t * c, s * b + t * d, r10 * a + r11 * c, r10 * b + r11 * d
-            u = mul(Mat2(s, t, r10, r11), u)
-        if b != 0:
-            g, s, t = xgcd(a, b)
-            c01, c11 = -b // g, a // g  # columns [[s, c01], [t, c11]], det 1
-            a, b, c, d = a * s + b * t, a * c01 + b * c11, c * s + d * t, c * c01 + d * c11
-            v = mul(v, Mat2(s, c01, t, c11))
-            continue
-        if c != 0:
-            continue
-        if d % a != 0:
-            # Fold row 1 into row 0 so the next column pass replaces a by gcd(a, d).
-            b += d
-            u = mul(Mat2(1, 1, 0, 1), u)
-            continue
-        break
-    if a < 0:
-        a, b = -a, -b
-        u = mul(Mat2(-1, 0, 0, 1), u)
-    if d < 0:
-        d = -d
-        u = mul(Mat2(1, 0, 0, -1), u)
-    return a, d, u, v

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .covers import CoverRecord, enumerate_covers
-from .cycles import Cycle, CycleLike, canonicalize, cycle_of, dual_cycle, monodromy_of
+from .cycles import Cycle, CycleLike, canonicalize, cycle_of, dual_cycle, is_ci_link, monodromy_of
 from .intmath import is_prime
 from .matrices import Mat2
 
@@ -39,18 +39,14 @@ class Certificate:
     witness: int | None
 
 
-def verify(a: Mat2, *, half: bool = False, parallel: bool = False) -> Certificate:
+def verify(a: Mat2, *, half: bool = False) -> Certificate:
     """Certificate for the cusp with monodromy a (det 1, trace >= 3)."""
     if a.det != 1:
         raise ValueError("monodromy must have determinant 1")
     if a.trace < 3:
         raise ValueError("not a cusp monodromy: trace < 3")
-    records = tuple(enumerate_covers(a, 4, half=half, parallel=parallel))
-    witness = None
-    for i, rec in enumerate(records):
-        if min(len(rec.cycle), len(rec.dual)) <= 4:
-            witness = i
-            break
+    records = tuple(enumerate_covers(a, 4, half=half))
+    witness = next((i for i, rec in enumerate(records) if is_ci_link(rec.cycle)), None)
     cyc = cycle_of(a)
     return Certificate(
         monodromy=a,
@@ -63,9 +59,9 @@ def verify(a: Mat2, *, half: bool = False, parallel: bool = False) -> Certificat
     )
 
 
-def verify_cycle(c: CycleLike, *, half: bool = False, parallel: bool = False) -> Certificate:
+def verify_cycle(c: CycleLike, *, half: bool = False) -> Certificate:
     """Certificate for the cusp with the given resolution cycle."""
-    return verify(monodromy_of(canonicalize(c)), half=half, parallel=parallel)
+    return verify(monodromy_of(canonicalize(c)), half=half)
 
 
 def admissible_traces(limit: int) -> list[int]:

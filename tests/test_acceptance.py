@@ -13,6 +13,7 @@ reversals of the reference's dual and cycle.  Those checks accept exactly
 the two orientations of one GL(2, Z) class and nothing else.
 """
 
+import hashlib
 import json
 import random
 
@@ -38,7 +39,7 @@ from cuspcovers import (
     sublattices_of_index,
     verify,
 )
-from cuspcovers.cli import main
+from cuspcovers.cli import certificate_to_json, certificate_to_text, main
 from cuspcovers.covers import contains_lattice
 from helpers import conjugated, random_cycle, random_unimodular, reversed_cycle
 
@@ -120,7 +121,7 @@ def test_criterion_4_degree_3(cert):
     assert {len(rec1.cycle), len(rec1.dual)} == {447, 9}
     assert {len(rec2.cycle), len(rec2.dual)} == {42, 36}
     # unique index-s^2 fiber is the scalar lattice, acted on by A itself
-    s2 = [r for r in cert.covers if r.base_degree == 3 and r.fiber_index == S * S]
+    s2 = [r for r in cert.covers if r.base_degree == 3 and r.fiber.index == S * S]
     assert [r.fiber for r in s2] == [Lattice2(S, 0, S)]
     assert s2[0].induced == A
     print("criterion 4 PASS: degree-3 fibers, lengths {447,9} and {42,36}, s^2 fiber = s*Z^2")
@@ -255,3 +256,16 @@ def test_criterion_10_certificate_determinism(capsys):
     halved = json.loads(capsys.readouterr().out)
     assert halved["verdict"] == json.loads(first)["verdict"] == "NO_CI_COVER"
     print("criterion 10 PASS: byte-identical certificates; --half keeps the verdict")
+
+
+def test_flagship_certificate_bytes(cert):
+    # Both outputs pinned across commits, not just across two runs.
+    for text, size, digest in (
+        (certificate_to_json(cert), 113514,
+         "eb14148b8187c3de0b3f2603659534eb85a73d0d2b9a3fc858e45120faf8eccc"),
+        (certificate_to_text(cert), 3900,
+         "13ca69390c316f8a2585352ada3cba25828cdb115610eb2168351650e806f02a"),
+    ):
+        data = text.encode()
+        assert len(data) == size
+        assert hashlib.sha256(data).hexdigest() == digest

@@ -112,7 +112,7 @@ def test_pure_periodicity_of_candidate_fixed_points():
 
 
 def _random_quadirr(rng) -> QuadIrr:
-    from cuspcovers.intmath import isqrt
+    from math import isqrt
 
     while True:
         d = rng.randint(2, 10**6)

@@ -88,13 +88,6 @@ def test_verify_text_output(capsys):
     assert "witness: degree 1" in out
 
 
-def test_verify_parallel_matches(capsys):
-    args = ("verify", "-c", "2,3,4", "--format", "json")
-    _, plain, _ = run_cli(capsys, *args)
-    _, threaded, _ = run_cli(capsys, *args, "--parallel")
-    assert plain == threaded
-
-
 def test_covers_command(capsys):
     code, out, _ = run_cli(capsys, "covers", "-m", "1640", "221", "-141", "-19",
                            "--max-degree", "1")

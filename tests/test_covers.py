@@ -187,7 +187,7 @@ def test_induced_action_composite_index_stability():
 def test_enumerate_covers_counts_and_order():
     records = enumerate_covers(PAPER_A, 4)
     assert [sum(1 for r in records if r.base_degree == n) for n in (1, 2, 3, 4)] == [2, 8, 16, 32]
-    keys = [(r.base_degree, r.fiber_index, r.fiber.x, r.fiber.y, r.fiber.z) for r in records]
+    keys = [(r.base_degree, r.fiber.index, r.fiber.x, r.fiber.y, r.fiber.z) for r in records]
     assert keys == sorted(keys)
     first = records[0]
     assert first.base_degree == 1 and first.fiber == FULL_LATTICE
@@ -218,20 +218,19 @@ def test_enumerate_covers_duality_closure_up_to_reversal():
             assert (len(r.dual), len(r.cycle)) in pairs
 
 
-def test_enumerate_covers_half_and_parallel():
+def test_enumerate_covers_half():
     full = enumerate_covers(PAPER_A, 4)
     half = enumerate_covers(PAPER_A, 4, half=True)
     assert set(half).issubset(set(full))
     for n in (1, 2, 3, 4):
         total = index_formula(PAPER_A.trace, n)
         kept = [r for r in half if r.base_degree == n]
-        assert all(r.fiber_index**2 <= total for r in kept)
+        assert all(r.fiber.index**2 <= total for r in kept)
         full_min = min(
             min(len(r.cycle), len(r.dual)) for r in full if r.base_degree == n
         )
         half_min = min(min(len(r.cycle), len(r.dual)) for r in kept)
         assert full_min == half_min
-    assert enumerate_covers(PAPER_A, 4, parallel=True) == full
     with pytest.raises(ValueError):
         enumerate_covers(PAPER_A, 5)
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cuspcovers.cli import main
 from cuspcovers.cycles import (
     Cycle,
     canonicalize,
@@ -56,6 +57,14 @@ def test_cycle_of_small_cases():
     assert cycle_of(Mat2(3, 1, -1, 0)) == canonicalize((3,))
     assert cycle_of(monodromy_of((4, 2))) == canonicalize((4, 2))
     assert cycle_of(power(Mat2(3, 1, -1, 0), 2)) == canonicalize((3, 3))
+
+
+def test_cycle_of_period_repeated_65_times(capsys):
+    # The repeat count of the period has no upper bound: (3) taken 65 times.
+    threes = canonicalize((3,) * 65)
+    assert cycle_of(monodromy_of(threes)) == threes
+    assert main(["cycle", "-c", ",".join(["3"] * 65)]) == 0
+    assert capsys.readouterr().out == f"cycle: {threes}  dual: {threes}\n"
 
 
 def test_cycle_of_rejects_bad_matrices():

@@ -1,4 +1,5 @@
 import random
+from math import isqrt
 
 import pytest
 
@@ -6,29 +7,9 @@ from cuspcovers.intmath import (
     divisors,
     factorize,
     is_prime,
-    isqrt,
     solve_quadratic_congruence,
     xgcd,
 )
-
-
-def test_isqrt_examples():
-    assert isqrt(0) == 0
-    assert isqrt(25) == 5
-    assert isqrt(1621**2 - 4) == 1620
-
-
-def test_isqrt_rejects_negative():
-    with pytest.raises(ValueError):
-        isqrt(-1)
-
-
-def test_isqrt_bracketing_property():
-    rng = random.Random(101)
-    cases = [rng.randrange(10**k) for k in range(1, 40) for _ in range(30)]
-    for n in cases:
-        r = isqrt(n)
-        assert r * r <= n < (r + 1) * (r + 1)
 
 
 def test_is_prime_examples():

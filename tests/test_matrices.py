@@ -11,7 +11,6 @@ from cuspcovers.matrices import (
     inverse,
     mul,
     power,
-    smith_normal_form,
     trace_power_polynomial,
 )
 from helpers import random_hyperbolic, random_unimodular
@@ -138,29 +137,3 @@ def test_hnf_rejects_dependent_columns():
         hermite_normal_form([(2, 4), (3, 6)])
     with pytest.raises(ValueError):
         hermite_normal_form([(0, 0), (5, 3)])
-
-
-def test_snf_examples():
-    d1, d2, u, v = smith_normal_form(Mat2(2, 0, 0, 6))
-    assert (d1, d2) == (2, 6)
-    shifted = Mat2(PAPER_A.a - 1, PAPER_A.b, PAPER_A.c, PAPER_A.d - 1)
-    d1, d2, u, v = smith_normal_form(shifted)
-    assert (d1, d2) == (1, 1619)  # prime index, cyclic quotient
-    a3 = power(PAPER_A, 3)
-    d1, d2, _, _ = smith_normal_form(Mat2(a3.a - 1, a3.b, a3.c, a3.d - 1))
-    assert d1 * d2 == 1619 * (2 * 811) ** 2
-
-
-def test_snf_transforms_exact():
-    rng = random.Random(29)
-    for _ in range(300):
-        m = Mat2(*(rng.randint(-30, 30) for _ in range(4)))
-        if m.det == 0:
-            continue
-        d1, d2, u, v = smith_normal_form(m)
-        assert d1 >= 1 and d2 % d1 == 0
-        assert d1 * d2 == abs(m.det)
-        assert abs(u.det) == 1 and abs(v.det) == 1
-        assert mul(mul(u, m), v) == Mat2(d1, 0, 0, d2)
-    with pytest.raises(ValueError):
-        smith_normal_form(Mat2(1, 2, 2, 4))

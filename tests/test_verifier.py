@@ -44,7 +44,7 @@ def test_verify_trivial_ci():
     cert = verify(Mat2(3, 1, -1, 0))
     assert cert.verdict == HAS_CI_COVER
     assert cert.witness == 0  # degree 1, fiber Z^2: the cusp itself
-    assert cert.covers[0].fiber_index == 1
+    assert cert.covers[0].fiber.index == 1
     assert len(cert.covers[0].cycle) == 1
 
 
