@@ -12,7 +12,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cuspcovers import Mat2, canonicalize, cycle_of, inverse, monodromy_of, mul, power
+from cuspcovers import Cycle, Mat2, cycle_of, inverse, monodromy_of, mul, power
 
 # From cycle to matrix: each entry contributes one elementary factor.
 for entries in [(3,), (4, 2), (2, 3, 4)]:
@@ -39,4 +39,4 @@ assert cycle_of(moved) == cycle
 b = monodromy_of((3,))
 for n in (1, 2, 3):
     print(f"cycle of B^{n}: {cycle_of(power(b, n))}")
-assert cycle_of(power(b, 3)) == canonicalize((3, 3, 3))
+assert cycle_of(power(b, 3)) == Cycle((3, 3, 3))

@@ -14,7 +14,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cuspcovers import (
-    canonicalize,
+    Cycle,
     cycle_of,
     dual_cycle,
     dual_length,
@@ -23,7 +23,7 @@ from cuspcovers import (
     monodromy_of,
 )
 
-c = canonicalize((8, 2, 4, 3, 12))
+c = Cycle((8, 2, 4, 3, 12))
 d = dual_cycle(c)
 print(f"cycle        {c}   length {len(c)}")
 print(f"dual cycle   {d}   length {len(d)}")
@@ -37,12 +37,12 @@ assert cycle_of(inverse(monodromy_of(c))) == d
 
 # Self-dual examples exist: (3) and (2,3,4) among them.
 for entries in [(3,), (2, 3, 4)]:
-    sd = canonicalize(entries)
+    sd = Cycle(entries)
     print(f"\n{sd} has dual {dual_cycle(sd)}"
           f"{'  (self-dual)' if dual_cycle(sd) == sd else ''}")
 
 # The complete-intersection test looks at both lengths.
 for entries in [(3,), (2, 2, 2, 3), (8, 2, 4, 3, 12)]:
-    cyc = canonicalize(entries)
+    cyc = Cycle(entries)
     print(f"is_ci_link {cyc}: {is_ci_link(cyc)} "
           f"(lengths {len(cyc)} and {dual_length(cyc)})")

@@ -12,7 +12,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cuspcovers import Mat2, enumerate_covers, verify, verify_cycle
+from cuspcovers import Cycle, Mat2, enumerate_covers, monodromy_of, verify
 
 a = Mat2(1640, 221, -141, -19)
 
@@ -28,11 +28,7 @@ print(f"shortest cycle or dual among covers: "
       f"{min(min(len(r.cycle), len(r.dual)) for r in cert.covers)} (needs <= 4 for a CI)")
 
 # A cusp that does have a CI cover: itself, when its own cycle is short.
-small = verify_cycle((2, 2, 2, 3))
+small = verify(monodromy_of(Cycle((2, 2, 2, 3))))
 w = small.covers[small.witness]
 print(f"\ncycle (2,2,2,3): {small.verdict}, witnessed by the degree-{w.base_degree} "
       f"cover with fiber index {w.fiber.index}")
-
-# Halving the census by duality keeps the verdict.
-half = verify(a, half=True)
-print(f"\nwith --half: {len(half.covers)} records, verdict {half.verdict}")

@@ -33,7 +33,6 @@ from .covers import (
 )
 from .cycles import (
     Cycle,
-    canonicalize,
     cycle_of,
     dual_cycle,
     dual_length,
@@ -59,7 +58,6 @@ from .verifier import (
     admissible_traces,
     candidate_matrices,
     verify,
-    verify_cycle,
 )
 
 __version__ = "0.1.0"
@@ -79,7 +77,6 @@ __all__ = [
     "QuadIrr",
     "admissible_traces",
     "candidate_matrices",
-    "canonicalize",
     "ceil_quad",
     "conjugate",
     "contains",
@@ -108,5 +105,4 @@ __all__ = [
     "sublattices_of_index",
     "trace_power_polynomial",
     "verify",
-    "verify_cycle",
 ]

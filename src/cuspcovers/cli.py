@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .cfrac import ExpansionError
 from .covers import CoverRecord, enumerate_covers
-from .cycles import Cycle, canonicalize, cycle_of, dual_cycle, monodromy_of
+from .cycles import Cycle, cycle_of, dual_cycle, monodromy_of
 from .matrices import Mat2
 from .verifier import Certificate, admissible_traces, candidate_matrices, verify
 
@@ -36,7 +36,7 @@ def _record_dict(rec: CoverRecord) -> dict:
 def certificate_to_dict(cert: Certificate) -> dict:
     return {
         "input": {"matrix": list(cert.monodromy.entries())},
-        "trace": str(cert.trace),
+        "trace": str(cert.monodromy.trace),
         "cycle": list(cert.cycle),
         "dual_cycle": list(cert.dual),
         "covers": [_record_dict(r) for r in cert.covers],
@@ -62,7 +62,7 @@ def _cover_table(records: Sequence[CoverRecord]) -> list[str]:
 def certificate_to_text(cert: Certificate) -> str:
     lines = [
         f"monodromy: {cert.monodromy}",
-        f"trace:     {cert.trace}",
+        f"trace:     {cert.monodromy.trace}",
         f"cycle:     {cert.cycle}",
         f"dual:      {cert.dual}",
         "",
@@ -85,7 +85,7 @@ def _parse_cycle_arg(text: str) -> Cycle:
         entries = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise ValueError(f"malformed cycle {text!r}: expected comma-separated integers") from exc
-    return canonicalize(entries)
+    return Cycle(entries)
 
 
 def _input_matrix(args: argparse.Namespace) -> Mat2:
@@ -114,9 +114,12 @@ def _add_input_options(sub: argparse.ArgumentParser) -> None:
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -138,12 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_covers = sub.add_parser("covers", help="table of normal Galois covers")
     _add_input_options(p_covers)
     p_covers.add_argument("--max-degree", type=int, default=4, choices=(1, 2, 3, 4))
-    p_covers.add_argument("--half", action="store_true", help="one fiber per dual pair")
 
     p_verify = sub.add_parser("verify", help="certify existence of a CI Galois cover")
     _add_input_options(p_verify)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
-    p_verify.add_argument("--half", action="store_true", help="one fiber per dual pair")
     p_verify.add_argument("-o", "--output", type=str, default=None, metavar="PATH")
 
     p_traces = sub.add_parser("search-traces", help="traces passing the prime-factor filter")
@@ -167,11 +168,11 @@ def run(args: argparse.Namespace) -> int:
         sys.stdout.write(f"{dual_cycle(_parse_cycle_arg(args.cycle))}\n")
     elif args.command == "covers":
         a = _input_matrix(args)
-        records = enumerate_covers(a, args.max_degree, half=args.half)
+        records = enumerate_covers(a, args.max_degree)
         sys.stdout.write("\n".join(_cover_table(records)) + "\n")
     elif args.command == "verify":
         a = _input_matrix(args)
-        cert = verify(a, half=args.half)
+        cert = verify(a)
         if args.format == "json":
             _emit(certificate_to_json(cert), args.output)
         else:

@@ -67,7 +67,6 @@ class CoverRecord:
     base_degree: int
     fiber: Lattice2
     induced: Mat2
-    cover_monodromy: Mat2
     cycle: Cycle
     dual: Cycle
 
@@ -217,33 +216,26 @@ def invariant_sublattices_between(a: Mat2, n: int) -> list[Lattice2]:
 
 def _build_record(a: Mat2, n: int, lat: Lattice2) -> CoverRecord:
     ind = induced_action(lat, a)
-    cover = power(ind, n)
-    cyc = cycle_of(cover)
+    cyc = cycle_of(power(ind, n))
     return CoverRecord(
         base_degree=n,
         fiber=lat,
         induced=ind,
-        cover_monodromy=cover,
         cycle=cyc,
         dual=dual_cycle(cyc),
     )
 
 
-def enumerate_covers(a: Mat2, max_degree: int = 4, *, half: bool = False) -> list[CoverRecord]:
+def enumerate_covers(a: Mat2, max_degree: int = 4) -> list[CoverRecord]:
     """Cover records for every base degree 1..max_degree and invariant fiber.
 
-    With half=True only one fiber of each dual pair (index <= sqrt of the
-    total) is kept, which never changes the CI verdict.  Records come in
-    degree order, then in the order invariant_sublattices_between returns
-    the fibers: index, then HNF triple.
+    Records come in degree order, then in the order
+    invariant_sublattices_between returns the fibers: index, then HNF triple.
     """
     if not 1 <= max_degree <= 4:
         raise ValueError("base degree must lie in 1..4")
-    records = []
-    for n in range(1, max_degree + 1):
-        total = index_formula(a.trace, n)
-        for lat in invariant_sublattices_between(a, n):
-            if half and lat.index * lat.index > total:
-                continue
-            records.append(_build_record(a, n, lat))
-    return records
+    return [
+        _build_record(a, n, lat)
+        for n in range(1, max_degree + 1)
+        for lat in invariant_sublattices_between(a, n)
+    ]

@@ -9,7 +9,7 @@ by the block-swap rule, and decides the complete-intersection link test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence
 
 from .cfrac import ExpansionError, expand, fixed_point
 from .matrices import Mat2, mul, trace_power_polynomial
@@ -47,21 +47,11 @@ class Cycle:
         return "(" + ", ".join(str(e) for e in self.entries) + ")"
 
 
-CycleLike = Union[Cycle, Sequence[int]]
-
-
-def canonicalize(entries: CycleLike) -> Cycle:
-    """Cycle in canonical rotation; rejects entries violating the invariants."""
-    if isinstance(entries, Cycle):
-        return entries
-    return Cycle(tuple(entries))
-
-
 def _elementary(b: int) -> Mat2:
     return Mat2(b, 1, -1, 0)
 
 
-def monodromy_of(c: CycleLike) -> Mat2:
+def monodromy_of(c: Cycle | Sequence[int]) -> Mat2:
     """Monodromy of the cycle (b_1, ..., b_k): the product M(b_k) ... M(b_1).
 
     A raw sequence is multiplied in the rotation given; rotations yield
@@ -102,13 +92,12 @@ def cycle_of(a: Mat2) -> Cycle:
     )
 
 
-def dual_cycle(c: CycleLike) -> Cycle:
+def dual_cycle(c: Cycle) -> Cycle:
     """Cycle of the dual cusp, by swapping the block structure.
 
     Rotate to start at an entry >= 3, split into blocks (m_i + 3) followed by
     n_i twos, and emit the blocks reversed with each (m, n) exchanged.
     """
-    c = canonicalize(c)
     seq = c.entries
     start = next(i for i, e in enumerate(seq) if e >= 3)
     seq = seq[start:] + seq[:start]
@@ -129,13 +118,11 @@ def dual_cycle(c: CycleLike) -> Cycle:
     return Cycle(tuple(out))
 
 
-def dual_length(c: CycleLike) -> int:
+def dual_length(c: Cycle) -> int:
     """Length of the dual cycle: the sum of (entry - 2) over the cycle."""
-    c = canonicalize(c)
     return sum(e - 2 for e in c.entries)
 
 
-def is_ci_link(c: CycleLike) -> bool:
+def is_ci_link(c: Cycle) -> bool:
     """Whether the cusp or its dual has cycle length <= 4 (the CI link test)."""
-    c = canonicalize(c)
     return min(len(c), dual_length(c)) <= 4

@@ -2,7 +2,7 @@
 
 Products, powers, inverses, conjugation with an integrality verdict,
 trace-power recurrences, fiber-index formulas, and the Hermite normal form
-used to canonicalize sublattices of Z^2.
+that gives each sublattice of Z^2 a unique basis.
 """
 
 from __future__ import annotations

@@ -12,9 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .covers import CoverRecord, enumerate_covers
-from .cycles import Cycle, CycleLike, canonicalize, cycle_of, dual_cycle, is_ci_link, monodromy_of
+from .cycles import Cycle, cycle_of, dual_cycle, is_ci_link
 from .intmath import is_prime
 from .matrices import Mat2
+
+CANDIDATE_SPAN = 10**4
 
 HAS_CI_COVER = "HAS_CI_COVER"
 NO_CI_COVER = "NO_CI_COVER"
@@ -31,7 +33,6 @@ class Certificate:
     """
 
     monodromy: Mat2
-    trace: int
     cycle: Cycle
     dual: Cycle
     covers: tuple[CoverRecord, ...]
@@ -39,29 +40,23 @@ class Certificate:
     witness: int | None
 
 
-def verify(a: Mat2, *, half: bool = False) -> Certificate:
+def verify(a: Mat2) -> Certificate:
     """Certificate for the cusp with monodromy a (det 1, trace >= 3)."""
     if a.det != 1:
         raise ValueError("monodromy must have determinant 1")
     if a.trace < 3:
         raise ValueError("not a cusp monodromy: trace < 3")
-    records = tuple(enumerate_covers(a, 4, half=half))
+    records = tuple(enumerate_covers(a, 4))
     witness = next((i for i, rec in enumerate(records) if is_ci_link(rec.cycle)), None)
     cyc = cycle_of(a)
     return Certificate(
         monodromy=a,
-        trace=a.trace,
         cycle=cyc,
         dual=dual_cycle(cyc),
         covers=records,
         verdict=NO_CI_COVER if witness is None else HAS_CI_COVER,
         witness=witness,
     )
-
-
-def verify_cycle(c: CycleLike, *, half: bool = False) -> Certificate:
-    """Certificate for the cusp with the given resolution cycle."""
-    return verify(monodromy_of(canonicalize(c)), half=half)
 
 
 def admissible_traces(limit: int) -> list[int]:
@@ -85,22 +80,22 @@ def admissible_traces(limit: int) -> list[int]:
     return out
 
 
-def candidate_matrices(trace: int, limit: int, span: int = 10**4) -> list[Mat2]:
+def candidate_matrices(trace: int, limit: int) -> list[Mat2]:
     """Up to limit matrices [[a, b], [c, d]] with a + d = trace, det 1 and
     a > b > -d >= 0, so their fixed slopes are purely periodic.
 
-    For each a in [trace, trace + span] (so d = trace - a <= 0), b runs over
-    the divisors of 1 - a*d inside the admissible window (-d, a), which has
-    width trace, and c = (a*d - 1)/b.  Ordered by a ascending then b
-    ascending.  Useful candidates cluster just above a = trace; the span cap
-    keeps exhausted searches (fewer than limit candidates exist) bounded.
+    For each a in [trace, trace + CANDIDATE_SPAN] (so d = trace - a <= 0), b
+    runs over the divisors of 1 - a*d inside the admissible window (-d, a),
+    which has width trace, and c = (a*d - 1)/b.  Ordered by a ascending then
+    b ascending.  Useful candidates cluster just above a = trace; the span
+    cap keeps exhausted searches (fewer than limit candidates exist) bounded.
     """
     if trace < 3:
         raise ValueError("trace must be >= 3")
     if limit < 0:
         raise ValueError("limit must be >= 0")
     out: list[Mat2] = []
-    for a in range(trace, trace + span + 1):
+    for a in range(trace, trace + CANDIDATE_SPAN + 1):
         if len(out) >= limit:
             break
         d = trace - a

@@ -3,7 +3,7 @@
 Every test seeds its own random.Random so runs are reproducible.
 """
 
-from cuspcovers import Cycle, Mat2, canonicalize, inverse, monodromy_of, mul
+from cuspcovers import Cycle, Mat2, inverse, monodromy_of, mul
 
 
 def random_cycle(rng, max_len=8, max_entry=12) -> Cycle:
@@ -11,7 +11,7 @@ def random_cycle(rng, max_len=8, max_entry=12) -> Cycle:
     entries = [rng.randint(2, max_entry) for _ in range(k)]
     if all(e == 2 for e in entries):
         entries[rng.randrange(k)] = rng.randint(3, max_entry)
-    return canonicalize(entries)
+    return Cycle(entries)
 
 
 def random_unimodular(rng, steps=5, det=1) -> Mat2:
@@ -37,4 +37,4 @@ def random_hyperbolic(rng, max_len=6, max_entry=8, shear_steps=4) -> Mat2:
 
 
 def reversed_cycle(c: Cycle) -> Cycle:
-    return canonicalize(tuple(reversed(tuple(c))))
+    return Cycle(tuple(reversed(tuple(c))))

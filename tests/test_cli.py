@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -75,10 +76,16 @@ def test_verify_json_deterministic_and_key_sorted(capsys):
     assert list(doc) == sorted(doc)
 
 
-def test_verify_half_same_verdict(capsys):
-    _, full, _ = run_cli(capsys, "verify", "-c", "8,2,4,3,12", "--format", "json")
-    _, half, _ = run_cli(capsys, "verify", "-c", "8,2,4,3,12", "--format", "json", "--half")
-    assert json.loads(full)["verdict"] == json.loads(half)["verdict"] == "NO_CI_COVER"
+def test_verify_rotations_of_a_cycle_give_one_certificate(capsys):
+    # -c takes any rotation; the certificate echoes the monodromy of the
+    # canonical rotation (2, 4, 3, 12, 8), so every rotation gives one document.
+    _, first, _ = run_cli(capsys, "verify", "-c", "8,2,4,3,12", "--format", "json")
+    _, second, _ = run_cli(capsys, "verify", "-c", "2,4,3,12,8", "--format", "json")
+    assert first == second
+    assert json.loads(first)["input"] == {"matrix": [1749, 1013, -221, -128]}
+    assert hashlib.sha256(first.encode()).hexdigest() == (
+        "d07ed2f430cdeab43a0a621cbb25164a50aed558e3b306607c13340b79cf7620"
+    )
 
 
 def test_verify_text_output(capsys):
@@ -105,6 +112,15 @@ def test_output_file(tmp_path, capsys):
     assert code == 0 and out == ""
     doc = json.loads(target.read_text())
     assert doc["verdict"] == "HAS_CI_COVER"
+
+
+@pytest.mark.parametrize("where", ["missing/cert.json", "."])
+def test_output_file_unwritable_exits_2(tmp_path, capsys, where):
+    # A missing directory and a directory are both bad -o paths.
+    target = tmp_path / where
+    code, out, err = run_cli(capsys, "verify", "-c", "3", "-o", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write")
 
 
 def test_search_traces(capsys):

@@ -14,7 +14,7 @@ from cuspcovers.covers import (
     prime_index_invariant_lattices,
     sublattices_of_index,
 )
-from cuspcovers.cycles import canonicalize, cycle_of, dual_cycle
+from cuspcovers.cycles import Cycle, cycle_of, dual_cycle
 from cuspcovers.matrices import IDENTITY, Mat2, index_formula, mul, power
 from helpers import random_hyperbolic, reversed_cycle
 
@@ -191,8 +191,10 @@ def test_enumerate_covers_counts_and_order():
     assert keys == sorted(keys)
     first = records[0]
     assert first.base_degree == 1 and first.fiber == FULL_LATTICE
-    assert first.cover_monodromy == PAPER_A
-    assert first.cycle == canonicalize((8, 2, 4, 3, 12))
+    assert first.induced == PAPER_A
+    assert first.cycle == Cycle((8, 2, 4, 3, 12))
+    with pytest.raises(ValueError):
+        enumerate_covers(PAPER_A, 5)
 
 
 def test_enumerate_covers_record_invariants():
@@ -200,7 +202,7 @@ def test_enumerate_covers_record_invariants():
     for r in records:
         assert r.induced.det == 1
         assert r.induced.trace == PAPER_A.trace
-        assert r.cover_monodromy == power(r.induced, r.base_degree)
+        assert r.cycle == cycle_of(power(r.induced, r.base_degree))
         assert len(r.cycle) == r.base_degree * len(cycle_of(r.induced))
         assert len(r.dual) == sum(e - 2 for e in r.cycle)
 
@@ -218,26 +220,9 @@ def test_enumerate_covers_duality_closure_up_to_reversal():
             assert (len(r.dual), len(r.cycle)) in pairs
 
 
-def test_enumerate_covers_half():
-    full = enumerate_covers(PAPER_A, 4)
-    half = enumerate_covers(PAPER_A, 4, half=True)
-    assert set(half).issubset(set(full))
-    for n in (1, 2, 3, 4):
-        total = index_formula(PAPER_A.trace, n)
-        kept = [r for r in half if r.base_degree == n]
-        assert all(r.fiber.index**2 <= total for r in kept)
-        full_min = min(
-            min(len(r.cycle), len(r.dual)) for r in full if r.base_degree == n
-        )
-        half_min = min(min(len(r.cycle), len(r.dual)) for r in kept)
-        assert full_min == half_min
-    with pytest.raises(ValueError):
-        enumerate_covers(PAPER_A, 5)
-
-
 def test_enumerate_covers_small_cusp():
     records = enumerate_covers(Mat2(3, 1, -1, 0), 4)
-    assert records[0].cycle == canonicalize((3,))
+    assert records[0].cycle == Cycle((3,))
     assert all(r.induced.trace == 3 for r in records)
     degree_ns = {r.base_degree for r in records}
     assert degree_ns == {1, 2, 3, 4}

@@ -5,7 +5,6 @@ import pytest
 from cuspcovers.cli import main
 from cuspcovers.cycles import (
     Cycle,
-    canonicalize,
     cycle_of,
     dual_cycle,
     dual_length,
@@ -16,16 +15,16 @@ from cuspcovers.matrices import Mat2, inverse, power
 from helpers import random_cycle, reversed_cycle
 
 PAPER_A = Mat2(1640, 221, -141, -19)
-PAPER_CYCLE = canonicalize((8, 2, 4, 3, 12))
+PAPER_CYCLE = Cycle((8, 2, 4, 3, 12))
 # dual of (8,2,4,3,12) via the block pairs (5,1),(1,0),(0,0),(9,0)
-PAPER_DUAL = canonicalize((3, 2, 2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 2, 4, 2, 2, 2, 2, 2))
+PAPER_DUAL = Cycle((3, 2, 2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 2, 4, 2, 2, 2, 2, 2))
 
 
 def test_canonical_rotation():
     assert PAPER_CYCLE.entries == (2, 4, 3, 12, 8)
-    assert canonicalize((3,)).entries == (3,)
-    assert canonicalize((2, 3, 2, 3)).entries == (2, 3, 2, 3)
-    assert canonicalize((3, 2, 3, 2)) == canonicalize((2, 3, 2, 3))
+    assert Cycle((3,)).entries == (3,)
+    assert Cycle((2, 3, 2, 3)).entries == (2, 3, 2, 3)
+    assert Cycle((3, 2, 3, 2)) == Cycle((2, 3, 2, 3))
 
 
 def test_cycle_invariants_enforced():
@@ -54,14 +53,14 @@ def test_cycle_of_flagship():
 
 
 def test_cycle_of_small_cases():
-    assert cycle_of(Mat2(3, 1, -1, 0)) == canonicalize((3,))
-    assert cycle_of(monodromy_of((4, 2))) == canonicalize((4, 2))
-    assert cycle_of(power(Mat2(3, 1, -1, 0), 2)) == canonicalize((3, 3))
+    assert cycle_of(Mat2(3, 1, -1, 0)) == Cycle((3,))
+    assert cycle_of(monodromy_of((4, 2))) == Cycle((4, 2))
+    assert cycle_of(power(Mat2(3, 1, -1, 0), 2)) == Cycle((3, 3))
 
 
 def test_cycle_of_period_repeated_65_times(capsys):
     # The repeat count of the period has no upper bound: (3) taken 65 times.
-    threes = canonicalize((3,) * 65)
+    threes = Cycle((3,) * 65)
     assert cycle_of(monodromy_of(threes)) == threes
     assert main(["cycle", "-c", ",".join(["3"] * 65)]) == 0
     assert capsys.readouterr().out == f"cycle: {threes}  dual: {threes}\n"
@@ -77,18 +76,18 @@ def test_cycle_of_rejects_bad_matrices():
 
 
 def test_dual_cycle_examples():
-    assert dual_cycle((3,)) == canonicalize((3,))
+    assert dual_cycle(Cycle((3,))) == Cycle((3,))
     assert dual_cycle(PAPER_CYCLE) == PAPER_DUAL
     assert dual_length(PAPER_CYCLE) == 19
-    assert dual_length((3,)) == 1
+    assert dual_length(Cycle((3,))) == 1
     for k in range(3, 12):
-        assert dual_length((2, 2, 2, k)) == k - 2
+        assert dual_length(Cycle((2, 2, 2, k))) == k - 2
 
 
 def test_is_ci_link():
-    assert is_ci_link((3,))
+    assert is_ci_link(Cycle((3,)))
     assert not is_ci_link(PAPER_CYCLE)
-    assert is_ci_link((2, 2, 2, 3))  # length 4, dual length 1
+    assert is_ci_link(Cycle((2, 2, 2, 3)))  # length 4, dual length 1
 
 
 def test_round_trip_random():
@@ -127,7 +126,7 @@ def test_base_power_concatenation():
         c = random_cycle(rng, max_len=5, max_entry=9)
         b = monodromy_of(c)
         for n in (2, 3, 4):
-            assert cycle_of(power(b, n)) == canonicalize(tuple(c) * n)
+            assert cycle_of(power(b, n)) == Cycle(tuple(c) * n)
 
 
 def test_dual_of_reversal_is_reversal_of_dual():

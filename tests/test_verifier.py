@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cuspcovers.cycles import canonicalize
+from cuspcovers.cycles import Cycle, monodromy_of
 from cuspcovers.intmath import is_prime
 from cuspcovers.matrices import Mat2, inverse
 from cuspcovers.verifier import (
@@ -11,7 +11,6 @@ from cuspcovers.verifier import (
     admissible_traces,
     candidate_matrices,
     verify,
-    verify_cycle,
 )
 from cuspcovers.cfrac import fixed_point, is_purely_periodic
 from helpers import conjugated, random_cycle, random_unimodular
@@ -34,7 +33,7 @@ def test_verify_flagship():
     cert = verify(PAPER_A)
     assert cert.verdict == NO_CI_COVER
     assert cert.witness is None
-    assert cert.cycle == canonicalize((8, 2, 4, 3, 12))
+    assert cert.cycle == Cycle((8, 2, 4, 3, 12))
     assert len(cert.dual) == 19
     assert len(cert.covers) == 58
     assert all(min(len(r.cycle), len(r.dual)) >= 5 for r in cert.covers)
@@ -55,10 +54,10 @@ def test_verify_rejects_bad_input():
         verify(Mat2(3, 1, -1, 1))  # det 4
 
 
-def test_verify_cycle_forms():
-    assert verify_cycle((8, 2, 4, 3, 12)).verdict == NO_CI_COVER
-    assert verify_cycle((3,)).verdict == HAS_CI_COVER
-    assert verify_cycle((2, 2, 2, 3)).verdict == HAS_CI_COVER
+def test_verify_monodromy_of_cycle_forms():
+    assert verify(monodromy_of(Cycle((8, 2, 4, 3, 12)))).verdict == NO_CI_COVER
+    assert verify(monodromy_of(Cycle((3,)))).verdict == HAS_CI_COVER
+    assert verify(monodromy_of(Cycle((2, 2, 2, 3)))).verdict == HAS_CI_COVER
 
 
 def test_verify_deterministic():
