@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .cfrac import ExpansionError, expand, fixed_point
-from .matrices import Mat2, mul, trace_power_polynomial
+from .matrices import Mat2, mul, power, trace_power_polynomial
 
 
 def _validated(entries: Iterable[int]) -> tuple[int, ...]:
@@ -26,16 +26,40 @@ def _validated(entries: Iterable[int]) -> tuple[int, ...]:
     return seq
 
 
+def _least_rotation(seq: tuple[int, ...]) -> int:
+    """Start of the lexicographically smallest rotation of seq, in O(len(seq)).
+
+    Duval's Lyndon factorization (1983) run over seq + seq: the last Lyndon
+    factor starting before len(seq) begins the least rotation.
+    """
+    k = len(seq)
+    ss = seq + seq
+    i = start = 0
+    while i < k:
+        start = i
+        j, m = i + 1, i
+        while j < 2 * k and ss[m] <= ss[j]:
+            m = i if ss[m] < ss[j] else m + 1
+            j += 1
+        while i <= m:
+            i += j - m
+    return start
+
+
 @dataclass(frozen=True)
 class Cycle:
-    """A resolution cycle, stored as its lexicographically smallest rotation."""
+    """A resolution cycle, stored as its lexicographically smallest rotation.
+
+    The least rotation is found in linear time (`_least_rotation`), so long
+    cover cycles canonicalize in time proportional to their length.
+    """
 
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
         seq = _validated(self.entries)
-        best = min(seq[i:] + seq[:i] for i in range(len(seq)))
-        object.__setattr__(self, "entries", best)
+        i = _least_rotation(seq)
+        object.__setattr__(self, "entries", seq[i:] + seq[:i])
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -72,6 +96,11 @@ def cycle_of(a: Mat2) -> Cycle:
     trace(a).  The period matrix has trace >= 3, so P_n strictly increases
     and the search for n ends.  The preperiod absorbs matrices outside the
     purely periodic region, so any hyperbolic conjugate works.
+
+    The result is checked in O(period) multiplications: its entries are one
+    block of len(period) entries repeated n times, and that block's monodromy
+    to the n-th power has trace t.  The product over the repeated block is
+    exactly that power, so this proves trace(monodromy_of(result)) == t.
     """
     if a.det != 1:
         raise ValueError("cycle_of requires determinant 1")
@@ -85,7 +114,9 @@ def cycle_of(a: Mat2) -> Cycle:
         n += 1
     if tn == t:
         result = Cycle(period * n)
-        assert monodromy_of(result).trace == t
+        block = result.entries[: len(period)]
+        assert result.entries == block * n
+        assert power(monodromy_of(block), n).trace == t
         return result
     raise ExpansionError(
         f"no power of the period matrix has trace {t}; expansion is inconsistent"

@@ -3,12 +3,10 @@
 Everything here is exact and deterministic; no floating point, no
 probabilistic shortcuts.  Monodromy entries reach ~10**27 in the degree-4
 cover computations, so all arithmetic rides on Python's arbitrary-precision
-integers.
+integers.  Quadratic congruences modulo a prime are solved by the
+discriminant formula with Tonelli-Shanks square roots, not by scanning the
+residues, so a large prime modulus costs a few modular powers.
 """
-
-# Direct residue scan is the normative congruence solver; all moduli that
-# occur in practice are small primes (<= a few thousand).
-SCAN_LIMIT = 10**6
 
 
 def is_prime(n: int) -> bool:
@@ -73,20 +71,59 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def solve_quadratic_congruence(a2: int, a1: int, a0: int, m: int) -> list[int]:
-    """All residues t in [0, m) with a2*t^2 + a1*t + a0 == 0 (mod m), m prime.
+def _sqrt_mod(n: int, p: int) -> int:
+    """A square root of the quadratic residue n modulo the odd prime p (Tonelli-Shanks).
 
-    The degenerate-to-linear case (a2 == 0 mod m) falls out of the same
-    scan.  Rejects non-prime moduli and the identically-zero congruence;
-    callers must factor composite moduli themselves.
+    The non-residue is the least z >= 2 with z^((p-1)/2) == -1, so the
+    result is deterministic.
+    """
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def solve_quadratic_congruence(a2: int, a1: int, a0: int, m: int) -> list[int]:
+    """All residues t in [0, m) with a2*t^2 + a1*t + a0 == 0 (mod m), m prime, ascending.
+
+    For m odd and a2 != 0 mod m the roots are (-a1 +- sqrt(D)) / (2*a2) with
+    D = a1^2 - 4*a2*a0; the degenerate-to-linear case (a2 == 0 mod m) takes
+    a modular inverse, and m = 2 is checked directly.  Every root is checked
+    by substitution.  Rejects non-prime moduli and the identically-zero
+    congruence; callers must factor composite moduli themselves.
     """
     if not is_prime(m):
         raise ValueError(f"modulus {m} is not prime")
-    if m >= SCAN_LIMIT:
-        raise ValueError(f"modulus {m} exceeds the scan limit {SCAN_LIMIT}")
     a2 %= m
     a1 %= m
     a0 %= m
     if a2 == 0 and a1 == 0 and a0 == 0:
         raise ValueError("congruence vanishes identically modulo m")
-    return [t for t in range(m) if (a2 * t * t + a1 * t + a0) % m == 0]
+    if m == 2:
+        roots = [t for t in (0, 1) if (a2 * t * t + a1 * t + a0) % 2 == 0]
+    elif a2 == 0:
+        roots = [-a0 * pow(a1, -1, m) % m] if a1 else []
+    else:
+        disc = (a1 * a1 - 4 * a2 * a0) % m
+        inv = pow(2 * a2, -1, m)
+        if disc == 0:
+            roots = [-a1 * inv % m]
+        elif pow(disc, (m - 1) // 2, m) != 1:
+            roots = []
+        else:
+            r = _sqrt_mod(disc, m)
+            roots = sorted(((-a1 + r) * inv % m, (-a1 - r) * inv % m))
+    assert all((a2 * t * t + a1 * t + a0) % m == 0 for t in roots)
+    return roots

@@ -38,3 +38,9 @@ def random_hyperbolic(rng, max_len=6, max_entry=8, shear_steps=4) -> Mat2:
 
 def reversed_cycle(c: Cycle) -> Cycle:
     return Cycle(tuple(reversed(tuple(c))))
+
+
+def least_rotation_brute(seq) -> tuple:
+    """The lexicographically smallest rotation of seq, by comparing all of them (O(k^2))."""
+    seq = tuple(seq)
+    return min(seq[i:] + seq[:i] for i in range(len(seq)))

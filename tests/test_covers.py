@@ -86,6 +86,12 @@ def test_prime_index_requires_prime():
         prime_index_invariant_lattices(PAPER_A, 6)
 
 
+def test_prime_index_lattices_modulo_a_prime_above_a_million():
+    # x - 2 = 1000003 is prime for the cusp (1000005), a modulus above 10**6.
+    lats = prime_index_invariant_lattices(Mat2(1000005, 1, -1, 0), 1000003)
+    assert lats == [Lattice2(1000003, 1000002, 1)]
+
+
 def test_prime_index_scalar_case():
     # A = I mod ell preserves every index-ell lattice: ell + 1 of them
     ell = 5

@@ -12,7 +12,7 @@ from cuspcovers.cycles import (
     monodromy_of,
 )
 from cuspcovers.matrices import Mat2, inverse, power
-from helpers import random_cycle, reversed_cycle
+from helpers import least_rotation_brute, random_cycle, reversed_cycle
 
 PAPER_A = Mat2(1640, 221, -141, -19)
 PAPER_CYCLE = Cycle((8, 2, 4, 3, 12))
@@ -25,6 +25,36 @@ def test_canonical_rotation():
     assert Cycle((3,)).entries == (3,)
     assert Cycle((2, 3, 2, 3)).entries == (2, 3, 2, 3)
     assert Cycle((3, 2, 3, 2)) == Cycle((2, 3, 2, 3))
+
+
+def random_cycle_entries(rng):
+    """Sequences shaped like cover cycles: random, block powers, long runs of 2s."""
+    shape = rng.randrange(3)
+    if shape == 0:
+        seq = [rng.randint(2, rng.choice((3, 4, 12))) for _ in range(rng.randint(1, 30))]
+    elif shape == 1:
+        block = [rng.randint(2, rng.choice((3, 5))) for _ in range(rng.randint(1, 8))]
+        seq = block * rng.randint(2, 6)
+    else:
+        seq = []
+        for _ in range(rng.randint(1, 4)):
+            seq += [2] * rng.randint(0, 40) + [rng.randint(3, 4)]
+    if all(e == 2 for e in seq):
+        seq[rng.randrange(len(seq))] = 3
+    return seq
+
+
+def test_canonical_rotation_matches_brute_force():
+    rng = random.Random(73)
+    for _ in range(2500):
+        seq = random_cycle_entries(rng)
+        assert Cycle(seq).entries == least_rotation_brute(seq)
+    sample = (2, 3, 2, 2, 3, 2, 3, 2, 2, 4, 2, 3, 2, 2, 3)
+    least = least_rotation_brute(sample)
+    for i in range(len(sample)):
+        assert Cycle(sample[i:] + sample[:i]).entries == least
+    longest_run_first = (2,) * 500 + (3,) + (2,) * 499 + (3,)
+    assert Cycle(longest_run_first[-1:] + longest_run_first[:-1]).entries == longest_run_first
 
 
 def test_cycle_invariants_enforced():

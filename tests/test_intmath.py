@@ -108,3 +108,36 @@ def test_congruence_roots_are_exact():
             assert satisfied == (t in roots)
         if a2 % m:
             assert len(roots) <= 2
+
+
+def test_congruence_matches_brute_force_scan():
+    rng = random.Random(37)
+    primes = [p for p in range(2, 3000) if is_prime(p)]
+    shapes = {"linear": 0, "no_root": 0, "double": 0, "two": 0}
+    cases = 0
+    while cases < 2500:
+        m = 2 if cases % 50 in (7, 13) else rng.choice(primes)
+        a2, a1, a0 = (rng.randint(-10**6, 10**6) for _ in range(3))
+        if cases % 5 == 0:
+            a2 = m * rng.randint(-3, 3)  # degenerate to a linear congruence
+        elif cases % 5 == 1:
+            r = rng.randrange(m)  # a2 * (t - r)^2: a double root
+            a1, a0 = -2 * a2 * r, a2 * r * r
+        if a2 % m == 0 and a1 % m == 0 and a0 % m == 0:
+            continue
+        cases += 1
+        roots = solve_quadratic_congruence(a2, a1, a0, m)
+        assert roots == [t for t in range(m) if (a2 * t * t + a1 * t + a0) % m == 0]
+        if a2 % m == 0:
+            shapes["linear"] += 1
+        else:
+            shapes[("no_root", "double", "two")[len(roots)]] += 1
+    assert min(shapes.values()) >= 10, shapes
+
+
+def test_congruence_modulo_a_prime_above_a_million():
+    m = 1000003
+    assert solve_quadratic_congruence(1, -12, 35, m) == [5, 7]
+    assert solve_quadratic_congruence(1, 2, 1, m) == [m - 1]
+    assert solve_quadratic_congruence(1, 0, -2, m) == []  # 2 is a non-residue, m = 3 mod 8
+    assert solve_quadratic_congruence(m, 3, 4, m) == [333333]  # 3 * 333333 + 4 = m

@@ -39,6 +39,15 @@ def test_verify_flagship():
     assert all(min(len(r.cycle), len(r.dual)) >= 5 for r in cert.covers)
 
 
+def test_long_cycle_certificate():
+    # (1621) = [[1621, 1], [-1, 0]]: the long_cycle benchmark's pinned facts.
+    cert = verify(Mat2(1621, 1, -1, 0))
+    assert len(cert.covers) == 58
+    assert max(len(r.cycle) for r in cert.covers) == 6476
+    assert sum(len(r.cycle) + len(r.dual) for r in cert.covers) == 131112
+    assert cert.verdict == HAS_CI_COVER
+
+
 def test_verify_trivial_ci():
     cert = verify(Mat2(3, 1, -1, 0))
     assert cert.verdict == HAS_CI_COVER
