@@ -11,12 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .intmath import divisors
 from .matrices import Mat2
 
 
 class ExpansionError(RuntimeError):
-    """The expansion machinery failed internally; valid inputs never raise this."""
+    """An expansion failed internally or passed the 10**6-step ceiling of `expand`.
+
+    Valid input meets the ceiling: the covers of (x) expand about x digits.
+    """
 
 
 @dataclass(frozen=True)
@@ -90,20 +92,15 @@ def step(x: QuadIrr) -> tuple[int, QuadIrr]:
     return digit, QuadIrr(p2, x.d, q2)
 
 
-def _primitive(block: list[int]) -> tuple[int, ...]:
-    n = len(block)
-    for w in divisors(n):
-        if block == block[:w] * (n // w):
-            return tuple(block[:w])
-    return tuple(block)
-
-
 def expand(x: QuadIrr, max_steps: int = 10**6) -> CFExpansion:
     """Full expansion of x: digits until the (p, q) state repeats.
 
     The discriminant d is a step invariant, so states are (p, q) pairs and a
     repeat is guaranteed; the first repeated state splits preperiod from
-    period, and the period is then reduced to its shortest block.
+    period.  The period is primitive: after the first step every digit is
+    >= 2, and such digits, not ending in all 2s, determine their value, so a
+    period repeating a shorter block of w digits would make state j recur at
+    j + w, before the recorded repeat.
     """
     seen: dict[tuple[int, int], int] = {}
     digits: list[int] = []
@@ -112,7 +109,7 @@ def expand(x: QuadIrr, max_steps: int = 10**6) -> CFExpansion:
         key = (cur.p, cur.q)
         if key in seen:
             j = seen[key]
-            return CFExpansion(tuple(digits[:j]), _primitive(digits[j:]))
+            return CFExpansion(tuple(digits[:j]), tuple(digits[j:]))
         seen[key] = i
         digit, cur = step(cur)
         digits.append(digit)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .cfrac import ExpansionError, expand, fixed_point
-from .matrices import Mat2, mul, power, trace_power_polynomial
+from .matrices import Mat2, mul
 
 
 def _validated(entries: Iterable[int]) -> tuple[int, ...]:
@@ -71,53 +71,51 @@ class Cycle:
         return "(" + ", ".join(str(e) for e in self.entries) + ")"
 
 
-def _elementary(b: int) -> Mat2:
-    return Mat2(b, 1, -1, 0)
-
-
 def monodromy_of(c: Cycle | Sequence[int]) -> Mat2:
     """Monodromy of the cycle (b_1, ..., b_k): the product M(b_k) ... M(b_1).
 
-    A raw sequence is multiplied in the rotation given; rotations yield
-    conjugate results with equal trace.
+    M(b) = [[b, 1], [-1, 0]], so left-multiplying by it is the continuant
+    row update applied entry by entry.  A raw sequence is multiplied in the
+    rotation given; rotations yield conjugate results with equal trace.
     """
     seq = c.entries if isinstance(c, Cycle) else _validated(c)
     out = Mat2(1, 0, 0, 1)
     for b in seq:
-        out = mul(_elementary(b), out)
+        out = Mat2(b * out.a + out.c, b * out.b + out.d, -out.a, -out.b)
     return out
 
 
 def cycle_of(a: Mat2) -> Cycle:
     """Resolution cycle of a det-1 monodromy with trace >= 3.
 
-    Expands the fixed slope of a, takes the primitive period, and repeats it
-    n times where n solves trace_power_polynomial(trace(period matrix), n) =
-    trace(a).  The period matrix has trace >= 3, so P_n strictly increases
-    and the search for n ends.  The preperiod absorbs matrices outside the
-    purely periodic region, so any hyperbolic conjugate works.
+    Expands the fixed slope of a and canonicalizes its primitive period once,
+    as the block.  a is conjugate to m^n, where m is the block's monodromy,
+    so the result is the block repeated n times; n is found by multiplying
+    by m until the trace reaches trace(a).  m has trace >= 3, so the traces
+    of its powers strictly increase and the search ends.  The preperiod
+    absorbs matrices outside the purely periodic region, so any hyperbolic
+    conjugate works.
 
-    The result is checked in O(period) multiplications: its entries are one
-    block of len(period) entries repeated n times, and that block's monodromy
-    to the n-th power has trace t.  The product over the repeated block is
-    exactly that power, so this proves trace(monodromy_of(result)) == t.
+    m^n is the product over the result's own entries, so the check that its
+    trace is trace(a) proves trace(monodromy_of(result)) == trace(a).  A
+    mismatch raises ExpansionError.
     """
     if a.det != 1:
         raise ValueError("cycle_of requires determinant 1")
     t = a.trace
     if t < 3:
         raise ValueError("not a cusp monodromy: trace < 3")
-    period = expand(fixed_point(a)).period
-    t_block = monodromy_of(period).trace
+    block = Cycle(expand(fixed_point(a)).period)
+    m = mn = monodromy_of(block)
     n = 1
-    while (tn := trace_power_polynomial(t_block, n)) < t:
+    while mn.trace < t:
+        mn = mul(mn, m)
         n += 1
-    if tn == t:
-        result = Cycle(period * n)
-        block = result.entries[: len(period)]
-        assert result.entries == block * n
-        assert power(monodromy_of(block), n).trace == t
-        return result
+    if mn.trace == t:
+        entries = block.entries * n
+        result = Cycle(entries)
+        if result.entries == entries:
+            return result
     raise ExpansionError(
         f"no power of the period matrix has trace {t}; expansion is inconsistent"
     )

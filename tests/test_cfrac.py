@@ -13,8 +13,10 @@ from cuspcovers.cfrac import (
     is_purely_periodic,
     step,
 )
-from cuspcovers.matrices import Mat2
+from cuspcovers.cycles import monodromy_of
+from cuspcovers.matrices import Mat2, power
 from cuspcovers.verifier import candidate_matrices
+from helpers import random_cycle
 
 PAPER_A = Mat2(1640, 221, -141, -19)
 GOLDEN = QuadIrr(1, 5, 2)
@@ -94,6 +96,18 @@ def test_expand_reduces_period_to_primitive():
     # (3 + sqrt 5)/2 repeated state gives block [3]; a doubled block must not leak out
     exp = expand(QuadIrr(3, 5, 2))
     assert exp.period == (3,)
+    # The first repeated state already ends a primitive period, for random
+    # values and for the fixed points of cycle powers alike.
+    rng = random.Random(47)
+    values = [_random_quadirr(rng) for _ in range(60)]
+    for _ in range(150):
+        b = monodromy_of(random_cycle(rng, max_len=5, max_entry=9))
+        values += [fixed_point(power(b, n)) for n in range(1, 5)]
+    for x in values:
+        period = expand(x).period
+        k = len(period)
+        for w in range(1, k):
+            assert k % w or period != period[:w] * (k // w)
 
 
 def test_pure_periodicity_examples():
@@ -140,8 +154,6 @@ def test_expansion_reassembles_to_the_value():
         # digits >= 3 keep convergence geometric, so 60 digits are plenty
         k = rng.randint(1, 5)
         entries = tuple(rng.randint(3, 9) for _ in range(k))
-        from cuspcovers.cycles import monodromy_of
-
         x = fixed_point(monodromy_of(entries))
         exp = expand(x)
         digits = list(exp.preperiod) + list(exp.period) * (60 // len(exp.period) + 1)

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import cuspcovers.cycles
+from cuspcovers.cfrac import CFExpansion, ExpansionError
 from cuspcovers.cli import main
 from cuspcovers.cycles import (
     Cycle,
@@ -103,6 +105,15 @@ def test_cycle_of_rejects_bad_matrices():
         cycle_of(Mat2(0, -1, 1, 0))  # elliptic
     with pytest.raises(ValueError):
         cycle_of(Mat2(3, 1, -1, 1))  # det 4
+
+
+def test_cycle_of_inconsistent_expansion_is_an_internal_error(monkeypatch, capsys):
+    # The traces of the powers of M(4) are 4, 14, 52, 194, 724, 2702: none is 1621.
+    monkeypatch.setattr(cuspcovers.cycles, "expand", lambda x: CFExpansion((), (4,)))
+    with pytest.raises(ExpansionError):
+        cycle_of(PAPER_A)
+    assert main(["cycle", "-m", "1640", "221", "-141", "-19"]) == 1
+    assert "internal error" in capsys.readouterr().err
 
 
 def test_dual_cycle_examples():
