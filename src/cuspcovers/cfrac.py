@@ -13,9 +13,11 @@ from math import isqrt
 
 from .matrices import Mat2
 
+MAX_STEPS = 10**6
+
 
 class ExpansionError(RuntimeError):
-    """An expansion failed internally or passed the 10**6-step ceiling of `expand`.
+    """An expansion failed internally or passed the `MAX_STEPS` ceiling of `expand`.
 
     Valid input meets the ceiling: the covers of (x) expand about x digits.
     """
@@ -59,23 +61,6 @@ class CFExpansion:
     period: tuple[int, ...]
 
 
-def _sqrt_above(c: int, d: int) -> bool:
-    # sqrt(d) > c exactly; d is never a perfect square here.
-    return c < 0 or d > c * c
-
-
-def _greater_than(x: QuadIrr, bound: int) -> bool:
-    # (p + sqrt(d))/q > bound
-    c = bound * x.q - x.p
-    return _sqrt_above(c, x.d) if x.q > 0 else not _sqrt_above(c, x.d)
-
-
-def _conjugate_greater_than(x: QuadIrr, bound: int) -> bool:
-    # (p - sqrt(d))/q > bound
-    c = x.p - bound * x.q
-    return not _sqrt_above(c, x.d) if x.q > 0 else _sqrt_above(c, x.d)
-
-
 def ceil_quad(x: QuadIrr) -> int:
     """Exact ceiling, via isqrt bounds on sqrt(d); handles both signs of q."""
     s = isqrt(x.d)
@@ -92,7 +77,7 @@ def step(x: QuadIrr) -> tuple[int, QuadIrr]:
     return digit, QuadIrr(p2, x.d, q2)
 
 
-def expand(x: QuadIrr, max_steps: int = 10**6) -> CFExpansion:
+def expand(x: QuadIrr) -> CFExpansion:
     """Full expansion of x: digits until the (p, q) state repeats.
 
     The discriminant d is a step invariant, so states are (p, q) pairs and a
@@ -100,12 +85,13 @@ def expand(x: QuadIrr, max_steps: int = 10**6) -> CFExpansion:
     period.  The period is primitive: after the first step every digit is
     >= 2, and such digits, not ending in all 2s, determine their value, so a
     period repeating a shorter block of w digits would make state j recur at
-    j + w, before the recorded repeat.
+    j + w, before the recorded repeat.  A state that has not repeated
+    within `MAX_STEPS` digits raises ExpansionError.
     """
     seen: dict[tuple[int, int], int] = {}
     digits: list[int] = []
     cur = x
-    for i in range(max_steps):
+    for i in range(MAX_STEPS):
         key = (cur.p, cur.q)
         if key in seen:
             j = seen[key]
@@ -113,7 +99,7 @@ def expand(x: QuadIrr, max_steps: int = 10**6) -> CFExpansion:
         seen[key] = i
         digit, cur = step(cur)
         digits.append(digit)
-    raise ExpansionError(f"state failed to repeat within {max_steps} steps")
+    raise ExpansionError(f"state failed to repeat within {MAX_STEPS} steps")
 
 
 def fixed_point(a: Mat2) -> QuadIrr:
@@ -133,12 +119,9 @@ def fixed_point(a: Mat2) -> QuadIrr:
 
 
 def is_purely_periodic(x: QuadIrr) -> bool:
-    """True iff x > 1 and 0 < conj(x) < 1, decided with integer comparisons.
+    """True iff x > 1 and 0 < conj(x) < 1: the x with empty preperiod.
 
-    Exactly these x have an expansion with empty preperiod.
+    Both are irrational, so this is ceil(x) >= 2 and ceil(conj(x)) == 1;
+    conj(x) is the triple (-p, d, -q), normalized since -q | d - p^2 iff q does.
     """
-    return (
-        _greater_than(x, 1)
-        and _conjugate_greater_than(x, 0)
-        and not _conjugate_greater_than(x, 1)
-    )
+    return ceil_quad(x) >= 2 and ceil_quad(QuadIrr(-x.p, x.d, -x.q)) == 1

@@ -2,8 +2,8 @@
 
 Exit codes: 0 for a completed computation (whatever the verdict), 2 for
 invalid input (bad matrix, bad cycle, malformed arguments), 1 for an
-internal failure or an expansion past the 10**6-step ceiling of
-`cfrac.expand`, which valid cusps such as (x) near trace 10**6 meet.
+internal failure or an expansion past the `cfrac.MAX_STEPS` = 10**6 step
+ceiling of `cfrac.expand`, which valid cusps such as (x) near trace 10**6 meet.
 """
 
 from __future__ import annotations

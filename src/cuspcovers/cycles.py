@@ -124,26 +124,22 @@ def cycle_of(a: Mat2) -> Cycle:
 def dual_cycle(c: Cycle) -> Cycle:
     """Cycle of the dual cusp, by swapping the block structure.
 
-    Rotate to start at an entry >= 3, split into blocks (m_i + 3) followed by
-    n_i twos, and emit the blocks reversed with each (m, n) exchanged.
+    Rotated to start at an entry >= 3, the cycle is blocks (m_i + 3, 2^n_i);
+    the dual is the blocks reversed with each (m, n) exchanged.  One backward
+    pass emits it: count the run of 2s, and at each entry e >= 3 emit run + 3
+    then e - 3 twos.
     """
     seq = c.entries
     start = next(i for i, e in enumerate(seq) if e >= 3)
-    seq = seq[start:] + seq[:start]
-    blocks: list[tuple[int, int]] = []
-    i = 0
-    while i < len(seq):
-        m = seq[i] - 3
-        i += 1
-        n = 0
-        while i < len(seq) and seq[i] == 2:
-            n += 1
-            i += 1
-        blocks.append((m, n))
     out: list[int] = []
-    for m, n in reversed(blocks):
-        out.append(n + 3)
-        out.extend([2] * m)
+    run = 0
+    for e in reversed(seq[start:] + seq[:start]):
+        if e == 2:
+            run += 1
+        else:
+            out.append(run + 3)
+            out.extend([2] * (e - 3))
+            run = 0
     return Cycle(tuple(out))
 
 

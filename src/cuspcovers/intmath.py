@@ -41,18 +41,11 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def divisors(n: int) -> list[int]:
-    """All positive divisors of n >= 1, ascending."""
-    if n < 1:
-        raise ValueError("divisors requires a positive integer")
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i * i != n:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]
+    """All positive divisors of n >= 1, ascending, from `factorize(n)`."""
+    out = [1]
+    for p, k in factorize(n).items():
+        out = [d * p**i for d in out for i in range(k + 1)]
+    return sorted(out)
 
 
 def factorize(n: int) -> dict[int, int]:

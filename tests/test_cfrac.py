@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+import cuspcovers.cfrac
 from cuspcovers.cfrac import (
     CFExpansion,
+    ExpansionError,
     QuadIrr,
     ceil_quad,
     expand,
@@ -13,6 +15,7 @@ from cuspcovers.cfrac import (
     is_purely_periodic,
     step,
 )
+from cuspcovers.cli import main
 from cuspcovers.cycles import monodromy_of
 from cuspcovers.matrices import Mat2, power
 from cuspcovers.verifier import candidate_matrices
@@ -110,9 +113,22 @@ def test_expand_reduces_period_to_primitive():
             assert k % w or period != period[:w] * (k // w)
 
 
+def test_expand_ceiling_is_an_internal_error(monkeypatch, capsys):
+    # The period of (3, 2, ..., 2) with 200 twos is 201 digits, past a ceiling of 100.
+    monkeypatch.setattr(cuspcovers.cfrac, "MAX_STEPS", 100)
+    with pytest.raises(ExpansionError, match="within 100 steps"):
+        expand(fixed_point(monodromy_of((3,) + (2,) * 200)))
+    assert main(["cycle", "-c", ",".join(["3"] + ["2"] * 200)]) == 1
+    assert "internal error" in capsys.readouterr().err
+
+
 def test_pure_periodicity_examples():
     assert is_purely_periodic(QuadIrr(3, 5, 2))
     assert not is_purely_periodic(GOLDEN)  # conjugate is negative
+    assert not is_purely_periodic(QuadIrr(1, 5, 4))  # x ~ 0.81 < 1
+    assert not is_purely_periodic(QuadIrr(7, 5, 2))  # conjugate ~ 2.38 > 1
+    # q < 0 puts conj(x) = x + 2 sqrt(d)/|q| above x, so x > 1 forces conj(x) > 1
+    assert not is_purely_periodic(QuadIrr(-5, 5, -2))
 
 
 def test_pure_periodicity_of_candidate_fixed_points():

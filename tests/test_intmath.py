@@ -53,8 +53,12 @@ def test_divisors():
     assert divisors(1) == [1]
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(541) == [1, 541]
+    for n in range(1, 2001):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
     with pytest.raises(ValueError):
         divisors(0)
+    with pytest.raises(ValueError):
+        divisors(-1)
 
 
 def test_factorize():

@@ -114,6 +114,12 @@ def test_admissible_traces():
     assert admissible_traces(10000) == [13, 1621, 6661, 8221]
     assert admissible_traces(10000)[:3] == [13, 1621, 6661]
     assert admissible_traces(2000) == [13, 1621]
+    for limit in (3, 6, 7, 12):
+        assert admissible_traces(limit) == []
+    assert admissible_traces(13) == [13]
+    assert admissible_traces(10**5) == [
+        13, 1621, 6661, 8221, 13681, 22621, 36901, 38461, 53281, 54541, 56101, 61561, 94441
+    ]
     with pytest.raises(ValueError):
         admissible_traces(2)
 
