@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .matrices import Mat2
+from .matrices import Mat2, require_cusp
 
 MAX_STEPS = 10**6
 
@@ -105,16 +105,11 @@ def expand(x: QuadIrr) -> CFExpansion:
 def fixed_point(a: Mat2) -> QuadIrr:
     """The expanding fixed slope (a - d + sqrt(t^2 - 4)) / (2b) of a monodromy.
 
-    Requires det 1 and trace >= 3; b = 0 cannot occur there (it would force
-    trace +-2).
+    Requires det 1 and trace >= 3, so b != 0: det 1 and b = 0 force
+    a = d = +-1, trace +-2.
     """
-    if a.det != 1:
-        raise ValueError("fixed_point requires determinant 1")
+    require_cusp(a)
     t = a.trace
-    if t < 3:
-        raise ValueError("not a cusp monodromy: trace < 3")
-    if a.b == 0:
-        raise ValueError("fixed_point requires b != 0")
     return QuadIrr(a.a - a.d, t * t - 4, 2 * a.b)
 
 

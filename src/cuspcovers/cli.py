@@ -16,7 +16,7 @@ from typing import Sequence
 from .cfrac import ExpansionError
 from .covers import CoverRecord, enumerate_covers
 from .cycles import Cycle, cycle_of, dual_cycle, monodromy_of
-from .matrices import Mat2
+from .matrices import Mat2, require_cusp
 from .verifier import Certificate, admissible_traces, candidate_matrices, verify
 
 
@@ -92,10 +92,7 @@ def _parse_cycle_arg(text: str) -> Cycle:
 def _input_matrix(args: argparse.Namespace) -> Mat2:
     if args.matrix is not None:
         m = Mat2(*args.matrix)
-        if m.det != 1:
-            raise ValueError(f"matrix {m} has determinant {m.det}, expected 1")
-        if m.trace < 3:
-            raise ValueError(f"matrix {m} has trace {m.trace}; a cusp monodromy needs trace >= 3")
+        require_cusp(m)
         return m
     return monodromy_of(_parse_cycle_arg(args.cycle))
 

@@ -3,18 +3,21 @@
 A normal cover of the cusp with monodromy A decomposes into a degree-n cover
 in the base and a fiberwise cover with fiber an A-invariant sublattice L
 pinched between (A**n - I)Z^2 and Z^2.  This module enumerates those
-lattices exactly, conjugates A onto each fiber, and packages the resulting
-cycles as cover records for base degrees 1 through 4.
+lattices exactly, on HNF triples in closed form (triangular products down
+each prime-primary walk, CRT intersections across primes), conjugates A onto
+each fiber, and packages the resulting cycles as cover records for base
+degrees 1 through 4.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Sequence
 
 from .cycles import Cycle, cycle_of, dual_cycle
 from .intmath import divisors, factorize, is_prime, solve_quadratic_congruence
-from .matrices import Mat2, conjugate, hermite_normal_form, index_formula, mul, power
+from .matrices import Mat2, conjugate, hermite_normal_form, power, require_cusp
 
 
 @dataclass(frozen=True)
@@ -134,32 +137,28 @@ def prime_index_invariant_lattices(a: Mat2, ell: int) -> list[Lattice2]:
 
 
 def _shifted_lattice(parent: Lattice2, child: Lattice2) -> Lattice2:
-    # child expressed in parent coordinates -> absolute lattice
-    return Lattice2.from_basis(mul(parent.basis, child.basis))
-
-
-def _sum_lattice(l1: Lattice2, l2: Lattice2) -> Lattice2:
-    return Lattice2.from_columns(*l1.basis.columns(), *l2.basis.columns())
+    # child in parent coordinates -> absolute: the basis product [[x, y], [0, z]]
+    # [[x', y'], [0, z']] is triangular, with HNF (x x', (x y' + y z') mod x x', z z').
+    x = parent.x * child.x
+    return Lattice2(x, (parent.x * child.y + parent.y * child.z) % x, parent.z * child.z)
 
 
 def _intersect_coprime(l1: Lattice2, l2: Lattice2) -> Lattice2:
-    # For coprime indices m1, m2:  L1 cap L2 = m2*L1 + m1*L2.
-    m1, m2 = l1.index, l2.index
-    if m1 == 1:
-        return l2
-    if m2 == 1:
-        return l1
-    s1 = Lattice2(m2 * l1.x, m2 * l1.y, m2 * l1.z)
-    s2 = Lattice2(m1 * l2.x, m1 * l2.y, m1 * l2.z)
-    return _sum_lattice(s1, s2)
+    # For coprime indices L1 cap L2 = (x1 x2, y, z1 z2) with y = z2 y1 (mod x1) and
+    # y = z1 y2 (mod x2), by CRT; pow(x1, -1, 1) is 0, so index 1 needs no case.
+    k = (l1.z * l2.y - l2.z * l1.y) * pow(l1.x, -1, l2.x)
+    x = l1.x * l2.x
+    return Lattice2(x, (l2.z * l1.y + l1.x * k) % x, l1.z * l2.z)
 
 
-def _primary_part_lattices(a: Mat2, floor_lat: Lattice2, ell: int) -> list[Lattice2]:
-    """A-invariant lattices between floor_lat and Z^2 with ell-power index.
+def _primary_part_lattices(a: Mat2, shifted: Mat2, ell: int) -> list[Lattice2]:
+    """A-invariant lattices of ell-power index containing shifted Z^2.
 
-    Walks down from Z^2; from each invariant lattice M the index-ell
-    invariant sublattices of M and the scalar sublattice ell*M together
-    reach every invariant lattice above the floor.
+    shifted is A**n - I.  Walks down from Z^2; from each invariant lattice M
+    the index-ell invariant sublattices of M and the scalar sublattice ell*M
+    together reach every such lattice.  Z^2 / L for L of index ell**k above
+    shifted Z^2 is a quotient of Z^2 / shifted Z^2, so ell**k divides the
+    ell-part ell**e of its order and L contains ell**e Z^2 as well.
     """
     found = {FULL_LATTICE}
     frontier = [FULL_LATTICE]
@@ -169,25 +168,23 @@ def _primary_part_lattices(a: Mat2, floor_lat: Lattice2, ell: int) -> list[Latti
         children = [_shifted_lattice(m, c) for c in prime_index_invariant_lattices(action, ell)]
         children.append(Lattice2(ell * m.x, ell * m.y, ell * m.z))
         for child in children:
-            if child not in found and contains_lattice(child, floor_lat):
+            if child not in found and contains(child, shifted):
                 found.add(child)
                 frontier.append(child)
     return sorted(found, key=Lattice2.sort_key)
 
 
-def _index_factorization(trace: int, n: int) -> dict[int, int]:
-    # Factor |2 - P_n(trace)| through its small algebraic factors for n <= 4.
+def _index_primes(shifted: Mat2, trace: int, n: int) -> list[int]:
+    # Primes of |det(A**n - I)| = |2 - P_n(trace)|, through its small
+    # algebraic factors for n <= 4.
     pieces = {
         1: [trace - 2],
         2: [trace - 2, trace + 2],
         3: [trace - 2, trace + 1, trace + 1],
         4: [trace, trace, trace - 2, trace + 2],
-    }
-    out: dict[int, int] = {}
-    for piece in pieces.get(n, [index_formula(trace, n)]):
-        for prime, exp in factorize(piece).items():
-            out[prime] = out.get(prime, 0) + exp
-    return out
+    }.get(n, [abs(shifted.det)])
+    assert prod(pieces) == abs(shifted.det)
+    return sorted({p for piece in pieces for p in factorize(piece)})
 
 
 def invariant_sublattices_between(a: Mat2, n: int) -> list[Lattice2]:
@@ -196,22 +193,19 @@ def invariant_sublattices_between(a: Mat2, n: int) -> list[Lattice2]:
     The quotient is split into prime-primary parts; invariant lattices are
     enumerated within each part and recombined by intersection, which keeps
     the search polynomial in the number of prime factors rather than in the
-    total index.
+    total index.  Every lattice is an HNF triple in closed form; the CRT
+    intersection is injective on tuples of primary parts, so none repeats.
     """
-    if a.det != 1:
-        raise ValueError("invariant_sublattices_between requires determinant 1")
-    t = a.trace
-    if t < 3:
-        raise ValueError("not a cusp monodromy: trace < 3")
+    require_cusp(a)
+    if n < 1:
+        raise ValueError("base degree must be >= 1")
     an = power(a, n)
-    kernel = Lattice2.from_columns((an.a - 1, an.c), (an.b, an.d - 1))
-    assert kernel.index == index_formula(t, n)
+    shifted = Mat2(an.a - 1, an.b, an.c, an.d - 1)
     combos = [FULL_LATTICE]
-    for ell, exp in sorted(_index_factorization(t, n).items()):
-        floor_l = _sum_lattice(kernel, Lattice2(ell**exp, 0, ell**exp))
-        part = _primary_part_lattices(a, floor_l, ell)
+    for ell in _index_primes(shifted, a.trace, n):
+        part = _primary_part_lattices(a, shifted, ell)
         combos = [_intersect_coprime(base, opt) for base in combos for opt in part]
-    return sorted(set(combos), key=Lattice2.sort_key)
+    return sorted(combos, key=Lattice2.sort_key)
 
 
 def _build_record(a: Mat2, n: int, lat: Lattice2) -> CoverRecord:

@@ -8,15 +8,16 @@ by the block-swap rule, and decides the complete-intersection link test.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .cfrac import ExpansionError, expand, fixed_point
-from .matrices import Mat2, mul
+from .matrices import Mat2, mul, require_cusp
 
 
 def _validated(entries: Iterable[int]) -> tuple[int, ...]:
-    seq = tuple(int(e) for e in entries)
+    seq = tuple(operator.index(e) for e in entries)
     if not seq:
         raise ValueError("a cycle must be nonempty")
     if any(e < 2 for e in seq):
@@ -100,11 +101,8 @@ def cycle_of(a: Mat2) -> Cycle:
     trace is trace(a) proves trace(monodromy_of(result)) == trace(a).  A
     mismatch raises ExpansionError.
     """
-    if a.det != 1:
-        raise ValueError("cycle_of requires determinant 1")
+    require_cusp(a)
     t = a.trace
-    if t < 3:
-        raise ValueError("not a cusp monodromy: trace < 3")
     block = Cycle(expand(fixed_point(a)).period)
     m = mn = monodromy_of(block)
     n = 1

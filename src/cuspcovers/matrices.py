@@ -1,12 +1,13 @@
 """Exact 2x2 integer matrix algebra.
 
-Products, powers, inverses, conjugation with an integrality verdict,
-trace-power recurrences, fiber-index formulas, and the Hermite normal form
-that gives each sublattice of Z^2 a unique basis.
+Products, powers, inverses, the cusp-monodromy check, conjugation with an
+integrality verdict, trace-power recurrences, fiber-index formulas, and the
+Hermite normal form that gives each sublattice of Z^2 a unique basis.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -41,6 +42,15 @@ class Mat2:
 
 
 IDENTITY = Mat2(1, 0, 0, 1)
+
+
+def require_cusp(a: Mat2) -> None:
+    """Raise ValueError unless a is a cusp monodromy: det 1 and trace >= 3."""
+    if a.det != 1 or a.trace < 3:
+        raise ValueError(
+            f"matrix {a} has determinant {a.det} and trace {a.trace};"
+            " a cusp monodromy needs determinant 1 and trace >= 3"
+        )
 
 
 def mul(x: Mat2, y: Mat2) -> Mat2:
@@ -121,9 +131,10 @@ def hermite_normal_form(columns: Iterable[Sequence[int]]) -> Mat2:
 
     The result's columns (x, 0) and (y, z) generate the same sublattice of
     Z^2, with x > 0, z > 0 and 0 <= y < x; the index is x*z.  Accepts any
-    number of columns (at least two) and rejects rank-deficient input.
+    number of columns (at least two) and rejects rank-deficient input;
+    non-integer entries raise TypeError.
     """
-    cols = [(int(c[0]), int(c[1])) for c in columns]
+    cols = [(operator.index(c[0]), operator.index(c[1])) for c in columns]
     if len(cols) < 2:
         raise ValueError("need at least two columns")
     # Combine columns until one vector carries gcd of all second coordinates.

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .covers import CoverRecord, enumerate_covers
 from .cycles import Cycle, cycle_of, dual_cycle, is_ci_link
 from .intmath import is_prime
-from .matrices import Mat2
+from .matrices import Mat2, require_cusp
 
 CANDIDATE_SPAN = 10**4
 
@@ -42,10 +42,7 @@ class Certificate:
 
 def verify(a: Mat2) -> Certificate:
     """Certificate for the cusp with monodromy a (det 1, trace >= 3)."""
-    if a.det != 1:
-        raise ValueError("monodromy must have determinant 1")
-    if a.trace < 3:
-        raise ValueError("not a cusp monodromy: trace < 3")
+    require_cusp(a)
     records = tuple(enumerate_covers(a, 4))
     witness = next((i for i, rec in enumerate(records) if is_ci_link(rec.cycle)), None)
     cyc = cycle_of(a)

@@ -52,10 +52,12 @@ def test_fixed_point_examples():
 
 
 def test_fixed_point_rejects_non_monodromy():
-    with pytest.raises(ValueError):
-        fixed_point(Mat2(1, 1, 0, 1))  # trace 2
+    with pytest.raises(ValueError, match="determinant 1 and trace 2;"):
+        fixed_point(Mat2(1, 1, 0, 1))
     with pytest.raises(ValueError):
         fixed_point(Mat2(2, 1, 1, 1 + 1))  # det != 1
+    with pytest.raises(ValueError, match="determinant 4 and trace 4;"):
+        fixed_point(Mat2(3, 1, -1, 1))
 
 
 def test_ceil_quad():

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from cuspcovers.cli import main
+from cuspcovers.matrices import Mat2
 
 
 def run_cli(capsys, *argv):
@@ -150,6 +151,9 @@ def test_invalid_input_exits_2(capsys, argv):
     captured = capsys.readouterr()
     assert code == 2
     assert "error:" in captured.err
+    if argv[1] == "-m":
+        m = Mat2(*map(int, argv[2:]))
+        assert f"determinant {m.det} and trace {m.trace};" in captured.err
 
 
 def test_missing_input_is_usage_error(capsys):

@@ -1,10 +1,13 @@
 import random
+from math import gcd
 
 import pytest
 
 from cuspcovers.covers import (
     FULL_LATTICE,
     Lattice2,
+    _intersect_coprime,
+    _shifted_lattice,
     contains,
     contains_lattice,
     enumerate_covers,
@@ -116,6 +119,13 @@ def test_invariant_sublattices_paper_degree_1():
     lats = invariant_sublattices_between(PAPER_A, 1)
     assert lats == [FULL_LATTICE, Lattice2.from_basis(shifted(PAPER_A, 1))]
     assert [lat.index for lat in lats] == [1, 1619]
+    with pytest.raises(ValueError, match="determinant 1 and trace 2;"):
+        invariant_sublattices_between(Mat2(1, 1, 0, 1), 1)
+    with pytest.raises(ValueError, match="determinant 4 and trace 4;"):
+        invariant_sublattices_between(Mat2(3, 1, -1, 1), 1)
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            invariant_sublattices_between(PAPER_A, n)
 
 
 def test_invariant_sublattices_paper_degree_2():
@@ -138,13 +148,14 @@ def test_invariant_sublattices_paper_degree_3():
 
 
 def test_invariant_sublattices_against_brute_force():
+    # n = 3, 4 put squared primes, (t + 1)^2 and t^2, in the index.
     rng = random.Random(79)
-    checked = 0
-    while checked < 60:
+    checked = dict.fromkeys((1, 2, 3, 4), 0)
+    while min(checked.values()) < 30:
         a = random_hyperbolic(rng, max_len=3, max_entry=5, shear_steps=3)
-        for n in (1, 2):
+        for n in checked:
             total = index_formula(a.trace, n)
-            if total >= 10**4:
+            if total >= 10**4 or checked[n] >= 30:
                 continue
             smart = invariant_sublattices_between(a, n)
             kernel = Lattice2.from_basis(shifted(a, n))
@@ -156,7 +167,35 @@ def test_invariant_sublattices_against_brute_force():
                 if contains_lattice(lat, kernel) and is_invariant(lat, a)
             ]
             assert smart == sorted(brute, key=Lattice2.sort_key)
-            checked += 1
+            checked[n] += 1
+
+
+def test_closed_forms_match_hermite_normal_form():
+    # _shifted_lattice is the HNF of the product of the two bases, and
+    # _intersect_coprime the HNF of m2 L1 + m1 L2 for coprime indices m1, m2.
+    rng = random.Random(83)
+
+    def triple():
+        x = rng.randint(1, 60)
+        return Lattice2(x, rng.randrange(x), rng.randint(1, 60))
+
+    def hermite_sum(l1, l2):
+        m1, m2 = l1.index, l2.index
+        s1 = [(m2 * u, m2 * v) for u, v in l1.basis.columns()]
+        s2 = [(m1 * u, m1 * v) for u, v in l2.basis.columns()]
+        return Lattice2.from_columns(*s1, *s2)
+
+    units = [FULL_LATTICE, Lattice2(1, 0, 7), Lattice2(5, 3, 1)]
+    for l1 in units:
+        for l2 in units:
+            if gcd(l1.index, l2.index) == 1:
+                assert _intersect_coprime(l1, l2) == hermite_sum(l1, l2)
+    for _ in range(3000):
+        l1, l2 = triple(), triple()
+        assert _shifted_lattice(l1, l2) == Lattice2.from_basis(mul(l1.basis, l2.basis))
+        while gcd(l1.index, l2.index) != 1:
+            l2 = triple()
+        assert _intersect_coprime(l1, l2) == hermite_sum(l1, l2)
 
 
 def test_induced_action_paper_values():

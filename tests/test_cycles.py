@@ -68,6 +68,14 @@ def test_cycle_invariants_enforced():
         Cycle((2, 2, 2))
 
 
+def test_non_integer_entries_raise():
+    # They must not be truncated: (2.5, 3) is no cycle, [2.9, 3] has no monodromy.
+    with pytest.raises(TypeError):
+        Cycle((2.5, 3))
+    with pytest.raises(TypeError):
+        monodromy_of([2.9, 3])
+
+
 def test_monodromy_of():
     assert monodromy_of((3,)) == Mat2(3, 1, -1, 0)
     # raw sequences multiply in the order given: M(2) * M(4)
@@ -99,12 +107,12 @@ def test_cycle_of_period_repeated_65_times(capsys):
 
 
 def test_cycle_of_rejects_bad_matrices():
-    with pytest.raises(ValueError):
-        cycle_of(Mat2(1, 1, 0, 1))  # parabolic, trace 2
+    with pytest.raises(ValueError, match="determinant 1 and trace 2;"):
+        cycle_of(Mat2(1, 1, 0, 1))  # parabolic
     with pytest.raises(ValueError):
         cycle_of(Mat2(0, -1, 1, 0))  # elliptic
-    with pytest.raises(ValueError):
-        cycle_of(Mat2(3, 1, -1, 1))  # det 4
+    with pytest.raises(ValueError, match="determinant 4 and trace 4;"):
+        cycle_of(Mat2(3, 1, -1, 1))
 
 
 def test_cycle_of_inconsistent_expansion_is_an_internal_error(monkeypatch, capsys):

@@ -132,6 +132,12 @@ def test_hnf_shape_and_uniqueness():
         assert h1.c == 0 and h1.a > 0 and h1.d > 0 and 0 <= h1.b < h1.a
 
 
+def test_hnf_rejects_non_integer_entries():
+    # 1.5 must not be truncated to 1, which would give [[1, 0], [0, 3]].
+    with pytest.raises(TypeError):
+        hermite_normal_form([(1.5, 0), (0, 3)])
+
+
 def test_hnf_rejects_dependent_columns():
     with pytest.raises(ValueError):
         hermite_normal_form([(2, 4), (3, 6)])

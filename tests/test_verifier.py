@@ -57,10 +57,10 @@ def test_verify_trivial_ci():
 
 
 def test_verify_rejects_bad_input():
-    with pytest.raises(ValueError):
-        verify(Mat2(1, 0, 0, 1))  # trace 2
-    with pytest.raises(ValueError):
-        verify(Mat2(3, 1, -1, 1))  # det 4
+    with pytest.raises(ValueError, match="determinant 1 and trace 2;"):
+        verify(Mat2(1, 0, 0, 1))
+    with pytest.raises(ValueError, match="determinant 4 and trace 4;"):
+        verify(Mat2(3, 1, -1, 1))
 
 
 def test_verify_monodromy_of_cycle_forms():
