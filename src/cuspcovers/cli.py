@@ -4,14 +4,19 @@ Exit codes: 0 for a completed computation (whatever the verdict), 2 for
 invalid input (bad matrix, bad cycle, malformed arguments), 1 for an
 internal failure or an expansion past the `cfrac.MAX_STEPS` = 10**6 step
 ceiling of `cfrac.expand`, which valid cusps such as (x) near trace 10**6 meet.
+
+`verify --format json` writes the bytes of json.dumps(doc, sort_keys=True,
+indent=2) followed by a newline, without the json module: before 3.13
+CPython encodes indent=2 in pure Python, one call per list entry, so
+`certificate_to_json` lays out each array and object itself, one member per
+line, keys in sorted order.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .cfrac import ExpansionError
 from .covers import CoverRecord, enumerate_covers
@@ -20,34 +25,54 @@ from .matrices import Mat2, require_cusp
 from .verifier import Certificate, admissible_traces, candidate_matrices, verify
 
 
-def _record_dict(rec: CoverRecord) -> dict:
+def _layout(brackets: str, items: Iterable[str], depth: int) -> str:
+    """One nonempty JSON array or object at `depth`, laid out as json.dumps(indent=2) does."""
+    pad = "  " * depth
+    inner = "\n  " + pad
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + pad + brackets[1]
+
+
+def _ints(entries: Iterable[int], depth: int) -> str:
+    return _layout("[]", map(str, entries), depth)
+
+
+def _record_json(rec: CoverRecord) -> str:
+    # Keys in sorted order.  A record sits at depth 2 (document, covers, record).
     # Induced entries exceed 64-bit ranges at degree 4, hence decimal strings.
-    return {
-        "degree": rec.base_degree,
-        "fiber_index": str(rec.fiber.index),
-        "fiber_hnf": [rec.fiber.x, rec.fiber.y, rec.fiber.z],
-        "induced": [str(e) for e in rec.induced.entries()],
-        "cycle_len": len(rec.cycle),
-        "dual_len": len(rec.dual),
-        "cycle": list(rec.cycle),
-        "dual": list(rec.dual),
-    }
-
-
-def certificate_to_dict(cert: Certificate) -> dict:
-    return {
-        "input": {"matrix": list(cert.monodromy.entries())},
-        "trace": str(cert.monodromy.trace),
-        "cycle": list(cert.cycle),
-        "dual_cycle": list(cert.dual),
-        "covers": [_record_dict(r) for r in cert.covers],
-        "verdict": cert.verdict,
-        "witness": cert.witness,
-    }
+    fiber = rec.fiber
+    return _layout("{}", (
+        '"cycle": ' + _ints(rec.cycle.entries, 3),
+        f'"cycle_len": {len(rec.cycle)}',
+        f'"degree": {rec.base_degree}',
+        '"dual": ' + _ints(rec.dual.entries, 3),
+        f'"dual_len": {len(rec.dual)}',
+        '"fiber_hnf": ' + _ints((fiber.x, fiber.y, fiber.z), 3),
+        f'"fiber_index": "{fiber.index}"',
+        '"induced": ' + _layout("[]", map('"{}"'.format, rec.induced.entries()), 3),
+    ), 2)
 
 
 def certificate_to_json(cert: Certificate) -> str:
-    return json.dumps(certificate_to_dict(cert), sort_keys=True, indent=2) + "\n"
+    """The certificate as JSON: the bytes of json.dumps(doc, sort_keys=True, indent=2), plus a newline.
+
+    Written directly, keys in sorted order, every array and object with one
+    member per line at a two-space indent (none of them is ever empty).
+    `trace`, `fiber_index` and the `induced` entries are quoted decimal
+    strings, and `witness` is null or an int.  `certificate_to_dict`, the
+    dict that json.dumps used to serialize, is deleted; the test suite keeps
+    that dict and json.dumps as the byte-for-byte oracle
+    `certificate_to_json_oracle` in tests/helpers.py.
+    """
+    witness = "null" if cert.witness is None else str(cert.witness)
+    return _layout("{}", (
+        '"covers": ' + _layout("[]", map(_record_json, cert.covers), 1),
+        '"cycle": ' + _ints(cert.cycle.entries, 1),
+        '"dual_cycle": ' + _ints(cert.dual.entries, 1),
+        '"input": ' + _layout("{}", ['"matrix": ' + _ints(cert.monodromy.entries(), 2)], 1),
+        f'"trace": "{cert.monodromy.trace}"',
+        f'"verdict": "{cert.verdict}"',
+        '"witness": ' + witness,
+    ), 0) + "\n"
 
 
 def _cover_table(records: Sequence[CoverRecord]) -> list[str]:

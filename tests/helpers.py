@@ -1,7 +1,9 @@
-"""Shared randomized generators for the test suite.
+"""Shared randomized generators and reference oracles for the test suite.
 
 Every test seeds its own random.Random so runs are reproducible.
 """
+
+import json
 
 from cuspcovers import Cycle, Mat2, inverse, monodromy_of, mul
 
@@ -44,3 +46,29 @@ def least_rotation_brute(seq) -> tuple:
     """The lexicographically smallest rotation of seq, by comparing all of them (O(k^2))."""
     seq = tuple(seq)
     return min(seq[i:] + seq[:i] for i in range(len(seq)))
+
+
+def certificate_to_json_oracle(cert) -> str:
+    """The certificate through the stdlib encoder: `cli.certificate_to_json` must give these bytes."""
+    doc = {
+        "input": {"matrix": list(cert.monodromy.entries())},
+        "trace": str(cert.monodromy.trace),
+        "cycle": list(cert.cycle),
+        "dual_cycle": list(cert.dual),
+        "covers": [
+            {
+                "degree": rec.base_degree,
+                "fiber_index": str(rec.fiber.index),
+                "fiber_hnf": [rec.fiber.x, rec.fiber.y, rec.fiber.z],
+                "induced": [str(e) for e in rec.induced.entries()],
+                "cycle_len": len(rec.cycle),
+                "dual_len": len(rec.dual),
+                "cycle": list(rec.cycle),
+                "dual": list(rec.dual),
+            }
+            for rec in cert.covers
+        ],
+        "verdict": cert.verdict,
+        "witness": cert.witness,
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -1,13 +1,16 @@
 import hashlib
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from cuspcovers.cli import main
+from cuspcovers import monodromy_of, verify
+from cuspcovers.cli import certificate_to_json, main
 from cuspcovers.matrices import Mat2
+from helpers import certificate_to_json_oracle, random_cycle, random_hyperbolic
 
 
 def run_cli(capsys, *argv):
@@ -73,8 +76,38 @@ def test_verify_json_deterministic_and_key_sorted(capsys):
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
-    doc = json.loads(first)
-    assert list(doc) == sorted(doc)
+
+    def sorted_pairs(pairs):
+        keys = [k for k, _ in pairs]
+        assert keys == sorted(keys)
+        return dict(pairs)
+
+    # The hook sees every object, so keys are sorted at every depth.
+    json.loads(first, object_pairs_hook=sorted_pairs)
+
+
+def test_certificate_json_matches_stdlib_encoder():
+    # The direct writer must give the bytes of json.dumps(sort_keys=True, indent=2).
+    def same(cert):
+        assert certificate_to_json(cert) == certificate_to_json_oracle(cert)
+        return cert
+
+    assert same(verify(Mat2(1640, 221, -141, -19))).witness is None  # the flagship
+    assert len(certificate_to_json(same(verify(Mat2(1621, 1, -1, 0))))) == 1472822
+    assert same(verify(Mat2(3, 1, -1, 0))).witness == 0
+    # A seeded search for a witness that is a proper cover.
+    rng = random.Random(2)
+    while not (cert := verify(monodromy_of(random_cycle(rng, max_len=6, max_entry=4)))).witness:
+        pass
+    same(cert)
+
+    # Long shear chains give degree-4 induced entries beyond 64 bits, of both signs.
+    rng = random.Random(8)
+    induced = []
+    for _ in range(200):
+        cert = same(verify(random_hyperbolic(rng, max_len=2, max_entry=5, shear_steps=48)))
+        induced += [e for r in cert.covers if r.base_degree == 4 for e in r.induced.entries()]
+    assert min(induced) < -(2**63) and max(induced) > 2**63
 
 
 def test_verify_rotations_of_a_cycle_give_one_certificate(capsys):
