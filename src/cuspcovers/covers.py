@@ -151,7 +151,7 @@ def _intersect_coprime(l1: Lattice2, l2: Lattice2) -> Lattice2:
     return Lattice2(x, (l2.z * l1.y + l1.x * k) % x, l1.z * l2.z)
 
 
-def _primary_part_lattices(a: Mat2, shifted: Mat2, ell: int) -> list[Lattice2]:
+def _primary_part_lattices(a: Mat2, shifted: Mat2, ell: int) -> set[Lattice2]:
     """A-invariant lattices of ell-power index containing shifted Z^2.
 
     shifted is A**n - I.  Walks down from Z^2; from each invariant lattice M
@@ -171,7 +171,7 @@ def _primary_part_lattices(a: Mat2, shifted: Mat2, ell: int) -> list[Lattice2]:
             if child not in found and contains(child, shifted):
                 found.add(child)
                 frontier.append(child)
-    return sorted(found, key=Lattice2.sort_key)
+    return found
 
 
 def _index_primes(shifted: Mat2, trace: int, n: int) -> list[int]:

@@ -13,16 +13,18 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .cfrac import ExpansionError, expand, fixed_point
-from .matrices import Mat2, mul, require_cusp
+from .matrices import Mat2, mul
 
 
 def _validated(entries: Iterable[int]) -> tuple[int, ...]:
-    seq = tuple(operator.index(e) for e in entries)
+    """entries as a cycle tuple, checked in three C-level passes: operator.index
+    (TypeError on a non-integer, never truncation), then min, then max."""
+    seq = tuple(map(operator.index, entries))
     if not seq:
         raise ValueError("a cycle must be nonempty")
-    if any(e < 2 for e in seq):
+    if min(seq) < 2:
         raise ValueError("cycle entries must all be >= 2")
-    if all(e == 2 for e in seq):
+    if max(seq) == 2:
         raise ValueError("a cycle must contain an entry >= 3")
     return seq
 
@@ -76,12 +78,11 @@ def monodromy_of(c: Cycle | Sequence[int]) -> Mat2:
     """Monodromy of the cycle (b_1, ..., b_k): the product M(b_k) ... M(b_1).
 
     M(b) = [[b, 1], [-1, 0]], so left-multiplying by it is the continuant
-    row update applied entry by entry.  A raw sequence is multiplied in the
-    rotation given; rotations yield conjugate results with equal trace.
+    row update applied entry by entry.  A Cycle or raw sequence is validated,
+    then multiplied in the rotation given; rotations have equal trace.
     """
-    seq = c.entries if isinstance(c, Cycle) else _validated(c)
     out = Mat2(1, 0, 0, 1)
-    for b in seq:
+    for b in _validated(c):
         out = Mat2(b * out.a + out.c, b * out.b + out.d, -out.a, -out.b)
     return out
 
@@ -89,34 +90,27 @@ def monodromy_of(c: Cycle | Sequence[int]) -> Mat2:
 def cycle_of(a: Mat2) -> Cycle:
     """Resolution cycle of a det-1 monodromy with trace >= 3.
 
-    Expands the fixed slope of a and canonicalizes its primitive period once,
-    as the block.  a is conjugate to m^n, where m is the block's monodromy,
-    so the result is the block repeated n times; n is found by multiplying
-    by m until the trace reaches trace(a).  m has trace >= 3, so the traces
-    of its powers strictly increase and the search ends.  The preperiod
-    absorbs matrices outside the purely periodic region, so any hyperbolic
-    conjugate works.
+    Expands the fixed slope of a (fixed_point rejects non-cusps).  a is
+    conjugate to m^n, m the monodromy of the primitive period, so the cycle
+    is the period repeated n times, canonicalized once by Cycle; n is found
+    by multiplying by m until the trace reaches trace(a).  m has trace >= 3,
+    so the traces of its powers strictly increase and the search ends.  The
+    preperiod absorbs matrices outside the purely periodic region.
 
-    m^n is the product over the result's own entries, so the check that its
-    trace is trace(a) proves trace(monodromy_of(result)) == trace(a).  A
+    m^n is the product over period * n, and rotation keeps the trace, so
+    m^n having trace(a) proves trace(monodromy_of(result)) == trace(a).  A
     mismatch raises ExpansionError.
     """
-    require_cusp(a)
+    period = expand(fixed_point(a)).period
     t = a.trace
-    block = Cycle(expand(fixed_point(a)).period)
-    m = mn = monodromy_of(block)
+    m = mn = monodromy_of(period)
     n = 1
     while mn.trace < t:
         mn = mul(mn, m)
         n += 1
     if mn.trace == t:
-        entries = block.entries * n
-        result = Cycle(entries)
-        if result.entries == entries:
-            return result
-    raise ExpansionError(
-        f"no power of the period matrix has trace {t}; expansion is inconsistent"
-    )
+        return Cycle(period * n)
+    raise ExpansionError(f"no power of the period matrix has trace {t}; expansion is inconsistent")
 
 
 def dual_cycle(c: Cycle) -> Cycle:
@@ -142,8 +136,8 @@ def dual_cycle(c: Cycle) -> Cycle:
 
 
 def dual_length(c: Cycle) -> int:
-    """Length of the dual cycle: the sum of (entry - 2) over the cycle."""
-    return sum(e - 2 for e in c.entries)
+    """Length of the dual cycle: the sum of (entry - 2), i.e. sum - 2 * length."""
+    return sum(c.entries) - 2 * len(c.entries)
 
 
 def is_ci_link(c: Cycle) -> bool:

@@ -27,17 +27,20 @@ class Certificate:
     """The full verdict document for one cusp monodromy.
 
     covers holds every normal cover of base degree 1..4 in deterministic
-    order; the verdict is NO_CI_COVER exactly when each record's cycle and
-    dual cycle both have length at least 5.  witness indexes the first
-    qualifying record otherwise.
+    order; witness indexes the first record whose cycle or dual cycle has
+    length at most 4, or is None when there is none.  The witness decides:
+    verdict is NO_CI_COVER when it is None and HAS_CI_COVER otherwise.
     """
 
     monodromy: Mat2
     cycle: Cycle
     dual: Cycle
     covers: tuple[CoverRecord, ...]
-    verdict: str
     witness: int | None
+
+    @property
+    def verdict(self) -> str:
+        return NO_CI_COVER if self.witness is None else HAS_CI_COVER
 
 
 def verify(a: Mat2) -> Certificate:
@@ -51,7 +54,6 @@ def verify(a: Mat2) -> Certificate:
         cycle=cyc,
         dual=dual_cycle(cyc),
         covers=records,
-        verdict=NO_CI_COVER if witness is None else HAS_CI_COVER,
         witness=witness,
     )
 

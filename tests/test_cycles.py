@@ -14,7 +14,13 @@ from cuspcovers.cycles import (
     monodromy_of,
 )
 from cuspcovers.matrices import Mat2, inverse, power
-from helpers import least_rotation_brute, random_cycle, reversed_cycle
+from helpers import (
+    conjugated,
+    least_rotation_brute,
+    random_cycle,
+    random_unimodular,
+    reversed_cycle,
+)
 
 PAPER_A = Mat2(1640, 221, -141, -19)
 PAPER_CYCLE = Cycle((8, 2, 4, 3, 12))
@@ -60,12 +66,16 @@ def test_canonical_rotation_matches_brute_force():
 
 
 def test_cycle_invariants_enforced():
-    with pytest.raises(ValueError):
-        Cycle(())
-    with pytest.raises(ValueError):
-        Cycle((3, 1, 4))
-    with pytest.raises(ValueError):
-        Cycle((2, 2, 2))
+    # Cycle and monodromy_of validate through the same path, with the same messages.
+    for make in (Cycle, monodromy_of):
+        with pytest.raises(ValueError, match="^a cycle must be nonempty$"):
+            make(())
+        with pytest.raises(ValueError, match="^cycle entries must all be >= 2$"):
+            make((3, 1, 4))
+        with pytest.raises(ValueError, match="^a cycle must contain an entry >= 3$"):
+            make((2, 2, 2))
+    with pytest.raises(ValueError, match="^a cycle must contain an entry >= 3$"):
+        monodromy_of((2, 2))
 
 
 def test_non_integer_entries_raise():
@@ -82,6 +92,10 @@ def test_monodromy_of():
     assert monodromy_of((4, 2)) == Mat2(7, 2, -4, -1)
     assert monodromy_of((8, 2, 4, 3, 12)).trace == 1621
     assert monodromy_of(PAPER_CYCLE).det == 1
+    # a Cycle, its entries tuple and a list of them give one matrix
+    for c in ((8, 2, 4, 3, 12), (3,), (2, 2, 2, 3), (5, 2, 7, 2, 2)):
+        cyc = Cycle(c)
+        assert monodromy_of(cyc) == monodromy_of(cyc.entries) == monodromy_of(list(cyc.entries))
 
 
 def test_cycle_of_flagship():
@@ -176,6 +190,8 @@ def test_base_power_concatenation():
         b = monodromy_of(c)
         for n in (2, 3, 4):
             assert cycle_of(power(b, n)) == Cycle(tuple(c) * n)
+            # a conjugate expands with a preperiod and a period in another rotation
+            assert cycle_of(conjugated(power(b, n), random_unimodular(rng))) == Cycle(tuple(c) * n)
 
 
 def test_dual_of_reversal_is_reversal_of_dual():
