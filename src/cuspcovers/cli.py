@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 from .cfrac import ExpansionError
 from .covers import CoverRecord, enumerate_covers
-from .cycles import Cycle, cycle_of, dual_cycle, monodromy_of
+from .cycles import Cycle, cycle_of, dual_cycle, dual_length, monodromy_of
 from .matrices import Mat2, require_cusp
 from .verifier import Certificate, admissible_traces, candidate_matrices, verify
 
@@ -39,13 +39,13 @@ def _ints(entries: Iterable[int], depth: int) -> str:
 def _record_json(rec: CoverRecord) -> str:
     # Keys in sorted order.  A record sits at depth 2 (document, covers, record).
     # Induced entries exceed 64-bit ranges at degree 4, hence decimal strings.
-    fiber = rec.fiber
+    fiber, dual = rec.fiber, rec.dual
     return _layout("{}", (
         '"cycle": ' + _ints(rec.cycle.entries, 3),
         f'"cycle_len": {len(rec.cycle)}',
         f'"degree": {rec.base_degree}',
-        '"dual": ' + _ints(rec.dual.entries, 3),
-        f'"dual_len": {len(rec.dual)}',
+        '"dual": ' + _ints(dual.entries, 3),
+        f'"dual_len": {len(dual)}',
         '"fiber_hnf": ' + _ints((fiber.x, fiber.y, fiber.z), 3),
         f'"fiber_index": "{fiber.index}"',
         '"induced": ' + _layout("[]", map('"{}"'.format, rec.induced.entries()), 3),
@@ -80,7 +80,7 @@ def _cover_table(records: Sequence[CoverRecord]) -> list[str]:
     for r in records:
         hnf = f"[{r.fiber.x}, {r.fiber.y}, {r.fiber.z}]"
         lines.append(
-            f"{r.base_degree:>3}  {r.fiber.index:>14}  {hnf:>24}  {len(r.cycle):>6}  {len(r.dual):>6}"
+            f"{r.base_degree:>3}  {r.fiber.index:>14}  {hnf:>24}  {len(r.cycle):>6}  {dual_length(r.cycle):>6}"
         )
     return lines
 
@@ -101,7 +101,7 @@ def certificate_to_text(cert: Certificate) -> str:
         w = cert.covers[cert.witness]
         lines.append(
             f"verdict: {cert.verdict} (witness: degree {w.base_degree}, fiber index {w.fiber.index},"
-            f" cycle length {len(w.cycle)}, dual length {len(w.dual)})"
+            f" cycle length {len(w.cycle)}, dual length {dual_length(w.cycle)})"
         )
     return "\n".join(lines) + "\n"
 

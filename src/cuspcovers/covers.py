@@ -65,16 +65,20 @@ FULL_LATTICE = Lattice2(1, 0, 1)
 
 @dataclass(frozen=True)
 class CoverRecord:
-    """One normal Galois cover: base degree, fiber lattice, and its cycles."""
+    """One normal Galois cover: base degree, fiber lattice, induced action and
+    cycle.  `dual` is derived on each access, not stored; JSON reads it once."""
 
     base_degree: int
     fiber: Lattice2
     induced: Mat2
     cycle: Cycle
-    dual: Cycle
 
     def __post_init__(self) -> None:
         assert self.induced.det == 1
+
+    @property
+    def dual(self) -> Cycle:
+        return dual_cycle(self.cycle)
 
 
 def sublattices_of_index(d: int) -> list[Lattice2]:
@@ -210,14 +214,7 @@ def invariant_sublattices_between(a: Mat2, n: int) -> list[Lattice2]:
 
 def _build_record(a: Mat2, n: int, lat: Lattice2) -> CoverRecord:
     ind = induced_action(lat, a)
-    cyc = cycle_of(power(ind, n))
-    return CoverRecord(
-        base_degree=n,
-        fiber=lat,
-        induced=ind,
-        cycle=cyc,
-        dual=dual_cycle(cyc),
-    )
+    return CoverRecord(base_degree=n, fiber=lat, induced=ind, cycle=cycle_of(power(ind, n)))
 
 
 def enumerate_covers(a: Mat2, max_degree: int = 4) -> list[CoverRecord]:

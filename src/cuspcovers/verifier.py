@@ -29,12 +29,11 @@ class Certificate:
     covers holds every normal cover of base degree 1..4 in deterministic
     order; witness indexes the first record whose cycle or dual cycle has
     length at most 4, or is None when there is none.  The witness decides:
-    verdict is NO_CI_COVER when it is None and HAS_CI_COVER otherwise.
-    """
+    verdict is NO_CI_COVER when it is None and HAS_CI_COVER otherwise.  `dual`
+    is derived on each access, not stored; JSON reads it once."""
 
     monodromy: Mat2
     cycle: Cycle
-    dual: Cycle
     covers: tuple[CoverRecord, ...]
     witness: int | None
 
@@ -42,20 +41,17 @@ class Certificate:
     def verdict(self) -> str:
         return NO_CI_COVER if self.witness is None else HAS_CI_COVER
 
+    @property
+    def dual(self) -> Cycle:
+        return dual_cycle(self.cycle)
+
 
 def verify(a: Mat2) -> Certificate:
     """Certificate for the cusp with monodromy a (det 1, trace >= 3)."""
     require_cusp(a)
     records = tuple(enumerate_covers(a, 4))
     witness = next((i for i, rec in enumerate(records) if is_ci_link(rec.cycle)), None)
-    cyc = cycle_of(a)
-    return Certificate(
-        monodromy=a,
-        cycle=cyc,
-        dual=dual_cycle(cyc),
-        covers=records,
-        witness=witness,
-    )
+    return Certificate(monodromy=a, cycle=cycle_of(a), covers=records, witness=witness)
 
 
 def admissible_traces(limit: int) -> list[int]:
@@ -83,18 +79,19 @@ def candidate_matrices(trace: int, limit: int) -> list[Mat2]:
     """Up to limit matrices [[a, b], [c, d]] with a + d = trace, det 1 and
     a > b > -d >= 0, so their fixed slopes are purely periodic.
 
-    For each a in [trace, trace + CANDIDATE_SPAN] (so d = trace - a <= 0), b
-    runs over the divisors of 1 - a*d inside the admissible window (-d, a),
-    which has width trace, and c = (a*d - 1)/b.  Ordered by a ascending then
-    b ascending.  Useful candidates cluster just above a = trace; the span
-    cap keeps exhausted searches (fewer than limit candidates exist) bounded.
+    For each a from trace up (d = trace - a <= 0), b runs over the divisors
+    of 1 - a*d in the window (-d, a) and c = (a*d - 1)/b; ordered by a, then b.
+    With k = a - trace and b = k + j (0 < j < trace), k = -j (mod b) turns
+    b | 1 + k*a into b | j*(trace - j) - 1 > 0, so k <= j*(trace - 1 - j) - 1
+    <= (trace - 1)**2 // 4 - 1, where the scan stops (attained for traces
+    3..201); CANDIDATE_SPAN caps it from trace 202 on.
     """
     if trace < 3:
         raise ValueError("trace must be >= 3")
     if limit < 0:
         raise ValueError("limit must be >= 0")
     out: list[Mat2] = []
-    for a in range(trace, trace + CANDIDATE_SPAN + 1):
+    for a in range(trace, trace + min(CANDIDATE_SPAN, (trace - 1) ** 2 // 4 - 1) + 1):
         if len(out) >= limit:
             break
         d = trace - a

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -7,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+import cuspcovers.covers
+import cuspcovers.verifier
 from cuspcovers import monodromy_of, verify
-from cuspcovers.cli import certificate_to_json, main
+from cuspcovers.cli import certificate_to_json, certificate_to_text, main
 from cuspcovers.matrices import Mat2
 from helpers import certificate_to_json_oracle, random_cycle, random_hyperbolic
 
@@ -137,6 +140,30 @@ def test_covers_command(capsys):
     assert len(lines) == 3  # header + two degree-1 covers
     assert lines[1].split()[:2] == ["1", "1"]
     assert lines[2].split()[:2] == ["1", "1619"]
+
+
+def test_duals_are_built_only_on_demand(capsys, monkeypatch):
+    # Records and certificates store no dual; only serializing one builds it.
+    built = []
+    for module in (cuspcovers.covers, cuspcovers.verifier):
+        def counting(c, dual_cycle=module.dual_cycle):
+            built.append(c)
+            return dual_cycle(c)
+        monkeypatch.setattr(module, "dual_cycle", counting)
+
+    cert = verify(monodromy_of((8, 2, 4, 3, 12)))
+    assert len(built) == 0
+    certificate_to_text(cert)
+    assert len(built) == 1
+    built.clear()
+    certificate_to_json(cert)
+    assert len(built) == 59  # 58 records and the certificate, once each
+    built.clear()
+    code, _, _ = run_cli(capsys, "covers", "-c", "8,2,4,3,12")
+    assert code == 0 and len(built) == 0
+
+    for cls in (cuspcovers.covers.CoverRecord, cuspcovers.verifier.Certificate):
+        assert "dual" not in {f.name for f in dataclasses.fields(cls)}
 
 
 def test_output_file(tmp_path, capsys):

@@ -161,3 +161,18 @@ def test_candidate_matrices_order_and_pure_periodicity():
         assert is_purely_periodic(fixed_point(m))
     with pytest.raises(ValueError):
         candidate_matrices(2, 5)
+
+
+def test_candidate_matrices_complete_below_the_proven_bound():
+    # Brute force over every a <= t + (t - 1)**2 and every b < a: the scan's
+    # stop at a - t = (t - 1)**2 // 4 - 1 loses no candidate, and the last
+    # candidate sits exactly at the bound.
+    for t in range(3, 41):
+        brute = [
+            Mat2(a, b, (a * (t - a) - 1) // b, t - a)
+            for a in range(t, t + (t - 1) ** 2 + 1)
+            for b in range(1, a)
+            if b > a - t and (a * (t - a) - 1) % b == 0
+        ]
+        assert candidate_matrices(t, 10**9) == brute
+        assert brute[-1].a == t + (t - 1) ** 2 // 4 - 1
