@@ -9,7 +9,9 @@ ceiling of `cfrac.expand`, which valid cusps such as (x) near trace 10**6 meet.
 indent=2) followed by a newline, without the json module: before 3.13
 CPython encodes indent=2 in pure Python, one call per list entry, so
 `certificate_to_json` lays out each array and object itself, one member per
-line, keys in sorted order.
+line, keys in sorted order.  Most covers of one cusp share a cycle, so each
+distinct cover cycle, with its dual, is laid out once per document, and the
+document is joined once from a flat list of pieces.
 """
 
 from __future__ import annotations
@@ -36,43 +38,52 @@ def _ints(entries: Iterable[int], depth: int) -> str:
     return _layout("[]", map(str, entries), depth)
 
 
-def _record_json(rec: CoverRecord) -> str:
-    # Keys in sorted order.  A record sits at depth 2 (document, covers, record).
-    # Induced entries exceed 64-bit ranges at degree 4, hence decimal strings.
-    fiber, dual = rec.fiber, rec.dual
-    return _layout("{}", (
-        '"cycle": ' + _ints(rec.cycle.entries, 3),
-        f'"cycle_len": {len(rec.cycle)}',
-        f'"degree": {rec.base_degree}',
-        '"dual": ' + _ints(dual.entries, 3),
-        f'"dual_len": {len(dual)}',
-        '"fiber_hnf": ' + _ints((fiber.x, fiber.y, fiber.z), 3),
-        f'"fiber_index": "{fiber.index}"',
-        '"induced": ' + _layout("[]", map('"{}"'.format, rec.induced.entries()), 3),
-    ), 2)
-
-
 def certificate_to_json(cert: Certificate) -> str:
     """The certificate as JSON: the bytes of json.dumps(doc, sort_keys=True, indent=2), plus a newline.
 
     Written directly, keys in sorted order, every array and object with one
     member per line at a two-space indent (none of them is ever empty).
     `trace`, `fiber_index` and the `induced` entries are quoted decimal
-    strings, and `witness` is null or an int.  `certificate_to_dict`, the
-    dict that json.dumps used to serialize, is deleted; the test suite keeps
-    that dict and json.dumps as the byte-for-byte oracle
-    `certificate_to_json_oracle` in tests/helpers.py.
+    strings, and `witness` is null or an int.  Each distinct cover cycle is
+    laid out once per document: its dual is read once, and its cycle, dual
+    and lengths become strings that every record with that cycle refers to.
+    The document is one flat list of pieces, joined once.  The test suite
+    keeps json.dumps as the byte-for-byte oracle `certificate_to_json_oracle`
+    in tests/helpers.py.
     """
+    # A record sits at depth 2 (document, covers, record), its members at
+    # depth 3, keys in sorted order: `degree` falls between the members that
+    # depend only on the cycle.  The dict lives for this call only.
+    by_cycle: dict[Cycle, tuple[str, str]] = {}
+    member = ",\n      "
+    out = ['{\n  "covers": [']
+    sep = "\n    {\n      "
+    for rec in cert.covers:
+        cycle = rec.cycle
+        shared = by_cycle.get(cycle)
+        if shared is None:
+            dual = rec.dual
+            shared = by_cycle[cycle] = (
+                f'"cycle": {_ints(cycle.entries, 3)}{member}"cycle_len": {len(cycle)}{member}"degree": ',
+                f'{member}"dual": {_ints(dual.entries, 3)}{member}"dual_len": {len(dual)}{member}"fiber_hnf": ',
+            )
+        fiber = rec.fiber
+        # Induced entries exceed 64-bit ranges at degree 4, hence decimal strings.
+        out += (
+            sep, shared[0], str(rec.base_degree), shared[1], _ints((fiber.x, fiber.y, fiber.z), 3),
+            f'{member}"fiber_index": "{fiber.index}"{member}"induced": ',
+            _layout("[]", map('"{}"'.format, rec.induced.entries()), 3),
+        )
+        sep = "\n    },\n    {\n      "
     witness = "null" if cert.witness is None else str(cert.witness)
-    return _layout("{}", (
-        '"covers": ' + _layout("[]", map(_record_json, cert.covers), 1),
-        '"cycle": ' + _ints(cert.cycle.entries, 1),
-        '"dual_cycle": ' + _ints(cert.dual.entries, 1),
-        '"input": ' + _layout("{}", ['"matrix": ' + _ints(cert.monodromy.entries(), 2)], 1),
-        f'"trace": "{cert.monodromy.trace}"',
-        f'"verdict": "{cert.verdict}"',
-        '"witness": ' + witness,
-    ), 0) + "\n"
+    top = ",\n  "
+    out += (
+        f'\n    }}\n  ]{top}"cycle": ', _ints(cert.cycle.entries, 1),
+        f'{top}"dual_cycle": ', _ints(cert.dual.entries, 1),
+        f'{top}"input": ', _layout("{}", ['"matrix": ' + _ints(cert.monodromy.entries(), 2)], 1),
+        f'{top}"trace": "{cert.monodromy.trace}"{top}"verdict": "{cert.verdict}"{top}"witness": {witness}\n}}\n',
+    )
+    return "".join(out)
 
 
 def _cover_table(records: Sequence[CoverRecord]) -> list[str]:

@@ -66,7 +66,8 @@ FULL_LATTICE = Lattice2(1, 0, 1)
 @dataclass(frozen=True)
 class CoverRecord:
     """One normal Galois cover: base degree, fiber lattice, induced action and
-    cycle.  `dual` is derived on each access, not stored; JSON reads it once."""
+    cycle.  `dual` is derived on each access, not stored; JSON reads it once
+    per distinct cycle."""
 
     base_degree: int
     fiber: Lattice2

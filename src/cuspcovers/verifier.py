@@ -30,7 +30,8 @@ class Certificate:
     order; witness indexes the first record whose cycle or dual cycle has
     length at most 4, or is None when there is none.  The witness decides:
     verdict is NO_CI_COVER when it is None and HAS_CI_COVER otherwise.  `dual`
-    is derived on each access, not stored; JSON reads it once."""
+    is derived on each access, not stored; JSON reads it once, and the
+    records' duals once per distinct cycle."""
 
     monodromy: Mat2
     cycle: Cycle

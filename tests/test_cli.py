@@ -91,8 +91,19 @@ def test_verify_json_deterministic_and_key_sorted(capsys):
 
 def test_certificate_json_matches_stdlib_encoder():
     # The direct writer must give the bytes of json.dumps(sort_keys=True, indent=2).
+    # It lays out each distinct cover cycle once; `shares` counts the inputs
+    # with a repeated cycle, whose later records take the laid-out cycle and
+    # write their own fiber and induced action.
+    shares = 0
+
     def same(cert):
+        nonlocal shares
         assert certificate_to_json(cert) == certificate_to_json_oracle(cert)
+        cycles = {r.cycle for r in cert.covers}
+        # A degree-n record's cycle has the trace of A**n, so a cycle repeats
+        # only within one degree, at another fiber.
+        assert len(cycles) == len({(r.cycle, r.base_degree) for r in cert.covers})
+        shares += len(cycles) < len(cert.covers)
         return cert
 
     assert same(verify(Mat2(1640, 221, -141, -19))).witness is None  # the flagship
@@ -111,6 +122,7 @@ def test_certificate_json_matches_stdlib_encoder():
         cert = same(verify(random_hyperbolic(rng, max_len=2, max_entry=5, shear_steps=48)))
         induced += [e for r in cert.covers if r.base_degree == 4 for e in r.induced.entries()]
     assert min(induced) < -(2**63) and max(induced) > 2**63
+    assert shares > 0
 
 
 def test_verify_rotations_of_a_cycle_give_one_certificate(capsys):
@@ -155,9 +167,13 @@ def test_duals_are_built_only_on_demand(capsys, monkeypatch):
     assert len(built) == 0
     certificate_to_text(cert)
     assert len(built) == 1
-    built.clear()
-    certificate_to_json(cert)
-    assert len(built) == 59  # 58 records and the certificate, once each
+    # JSON reads each distinct cover cycle's dual once, and the certificate's;
+    # its cycle memo lives for one call, so a second call builds them again.
+    distinct = len({r.cycle for r in cert.covers})
+    for _ in range(2):
+        built.clear()
+        certificate_to_json(cert)
+        assert len(built) == 25 == distinct + 1  # 58 records share 24 cycles
     built.clear()
     code, _, _ = run_cli(capsys, "covers", "-c", "8,2,4,3,12")
     assert code == 0 and len(built) == 0
