@@ -13,21 +13,24 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cuspcovers import (
+    Lattice2,
     Mat2,
-    index_formula,
+    conjugate,
     induced_action,
     invariant_sublattices_between,
-    is_invariant,
+    power,
     prime_index_invariant_lattices,
     solve_quadratic_congruence,
-    sublattices_of_index,
 )
 
 a = Mat2(1640, 221, -141, -19)
 
-# All sublattices of a given index, as Hermite normal forms.
-print("index-3 sublattices of Z^2:", sublattices_of_index(3))
-print("invariant under A:", [lat for lat in sublattices_of_index(3) if is_invariant(lat, a)])
+# The index-3 sublattices of Z^2 as Hermite normal forms <(x,0), (y,z)> with
+# x z = 3 and 0 <= y < x; A maps one onto itself when conjugating A by its
+# basis stays integral.
+index3 = [Lattice2(1, 0, 3)] + [Lattice2(3, y, 1) for y in range(3)]
+print("index-3 sublattices of Z^2:", index3)
+print("invariant under A:", [lat for lat in index3 if conjugate(a, lat.basis) is not None])
 
 # Prime-index invariant lattices come from c t^2 + (d - a) t - b = 0 mod ell.
 for ell in (2, 3, 541, 811, 1621):
@@ -45,6 +48,8 @@ print(f"action on {lat3}: {induced_action(lat3, a)}")
 # Everything between (A^n - I)Z^2 and Z^2, for each base degree.
 for n in (1, 2, 3):
     lats = invariant_sublattices_between(a, n)
-    print(f"\ndegree {n}: quotient order {index_formula(a.trace, n)}, "
+    an = power(a, n)
+    order = abs(Mat2(an.a - 1, an.b, an.c, an.d - 1).det)  # |Z^2 / (A^n - I)Z^2|
+    print(f"\ndegree {n}: quotient order {order}, "
           f"{len(lats)} invariant lattices")
     print("  indices:", sorted(lat.index for lat in lats))

@@ -23,13 +23,10 @@ from .covers import (
     CoverRecord,
     Lattice2,
     contains,
-    contains_lattice,
     enumerate_covers,
     induced_action,
     invariant_sublattices_between,
-    is_invariant,
     prime_index_invariant_lattices,
-    sublattices_of_index,
 )
 from .cycles import (
     Cycle,
@@ -44,12 +41,9 @@ from .matrices import (
     IDENTITY,
     Mat2,
     conjugate,
-    hermite_normal_form,
-    index_formula,
     inverse,
     mul,
     power,
-    trace_power_polynomial,
 )
 from .verifier import (
     HAS_CI_COVER,
@@ -80,20 +74,16 @@ __all__ = [
     "ceil_quad",
     "conjugate",
     "contains",
-    "contains_lattice",
     "cycle_of",
     "dual_cycle",
     "dual_length",
     "enumerate_covers",
     "expand",
     "fixed_point",
-    "hermite_normal_form",
-    "index_formula",
     "induced_action",
     "invariant_sublattices_between",
     "inverse",
     "is_ci_link",
-    "is_invariant",
     "is_prime",
     "is_purely_periodic",
     "monodromy_of",
@@ -102,7 +92,5 @@ __all__ = [
     "prime_index_invariant_lattices",
     "solve_quadratic_congruence",
     "step",
-    "sublattices_of_index",
-    "trace_power_polynomial",
     "verify",
 ]

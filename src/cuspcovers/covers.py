@@ -16,8 +16,8 @@ from math import prod
 from typing import Sequence
 
 from .cycles import Cycle, cycle_of, dual_cycle
-from .intmath import divisors, factorize, is_prime, solve_quadratic_congruence
-from .matrices import Mat2, conjugate, hermite_normal_form, power, require_cusp
+from .intmath import factorize, is_prime, solve_quadratic_congruence
+from .matrices import Mat2, conjugate, power, require_cusp
 
 
 @dataclass(frozen=True)
@@ -43,15 +43,6 @@ class Lattice2:
     @property
     def basis(self) -> Mat2:
         return Mat2(self.x, self.y, 0, self.z)
-
-    @classmethod
-    def from_basis(cls, m: Mat2) -> "Lattice2":
-        return cls.from_columns(*m.columns())
-
-    @classmethod
-    def from_columns(cls, *columns: Sequence[int]) -> "Lattice2":
-        h = hermite_normal_form(columns)
-        return cls(h.a, h.b, h.d)
 
     def sort_key(self) -> tuple[int, int, int, int]:
         return (self.index, self.x, self.y, self.z)
@@ -82,18 +73,6 @@ class CoverRecord:
         return dual_cycle(self.cycle)
 
 
-def sublattices_of_index(d: int) -> list[Lattice2]:
-    """Every sublattice of Z^2 of index exactly d; there are sigma(d) of them."""
-    if d < 1:
-        raise ValueError("index must be >= 1")
-    out = []
-    for x in divisors(d):
-        z = d // x
-        for y in range(x):
-            out.append(Lattice2(x, y, z))
-    return out
-
-
 def contains(lat: Lattice2, m: Mat2) -> bool:
     """Whether both columns of m lie in the lattice."""
     for u, v in m.columns():
@@ -102,15 +81,6 @@ def contains(lat: Lattice2, m: Mat2) -> bool:
         if (u - (v // lat.z) * lat.y) % lat.x:
             return False
     return True
-
-
-def contains_lattice(outer: Lattice2, inner: Lattice2) -> bool:
-    return contains(outer, inner.basis)
-
-
-def is_invariant(lat: Lattice2, a: Mat2) -> bool:
-    """Whether A maps the lattice onto itself, i.e. the conjugate is integral."""
-    return conjugate(a, lat.basis) is not None
 
 
 def induced_action(lat: Lattice2, a: Mat2) -> Mat2:

@@ -40,14 +40,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, s, t
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n >= 1, ascending, from `factorize(n)`."""
-    out = [1]
-    for p, k in factorize(n).items():
-        out = [d * p**i for d in out for i in range(k + 1)]
-    return sorted(out)
-
-
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}, by trial division."""
     if n < 1:

@@ -1,8 +1,10 @@
 """Exact 2x2 integer matrix algebra.
 
 Products, powers, inverses, the cusp-monodromy check, conjugation with an
-integrality verdict, trace-power recurrences, fiber-index formulas, and the
-Hermite normal form that gives each sublattice of Z^2 a unique basis.
+integrality verdict, and the Hermite normal form that gives each sublattice
+of Z^2 a unique basis.  The cover census builds its lattices as HNF triples
+in closed form (`covers`) and never reduces a basis; `hermite_normal_form`
+is the general reduction the tests check those closed forms against.
 """
 
 from __future__ import annotations
@@ -96,34 +98,6 @@ def conjugate(a: Mat2, p: Mat2) -> Mat2 | None:
     if any(e % det for e in m.entries()):
         return None
     return Mat2(*(e // det for e in m.entries()))
-
-
-def trace_power_polynomial(x: int, n: int) -> int:
-    """trace(A**n) as a polynomial in x = trace(A), for any det-1 matrix A.
-
-    Satisfies P_0 = 2, P_1 = x, P_{n+1} = x*P_n - P_{n-1}.
-    """
-    if n < 0:
-        raise ValueError("trace_power_polynomial requires n >= 0")
-    prev, cur = 2, x
-    if n == 0:
-        return 2
-    for _ in range(n - 1):
-        prev, cur = cur, x * cur - prev
-    return cur
-
-
-def index_formula(x: int, n: int) -> int:
-    """|Z^2 / (A**n - I)Z^2| = |2 - P_n(x)| for a det-1 matrix of trace x >= 3.
-
-    For n = 1..4 this equals (x-2), (x-2)(x+2), (x-2)(x+1)^2 and
-    x^2(x-2)(x+2); larger n use the general form.
-    """
-    if x < 3:
-        raise ValueError("index_formula requires trace x >= 3")
-    if n < 1:
-        raise ValueError("index_formula requires n >= 1")
-    return abs(2 - trace_power_polynomial(x, n))
 
 
 def hermite_normal_form(columns: Iterable[Sequence[int]]) -> Mat2:

@@ -4,8 +4,11 @@ Every test seeds its own random.Random so runs are reproducible.
 """
 
 import json
+from typing import Sequence
 
-from cuspcovers import Cycle, Mat2, inverse, monodromy_of, mul
+from cuspcovers import Cycle, Lattice2, Mat2, inverse, monodromy_of, mul
+from cuspcovers.intmath import factorize
+from cuspcovers.matrices import hermite_normal_form
 
 
 def random_cycle(rng, max_len=8, max_entry=12) -> Cycle:
@@ -72,3 +75,61 @@ def certificate_to_json_oracle(cert) -> str:
         "witness": cert.witness,
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n >= 1, ascending, from `factorize(n)`."""
+    out = [1]
+    for p, k in factorize(n).items():
+        out = [d * p**i for d in out for i in range(k + 1)]
+    return sorted(out)
+
+
+def sublattices_of_index(d: int) -> list[Lattice2]:
+    """Every sublattice of Z^2 of index exactly d; there are sigma(d) of them."""
+    if d < 1:
+        raise ValueError("index must be >= 1")
+    out = []
+    for x in divisors(d):
+        z = d // x
+        for y in range(x):
+            out.append(Lattice2(x, y, z))
+    return out
+
+
+def from_columns(*columns: Sequence[int]) -> Lattice2:
+    """The lattice spanned by the columns, through the general Hermite reduction."""
+    h = hermite_normal_form(columns)
+    return Lattice2(h.a, h.b, h.d)
+
+
+def from_basis(m: Mat2) -> Lattice2:
+    return from_columns(*m.columns())
+
+
+def trace_power_polynomial(x: int, n: int) -> int:
+    """trace(A**n) as a polynomial in x = trace(A), for any det-1 matrix A.
+
+    Satisfies P_0 = 2, P_1 = x, P_{n+1} = x*P_n - P_{n-1}.
+    """
+    if n < 0:
+        raise ValueError("trace_power_polynomial requires n >= 0")
+    prev, cur = 2, x
+    if n == 0:
+        return 2
+    for _ in range(n - 1):
+        prev, cur = cur, x * cur - prev
+    return cur
+
+
+def index_formula(x: int, n: int) -> int:
+    """|Z^2 / (A**n - I)Z^2| = |2 - P_n(x)| for a det-1 matrix of trace x >= 3.
+
+    For n = 1..4 this equals (x-2), (x-2)(x+2), (x-2)(x+1)^2 and
+    x^2(x-2)(x+2); larger n use the general form.
+    """
+    if x < 3:
+        raise ValueError("index_formula requires trace x >= 3")
+    if n < 1:
+        raise ValueError("index_formula requires n >= 1")
+    return abs(2 - trace_power_polynomial(x, n))

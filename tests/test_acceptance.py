@@ -25,23 +25,29 @@ from cuspcovers import (
     Lattice2,
     Mat2,
     admissible_traces,
+    conjugate,
+    contains,
     cycle_of,
     dual_cycle,
-    index_formula,
     invariant_sublattices_between,
     inverse,
-    is_invariant,
     is_prime,
     monodromy_of,
     power,
     prime_index_invariant_lattices,
     solve_quadratic_congruence,
-    sublattices_of_index,
     verify,
 )
 from cuspcovers.cli import certificate_to_json, certificate_to_text, main
-from cuspcovers.covers import contains_lattice
-from helpers import conjugated, random_cycle, random_unimodular, reversed_cycle
+from helpers import (
+    conjugated,
+    from_columns,
+    index_formula,
+    random_cycle,
+    random_unimodular,
+    reversed_cycle,
+    sublattices_of_index,
+)
 
 A = Mat2(1640, 221, -141, -19)
 Q, R, S, P = 1619, 541, 811, 1621
@@ -155,7 +161,7 @@ def test_criterion_5_degree_4(cert):
 
 def test_criterion_6_negative_invariance():
     assert prime_index_invariant_lattices(A, 2) == []
-    assert all(not is_invariant(lat, A) for lat in sublattices_of_index(2))
+    assert all(conjugate(A, lat.basis) is None for lat in sublattices_of_index(2))
     degree1 = invariant_sublattices_between(A, 1)
     assert [lat.index for lat in degree1] == [1, Q]
     print("criterion 6 PASS: no invariant index-2 lattice; degree 1 has no intermediates")
@@ -219,14 +225,14 @@ def test_criterion_9_property_suites():
             if total >= 10**4:
                 continue
             an = power(a, n)
-            kernel = Lattice2.from_columns((an.a - 1, an.c), (an.b, an.d - 1))
+            kernel = from_columns((an.a - 1, an.c), (an.b, an.d - 1))
             brute = sorted(
                 (
                     lat
                     for d in range(1, total + 1)
                     if total % d == 0
                     for lat in sublattices_of_index(d)
-                    if contains_lattice(lat, kernel) and is_invariant(lat, a)
+                    if contains(lat, kernel.basis) and conjugate(a, lat.basis) is not None
                 ),
                 key=Lattice2.sort_key,
             )

@@ -4,12 +4,12 @@ from math import isqrt
 import pytest
 
 from cuspcovers.intmath import (
-    divisors,
     factorize,
     is_prime,
     solve_quadratic_congruence,
     xgcd,
 )
+from helpers import divisors
 
 
 def test_is_prime_examples():

@@ -7,13 +7,11 @@ from cuspcovers.matrices import (
     Mat2,
     conjugate,
     hermite_normal_form,
-    index_formula,
     inverse,
     mul,
     power,
-    trace_power_polynomial,
 )
-from helpers import random_hyperbolic, random_unimodular
+from helpers import index_formula, random_hyperbolic, random_unimodular, trace_power_polynomial
 
 PAPER_A = Mat2(1640, 221, -141, -19)
 
