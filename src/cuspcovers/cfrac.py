@@ -1,9 +1,11 @@
 """Minus-sign continued fractions of real quadratic irrationals.
 
 The expansion x = a0 - 1/(a1 - 1/(a2 - ...)) with digits a_i = ceil(x_i) is
-eventually periodic exactly for quadratic irrationals.  All steps run in
-integer arithmetic on a normalized (P, D, Q) state, so discriminants of
-order 10**27 cost nothing in accuracy.
+eventually periodic exactly for quadratic irrationals.  By Zagier's
+reduction theory its period starts at the first reduced state,
+x > 1 > conj(x) > 0, which `is_purely_periodic` tests in integers.  All
+steps run in integer arithmetic on a normalized (P, D, Q) state, so
+discriminants of order 10**27 cost nothing in accuracy.
 """
 
 from __future__ import annotations
@@ -78,25 +80,27 @@ def step(x: QuadIrr) -> tuple[int, QuadIrr]:
 
 
 def expand(x: QuadIrr) -> CFExpansion:
-    """Full expansion of x: digits until the (p, q) state repeats.
+    """Full expansion of x: the preperiod runs up to the first reduced state,
+    the period from there to that state's first return.
 
-    The discriminant d is a step invariant, so states are (p, q) pairs and a
-    repeat is guaranteed; the first repeated state splits preperiod from
-    period.  The period is primitive: after the first step every digit is
-    >= 2, and such digits, not ending in all 2s, determine their value, so a
-    period repeating a shorter block of w digits would make state j recur at
-    j + w, before the recorded repeat.  A state that has not repeated
-    within `MAX_STEPS` digits raises ExpansionError.
+    Every orbit of `step` reaches a reduced state and then stays among
+    reduced states; step permutes the finitely many reduced (p, q) states of
+    the discriminant d, a step invariant, so the reduced states of one orbit
+    form a single cycle.  The preperiod is never revisited and the first
+    return closes the period.  That period is primitive: digits determine a
+    purely periodic value, so a shorter repeating block would bring the
+    state back sooner.  No return within `MAX_STEPS` digits raises
+    ExpansionError.
     """
-    seen: dict[tuple[int, int], int] = {}
     digits: list[int] = []
     cur = x
-    for i in range(MAX_STEPS):
-        key = (cur.p, cur.q)
-        if key in seen:
-            j = seen[key]
+    start: QuadIrr | None = None
+    for _ in range(MAX_STEPS):
+        if start is None:
+            if is_purely_periodic(cur):
+                start, j = cur, len(digits)
+        elif cur == start:
             return CFExpansion(tuple(digits[:j]), tuple(digits[j:]))
-        seen[key] = i
         digit, cur = step(cur)
         digits.append(digit)
     raise ExpansionError(f"state failed to repeat within {MAX_STEPS} steps")
@@ -114,9 +118,11 @@ def fixed_point(a: Mat2) -> QuadIrr:
 
 
 def is_purely_periodic(x: QuadIrr) -> bool:
-    """True iff x > 1 and 0 < conj(x) < 1: the x with empty preperiod.
+    """True iff x is reduced, x > 1 > conj(x) > 0: the x with empty preperiod.
 
-    Both are irrational, so this is ceil(x) >= 2 and ceil(conj(x)) == 1;
-    conj(x) is the triple (-p, d, -q), normalized since -q | d - p^2 iff q does.
+    With s = isqrt(d) and sqrt(d) irrational, for q > 0 conj(x) > 0 iff
+    p > s, conj(x) < 1 iff p - q <= s, and x > 1 iff q - p <= s.  For q < 0
+    conj(x) = x + 2 sqrt(d)/|q| exceeds x, so x is never reduced.
     """
-    return ceil_quad(x) >= 2 and ceil_quad(QuadIrr(-x.p, x.d, -x.q)) == 1
+    s = isqrt(x.d)
+    return x.q > 0 and s < x.p and abs(x.p - x.q) <= s

@@ -151,19 +151,20 @@ def _primary_part_lattices(a: Mat2, shifted: Mat2, ell: int) -> set[Lattice2]:
 
 def _index_primes(shifted: Mat2, trace: int, n: int) -> list[int]:
     # Primes of |det(A**n - I)| = |2 - P_n(trace)|, through its small
-    # algebraic factors for n <= 4.
+    # algebraic factors for n in 1..4.
     pieces = {
         1: [trace - 2],
         2: [trace - 2, trace + 2],
         3: [trace - 2, trace + 1, trace + 1],
         4: [trace, trace, trace - 2, trace + 2],
-    }.get(n, [abs(shifted.det)])
+    }[n]
     assert prod(pieces) == abs(shifted.det)
     return sorted({p for piece in pieces for p in factorize(piece)})
 
 
 def invariant_sublattices_between(a: Mat2, n: int) -> list[Lattice2]:
-    """All A-invariant lattices L with (A**n - I)Z^2 <= L <= Z^2, inclusive.
+    """All A-invariant lattices L with (A**n - I)Z^2 <= L <= Z^2, inclusive,
+    for base degree n in 1..4.
 
     The quotient is split into prime-primary parts; invariant lattices are
     enumerated within each part and recombined by intersection, which keeps
@@ -172,8 +173,8 @@ def invariant_sublattices_between(a: Mat2, n: int) -> list[Lattice2]:
     intersection is injective on tuples of primary parts, so none repeats.
     """
     require_cusp(a)
-    if n < 1:
-        raise ValueError("base degree must be >= 1")
+    if not 1 <= n <= 4:
+        raise ValueError("base degree must lie in 1..4")
     an = power(a, n)
     shifted = Mat2(an.a - 1, an.b, an.c, an.d - 1)
     combos = [FULL_LATTICE]

@@ -7,6 +7,7 @@ import json
 from typing import Sequence
 
 from cuspcovers import Cycle, Lattice2, Mat2, inverse, monodromy_of, mul
+from cuspcovers.cfrac import CFExpansion, QuadIrr, ceil_quad, step
 from cuspcovers.intmath import factorize
 from cuspcovers.matrices import hermite_normal_form
 
@@ -49,6 +50,26 @@ def least_rotation_brute(seq) -> tuple:
     """The lexicographically smallest rotation of seq, by comparing all of them (O(k^2))."""
     seq = tuple(seq)
     return min(seq[i:] + seq[:i] for i in range(len(seq)))
+
+
+def expand_by_state_table(x: QuadIrr) -> CFExpansion:
+    """The expansion split at the first (p, q) state to repeat, found by
+    recording every state: `cfrac.expand` must give the same split."""
+    seen: dict[tuple[int, int], int] = {}
+    digits: list[int] = []
+    cur = x
+    while (cur.p, cur.q) not in seen:
+        seen[cur.p, cur.q] = len(digits)
+        digit, cur = step(cur)
+        digits.append(digit)
+    j = seen[cur.p, cur.q]
+    return CFExpansion(tuple(digits[:j]), tuple(digits[j:]))
+
+
+def is_reduced_by_ceilings(x: QuadIrr) -> bool:
+    """x > 1 and 0 < conj(x) < 1 as ceil(x) >= 2 and ceil(conj(x)) == 1; the
+    conjugate triple (-p, d, -q) is normalized whenever (p, d, q) is."""
+    return ceil_quad(x) >= 2 and ceil_quad(QuadIrr(-x.p, x.d, -x.q)) == 1
 
 
 def certificate_to_json_oracle(cert) -> str:

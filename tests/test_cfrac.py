@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from cuspcovers.cli import main
 from cuspcovers.cycles import monodromy_of
 from cuspcovers.matrices import Mat2, power
 from cuspcovers.verifier import candidate_matrices
-from helpers import random_cycle
+from helpers import expand_by_state_table, is_reduced_by_ceilings, random_cycle
 
 PAPER_A = Mat2(1640, 221, -141, -19)
 GOLDEN = QuadIrr(1, 5, 2)
@@ -159,10 +160,28 @@ def _random_quadirr(rng) -> QuadIrr:
 
 
 def test_pure_periodicity_iff_no_preperiod():
+    # expand splits at the first reduced state; the oracles split at the first
+    # repeated state and test reducedness through two ceilings.
     rng = random.Random(41)
     for _ in range(500):
         x = _random_quadirr(rng)
-        assert is_purely_periodic(x) == (expand(x).preperiod == ())
+        split = expand_by_state_table(x)
+        assert expand(x) == split
+        assert is_purely_periodic(x) == is_reduced_by_ceilings(x) == (split.preperiod == ())
+
+
+def test_expand_memory_keeps_no_state_table():
+    # A 20001-digit period: its digits take about 0.5 MB, a table of its
+    # (p, q) states about 3.9 MB more.
+    x = fixed_point(monodromy_of((3,) + (2,) * 20000))
+    tracemalloc.start()
+    try:
+        exp = expand(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(exp.period) == 20001
+    assert peak < 1.5 * 10**6
 
 
 def test_expansion_reassembles_to_the_value():

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,9 @@ from cuspcovers import monodromy_of, verify
 from cuspcovers.cli import certificate_to_json, certificate_to_text, main
 from cuspcovers.matrices import Mat2
 from helpers import certificate_to_json_oracle, random_cycle, random_hyperbolic
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -236,6 +240,27 @@ def test_missing_input_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify"])
     assert exc.value.code == 2
+
+
+def test_readme_command_line_block_runs(tmp_path, monkeypatch, capsys):
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    commands = expectations = 0
+    prev = out = None
+    for line in block.splitlines():
+        if line.startswith("cuspcovers "):
+            code = main(shlex.split(line)[1:])
+            out = capsys.readouterr().out
+            assert code == 0, line
+            commands += 1
+        elif line.startswith("# -> "):
+            assert prev.startswith("cuspcovers "), line
+            assert out == line.removeprefix("# -> ") + "\n", prev
+            expectations += 1
+        prev = line
+    assert (commands, expectations) == (8, 1)
+    assert (tmp_path / "certificate.json").is_file()
 
 
 def test_module_entry_point():

@@ -127,8 +127,8 @@ def test_invariant_sublattices_paper_degree_1():
         invariant_sublattices_between(Mat2(1, 1, 0, 1), 1)
     with pytest.raises(ValueError, match="determinant 4 and trace 4;"):
         invariant_sublattices_between(Mat2(3, 1, -1, 1), 1)
-    for n in (0, -1):
-        with pytest.raises(ValueError):
+    for n in (0, -1, 5):
+        with pytest.raises(ValueError, match="base degree must lie in 1..4"):
             invariant_sublattices_between(PAPER_A, n)
 
 
