@@ -87,19 +87,19 @@ def expand(x: QuadIrr) -> CFExpansion:
     reduced states; step permutes the finitely many reduced (p, q) states of
     the discriminant d, a step invariant, so the reduced states of one orbit
     form a single cycle.  The preperiod is never revisited and the first
-    return closes the period.  That period is primitive: digits determine a
-    purely periodic value, so a shorter repeating block would bring the
-    state back sooner.  No return within `MAX_STEPS` digits raises
-    ExpansionError.
+    return, a repeat of (p, q), closes the period.  That period is
+    primitive: digits determine a purely periodic value, so a shorter
+    repeating block would bring the state back sooner.  No return within
+    `MAX_STEPS` digits raises ExpansionError.
     """
     digits: list[int] = []
     cur = x
-    start: QuadIrr | None = None
+    j: int | None = None
     for _ in range(MAX_STEPS):
-        if start is None:
+        if j is None:
             if is_purely_periodic(cur):
-                start, j = cur, len(digits)
-        elif cur == start:
+                j, p0, q0 = len(digits), cur.p, cur.q
+        elif cur.p == p0 and cur.q == q0:
             return CFExpansion(tuple(digits[:j]), tuple(digits[j:]))
         digit, cur = step(cur)
         digits.append(digit)

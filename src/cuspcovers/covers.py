@@ -151,7 +151,7 @@ def _primary_part_lattices(a: Mat2, shifted: Mat2, ell: int) -> set[Lattice2]:
 
 def _index_primes(shifted: Mat2, trace: int, n: int) -> list[int]:
     # Primes of |det(A**n - I)| = |2 - P_n(trace)|, through its small
-    # algebraic factors for n in 1..4.
+    # algebraic factors for n in 1..4, each distinct factor factored once.
     pieces = {
         1: [trace - 2],
         2: [trace - 2, trace + 2],
@@ -159,7 +159,7 @@ def _index_primes(shifted: Mat2, trace: int, n: int) -> list[int]:
         4: [trace, trace, trace - 2, trace + 2],
     }[n]
     assert prod(pieces) == abs(shifted.det)
-    return sorted({p for piece in pieces for p in factorize(piece)})
+    return sorted({p for piece in set(pieces) for p in factorize(piece)})
 
 
 def invariant_sublattices_between(a: Mat2, n: int) -> list[Lattice2]:
@@ -185,8 +185,22 @@ def invariant_sublattices_between(a: Mat2, n: int) -> list[Lattice2]:
 
 
 def _build_record(a: Mat2, n: int, lat: Lattice2) -> CoverRecord:
+    """The degree-n cover with fiber lat.  Its cycle is that of X**n, X the
+    induced action, built as the cycle of X repeated n times.
+
+    X**n fixes the same expanding slope as X, so both expand to one primitive
+    period, with period matrix m.  X is conjugate to m**k and its cycle is the
+    period repeated k times; X**n is conjugate to m**(k n), so its cycle is
+    X's cycle repeated n times.  A least rotation repeated n times is the
+    least rotation of the repetition, so the entries are those of
+    `cycle_of(power(X, n))`.  `cycle_of(X)` checks trace(X) against m**k;
+    for det 1 the trace of X**n is a fixed polynomial in trace(X), so that
+    check covers the repetition.
+    """
     ind = induced_action(lat, a)
-    return CoverRecord(base_degree=n, fiber=lat, induced=ind, cycle=cycle_of(power(ind, n)))
+    base = cycle_of(ind)
+    cycle = base if n == 1 else Cycle(base.entries * n)
+    return CoverRecord(base_degree=n, fiber=lat, induced=ind, cycle=cycle)
 
 
 def enumerate_covers(a: Mat2, max_degree: int = 4) -> list[CoverRecord]:

@@ -78,13 +78,14 @@ def monodromy_of(c: Cycle | Sequence[int]) -> Mat2:
     """Monodromy of the cycle (b_1, ..., b_k): the product M(b_k) ... M(b_1).
 
     M(b) = [[b, 1], [-1, 0]], so left-multiplying by it is the continuant
-    row update applied entry by entry.  A Cycle or raw sequence is validated,
-    then multiplied in the rotation given; rotations have equal trace.
+    row update applied entry by entry, here on four plain ints with one Mat2
+    built at the end.  A Cycle or raw sequence is validated, then multiplied
+    in the rotation given; rotations have equal trace.
     """
-    out = Mat2(1, 0, 0, 1)
+    p, q, r, s = 1, 0, 0, 1
     for b in _validated(c):
-        out = Mat2(b * out.a + out.c, b * out.b + out.d, -out.a, -out.b)
-    return out
+        p, q, r, s = b * p + r, b * q + s, -p, -q
+    return Mat2(p, q, r, s)
 
 
 def cycle_of(a: Mat2) -> Cycle:

@@ -89,15 +89,20 @@ def conjugate(a: Mat2, p: Mat2) -> Mat2 | None:
 
     Non-integrality is a meaningful negative answer (the lattice spanned by
     P's columns is not A-invariant), so it is reported rather than raised.
+    Straight-line integer arithmetic, one divisibility test per entry.
     """
-    det = p.det
+    pa, pb, pc, pd = p.a, p.b, p.c, p.d
+    det = pa * pd - pb * pc
     if det == 0:
         raise ValueError("cannot conjugate by a singular matrix")
-    adj = Mat2(p.d, -p.b, -p.c, p.a)
-    m = mul(mul(adj, a), p)
-    if any(e % det for e in m.entries()):
+    # R = A P, then M = adj(P) R with adj(P) = [[pd, -pb], [-pc, pa]].
+    ra, rb = a.a * pa + a.b * pc, a.a * pb + a.b * pd
+    rc, rd = a.c * pa + a.d * pc, a.c * pb + a.d * pd
+    ma, mb = pd * ra - pb * rc, pd * rb - pb * rd
+    mc, md = pa * rc - pc * ra, pa * rd - pc * rb
+    if ma % det or mb % det or mc % det or md % det:
         return None
-    return Mat2(*(e // det for e in m.entries()))
+    return Mat2(ma // det, mb // det, mc // det, md // det)
 
 
 def hermite_normal_form(columns: Iterable[Sequence[int]]) -> Mat2:

@@ -8,6 +8,7 @@ from typing import Sequence
 
 from cuspcovers import Cycle, Lattice2, Mat2, inverse, monodromy_of, mul
 from cuspcovers.cfrac import CFExpansion, QuadIrr, ceil_quad, step
+from cuspcovers.cycles import _validated
 from cuspcovers.intmath import factorize
 from cuspcovers.matrices import hermite_normal_form
 
@@ -70,6 +71,27 @@ def is_reduced_by_ceilings(x: QuadIrr) -> bool:
     """x > 1 and 0 < conj(x) < 1 as ceil(x) >= 2 and ceil(conj(x)) == 1; the
     conjugate triple (-p, d, -q) is normalized whenever (p, d, q) is."""
     return ceil_quad(x) >= 2 and ceil_quad(QuadIrr(-x.p, x.d, -x.q)) == 1
+
+
+def conjugate_by_products(a: Mat2, p: Mat2) -> Mat2 | None:
+    """P^-1 A P as adj(P) A P over `mul`, divided by det P when integral:
+    `matrices.conjugate` must give the same matrix, None or ValueError."""
+    det = p.det
+    if det == 0:
+        raise ValueError("cannot conjugate by a singular matrix")
+    m = mul(mul(Mat2(p.d, -p.b, -p.c, p.a), a), p)
+    if any(e % det for e in m.entries()):
+        return None
+    return Mat2(*(e // det for e in m.entries()))
+
+
+def monodromy_by_matrices(c) -> Mat2:
+    """M(b_k) ... M(b_1) with one Mat2 per entry: `cycles.monodromy_of` must
+    give the same matrix and raise the same errors."""
+    out = Mat2(1, 0, 0, 1)
+    for b in _validated(c):
+        out = Mat2(b * out.a + out.c, b * out.b + out.d, -out.a, -out.b)
+    return out
 
 
 def certificate_to_json_oracle(cert) -> str:

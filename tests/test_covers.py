@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+import cuspcovers.covers
 from cuspcovers.covers import (
     FULL_LATTICE,
     Lattice2,
@@ -14,13 +15,16 @@ from cuspcovers.covers import (
     invariant_sublattices_between,
     prime_index_invariant_lattices,
 )
-from cuspcovers.cycles import Cycle, cycle_of, dual_cycle
+from cuspcovers.cycles import Cycle, cycle_of, dual_cycle, monodromy_of
 from cuspcovers.matrices import IDENTITY, Mat2, conjugate, mul, power
 from helpers import (
+    conjugated,
     from_basis,
     from_columns,
     index_formula,
+    random_cycle,
     random_hyperbolic,
+    random_unimodular,
     reversed_cycle,
     sublattices_of_index,
 )
@@ -275,3 +279,45 @@ def test_enumerate_covers_small_cusp():
     assert all(r.induced.trace == 3 for r in records)
     degree_ns = {r.base_degree for r in records}
     assert degree_ns == {1, 2, 3, 4}
+
+
+def _records_match_power_path(a: Mat2) -> int:
+    records = enumerate_covers(a, 4)
+    for r in records:
+        assert r.cycle == cycle_of(power(r.induced, r.base_degree))
+    return len(records)
+
+
+def test_record_cycles_match_the_power_path():
+    # A record's cycle is its fiber's cycle repeated n times; the oracle expands
+    # the n-th power of the induced action, as records were built before.
+    rng = random.Random(47)
+    records = 0
+    for _ in range(13):
+        m = monodromy_of(random_cycle(rng, max_len=5, max_entry=9))
+        while m.trace > 300:
+            m = monodromy_of(random_cycle(rng, max_len=5, max_entry=9))
+        for a in (m, conjugated(m, random_unimodular(rng, steps=4))):
+            records += _records_match_power_path(a)
+    assert records > 13 * 2 * 14
+
+
+def test_record_cycles_match_the_power_path_on_1621():
+    # Cover cycles up to 6476 entries; test_enumerate_covers_record_invariants
+    # makes the same check on the flagship.
+    assert _records_match_power_path(Mat2(1621, 1, -1, 0)) == 58
+
+
+def test_index_primes_factor_each_distinct_piece_once(monkeypatch):
+    # Pieces per degree: t-2; t-2, t+2; t-2, t+1; t, t-2, t+2.
+    calls = []
+    factorize = cuspcovers.covers.factorize
+
+    def counted(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(cuspcovers.covers, "factorize", counted)
+    enumerate_covers(PAPER_A, 4)
+    t = PAPER_A.trace
+    assert sorted(calls) == sorted([t - 2] * 4 + [t + 2] * 2 + [t + 1, t])

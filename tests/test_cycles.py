@@ -17,6 +17,7 @@ from cuspcovers.matrices import Mat2, inverse, power
 from helpers import (
     conjugated,
     least_rotation_brute,
+    monodromy_by_matrices,
     random_cycle,
     random_unimodular,
     reversed_cycle,
@@ -96,6 +97,31 @@ def test_monodromy_of():
     for c in ((8, 2, 4, 3, 12), (3,), (2, 2, 2, 3), (5, 2, 7, 2, 2)):
         cyc = Cycle(c)
         assert monodromy_of(cyc) == monodromy_of(cyc.entries) == monodromy_of(list(cyc.entries))
+
+
+def test_monodromy_of_matches_matrix_oracle():
+    rng = random.Random(37)
+    for _ in range(300):
+        c = random_cycle(rng, max_len=12, max_entry=20)
+        raw = list(c.entries)
+        rng.shuffle(raw)
+        # a Cycle multiplies in its canonical rotation, a raw list as given
+        assert monodromy_of(c) == monodromy_by_matrices(c)
+        assert monodromy_of(raw) == monodromy_by_matrices(raw)
+        assert monodromy_of(tuple(raw)) == monodromy_by_matrices(tuple(raw))
+
+
+@pytest.mark.parametrize(
+    "bad,error",
+    [((), ValueError), ((2, 2), ValueError), ((3, 1), ValueError), ((0,), ValueError),
+     ((2.9, 3), TypeError), (("3",), TypeError)],
+)
+def test_monodromy_of_rejects_invalid_cycles_like_the_oracle(bad, error):
+    with pytest.raises(error) as new:
+        monodromy_of(bad)
+    with pytest.raises(error) as old:
+        monodromy_by_matrices(bad)
+    assert str(new.value) == str(old.value)
 
 
 def test_cycle_of_flagship():

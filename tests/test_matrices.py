@@ -11,7 +11,13 @@ from cuspcovers.matrices import (
     mul,
     power,
 )
-from helpers import index_formula, random_hyperbolic, random_unimodular, trace_power_polynomial
+from helpers import (
+    conjugate_by_products,
+    index_formula,
+    random_hyperbolic,
+    random_unimodular,
+    trace_power_polynomial,
+)
 
 PAPER_A = Mat2(1640, 221, -141, -19)
 
@@ -61,6 +67,42 @@ def test_conjugate():
     assert conjugate(PAPER_A, Mat2(1, 0, 0, 811)) is None
     with pytest.raises(ValueError):
         conjugate(PAPER_A, Mat2(1, 1, 1, 1))
+
+
+def test_conjugate_matches_product_oracle():
+    # Unimodular P (det +-1) always conjugates integrally; HNF-shaped and
+    # general composite-det P often give None; the oracle decides each case.
+    rng = random.Random(29)
+    seen = {"matrix": 0, "none": 0}
+    for _ in range(600):
+        a = random_hyperbolic(rng, max_len=4, max_entry=7)
+        kind = rng.randrange(3)
+        if kind == 0:
+            p = random_unimodular(rng, det=rng.choice((1, -1)))
+        elif kind == 1:
+            x, z = rng.randint(1, 30), rng.randint(1, 30)
+            p = Mat2(x, rng.randrange(x), 0, z)
+        else:
+            p = Mat2(*(rng.randint(-12, 12) for _ in range(4)))
+            if p.det == 0:
+                continue
+        expected = conjugate_by_products(a, p)
+        assert conjugate(a, p) == expected
+        if kind == 0:
+            assert expected is not None
+        seen["none" if expected is None else "matrix"] += 1
+    assert min(seen.values()) > 50
+
+
+def test_conjugate_singular_raises_like_the_oracle():
+    rng = random.Random(31)
+    for _ in range(50):
+        a = random_hyperbolic(rng, max_len=3, max_entry=6)
+        u, v, k = rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-4, 4)
+        p = Mat2(u, k * u, v, k * v)  # second column k times the first
+        for fn in (conjugate, conjugate_by_products):
+            with pytest.raises(ValueError, match="singular"):
+                fn(a, p)
 
 
 def test_trace_power_polynomial():
