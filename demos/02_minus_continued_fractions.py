@@ -8,6 +8,7 @@ even when d has 27 digits.
 """
 
 import sys
+from math import isqrt
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -15,7 +16,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from cuspcovers import (
     Mat2,
     QuadIrr,
-    ceil_quad,
     expand,
     fixed_point,
     is_purely_periodic,
@@ -23,10 +23,13 @@ from cuspcovers import (
     step,
 )
 
+# One step runs on the integer state (p, q) with d and s = isqrt(d) fixed:
+# the digit is the exact ceiling of x, and the next value is (p' + sqrt d)/q'.
 golden = QuadIrr(1, 5, 2)  # (1 + sqrt 5)/2
-print(f"x = {golden}, ceil(x) = {ceil_quad(golden)}")
-digit, nxt = step(golden)
-print(f"one step: digit {digit}, next value {nxt}")
+digit, p2, q2 = step(golden.p, golden.q, golden.d, isqrt(golden.d))
+print(f"x = {golden}, ceil(x) = {digit}")
+print(f"one step on (p, q) = ({golden.p}, {golden.q}): digit {digit}, next state ({p2}, {q2}),")
+print(f"  next value {QuadIrr(p2, golden.d, q2)}")
 print(f"expansion: {expand(golden)}")
 print(f"purely periodic? {is_purely_periodic(golden)}")
 

@@ -12,7 +12,6 @@ from .cfrac import (
     CFExpansion,
     ExpansionError,
     QuadIrr,
-    ceil_quad,
     expand,
     fixed_point,
     is_purely_periodic,
@@ -71,7 +70,6 @@ __all__ = [
     "QuadIrr",
     "admissible_traces",
     "candidate_matrices",
-    "ceil_quad",
     "conjugate",
     "contains",
     "cycle_of",

@@ -4,8 +4,8 @@ The expansion x = a0 - 1/(a1 - 1/(a2 - ...)) with digits a_i = ceil(x_i) is
 eventually periodic exactly for quadratic irrationals.  By Zagier's
 reduction theory its period starts at the first reduced state,
 x > 1 > conj(x) > 0, which `is_purely_periodic` tests in integers.  All
-steps run in integer arithmetic on a normalized (P, D, Q) state, so
-discriminants of order 10**27 cost nothing in accuracy.
+steps run in integer arithmetic on the (p, q) state of a normalized
+(p, d, q) triple, so discriminants of order 10**27 cost nothing in accuracy.
 """
 
 from __future__ import annotations
@@ -63,20 +63,28 @@ class CFExpansion:
     period: tuple[int, ...]
 
 
-def ceil_quad(x: QuadIrr) -> int:
-    """Exact ceiling, via isqrt bounds on sqrt(d); handles both signs of q."""
-    s = isqrt(x.d)
-    if x.q > 0:
-        return (x.p + s) // x.q + 1
-    return (-x.p - s - 1) // (-x.q) + 1
+def _reduced(p: int, q: int, s: int) -> bool:
+    """Whether (p + sqrt(d)) / q is reduced, x > 1 > conj(x) > 0, for s = isqrt(d).
+
+    With sqrt(d) irrational, for q > 0 conj(x) > 0 iff p > s, conj(x) < 1 iff
+    p - q <= s, and x > 1 iff q - p <= s.  For q < 0 conj(x) = x + 2 sqrt(d)/|q|
+    exceeds x, so x is never reduced.
+    """
+    return q > 0 and s < p and abs(p - q) <= s
 
 
-def step(x: QuadIrr) -> tuple[int, QuadIrr]:
-    """One expansion step: returns (digit, next) with x = digit - 1/next, next > 1."""
-    digit = ceil_quad(x)
-    p2 = digit * x.q - x.p
-    q2 = (p2 * p2 - x.d) // x.q
-    return digit, QuadIrr(p2, x.d, q2)
+def step(p: int, q: int, d: int, s: int) -> tuple[int, int, int]:
+    """One expansion step on x = (p + sqrt(d)) / q, s = isqrt(d), q | d - p^2:
+    returns (digit, p', q') with x = digit - 1/x', x' = (p' + sqrt(d)) / q' > 1.
+
+    The digit is the exact ceiling of x.  floor((p + sqrt(d)) / m) equals
+    (p + s) // m for m > 0, and x is irrational, so ceil(x) is
+    (p + s) // q + 1 for q > 0 and -((p + s) // -q) for q < 0.  d stays
+    fixed and q' divides d - p'^2 = -q q', so the invariant carries over.
+    """
+    digit = (p + s) // q + 1 if q > 0 else -((p + s) // -q)
+    p2 = digit * q - p
+    return digit, p2, (p2 * p2 - d) // q
 
 
 def expand(x: QuadIrr) -> CFExpansion:
@@ -91,17 +99,21 @@ def expand(x: QuadIrr) -> CFExpansion:
     primitive: digits determine a purely periodic value, so a shorter
     repeating block would bring the state back sooner.  No return within
     `MAX_STEPS` digits raises ExpansionError.
+
+    The state steps as plain ints: (p, q, d) is read from x once and
+    s = isqrt(d) is taken once, as d never changes.
     """
+    p, q, d = x.p, x.q, x.d
+    s = isqrt(d)
     digits: list[int] = []
-    cur = x
     j: int | None = None
     for _ in range(MAX_STEPS):
         if j is None:
-            if is_purely_periodic(cur):
-                j, p0, q0 = len(digits), cur.p, cur.q
-        elif cur.p == p0 and cur.q == q0:
+            if _reduced(p, q, s):
+                j, p0, q0 = len(digits), p, q
+        elif p == p0 and q == q0:
             return CFExpansion(tuple(digits[:j]), tuple(digits[j:]))
-        digit, cur = step(cur)
+        digit, p, q = step(p, q, d, s)
         digits.append(digit)
     raise ExpansionError(f"state failed to repeat within {MAX_STEPS} steps")
 
@@ -118,11 +130,5 @@ def fixed_point(a: Mat2) -> QuadIrr:
 
 
 def is_purely_periodic(x: QuadIrr) -> bool:
-    """True iff x is reduced, x > 1 > conj(x) > 0: the x with empty preperiod.
-
-    With s = isqrt(d) and sqrt(d) irrational, for q > 0 conj(x) > 0 iff
-    p > s, conj(x) < 1 iff p - q <= s, and x > 1 iff q - p <= s.  For q < 0
-    conj(x) = x + 2 sqrt(d)/|q| exceeds x, so x is never reduced.
-    """
-    s = isqrt(x.d)
-    return x.q > 0 and s < x.p and abs(x.p - x.q) <= s
+    """True iff x is reduced, x > 1 > conj(x) > 0: the x with empty preperiod."""
+    return _reduced(x.p, x.q, isqrt(x.d))

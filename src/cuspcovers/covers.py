@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import Sequence
 
-from .cycles import Cycle, cycle_of, dual_cycle
+from .cycles import Cycle, _repeated, cycle_of, dual_cycle
 from .intmath import factorize, is_prime, solve_quadratic_congruence
 from .matrices import Mat2, conjugate, power, require_cusp
 
@@ -192,15 +192,14 @@ def _build_record(a: Mat2, n: int, lat: Lattice2) -> CoverRecord:
     period, with period matrix m.  X is conjugate to m**k and its cycle is the
     period repeated k times; X**n is conjugate to m**(k n), so its cycle is
     X's cycle repeated n times.  A least rotation repeated n times is the
-    least rotation of the repetition, so the entries are those of
-    `cycle_of(power(X, n))`.  `cycle_of(X)` checks trace(X) against m**k;
+    least rotation of the repetition, so `_repeated` keeps X's canonical
+    rotation without a second least-rotation pass, and the entries are those
+    of `cycle_of(power(X, n))`.  `cycle_of(X)` checks trace(X) against m**k;
     for det 1 the trace of X**n is a fixed polynomial in trace(X), so that
     check covers the repetition.
     """
     ind = induced_action(lat, a)
-    base = cycle_of(ind)
-    cycle = base if n == 1 else Cycle(base.entries * n)
-    return CoverRecord(base_degree=n, fiber=lat, induced=ind, cycle=cycle)
+    return CoverRecord(base_degree=n, fiber=lat, induced=ind, cycle=_repeated(cycle_of(ind), n))
 
 
 def enumerate_covers(a: Mat2, max_degree: int = 4) -> list[CoverRecord]:

@@ -74,6 +74,21 @@ class Cycle:
         return "(" + ", ".join(str(e) for e in self.entries) + ")"
 
 
+def _repeated(c: Cycle, n: int) -> Cycle:
+    """c repeated n times, built without `_validated` or `_least_rotation`.
+
+    A repetition of a valid cycle is valid, and the least rotation of w**n
+    is (least rotation of w)**n: rotating w**n by i gives (w rotated by i)**n,
+    and n-th powers of words of one length compare as the words do.  So
+    c.entries * n is already canonical.
+    """
+    if n == 1:
+        return c
+    out = object.__new__(Cycle)
+    object.__setattr__(out, "entries", c.entries * n)
+    return out
+
+
 def monodromy_of(c: Cycle | Sequence[int]) -> Mat2:
     """Monodromy of the cycle (b_1, ..., b_k): the product M(b_k) ... M(b_1).
 
@@ -93,9 +108,10 @@ def cycle_of(a: Mat2) -> Cycle:
 
     Expands the fixed slope of a (fixed_point rejects non-cusps).  a is
     conjugate to m^n, m the monodromy of the primitive period, so the cycle
-    is the period repeated n times, canonicalized once by Cycle; n is found
-    by multiplying by m until the trace reaches trace(a).  m has trace >= 3,
-    so the traces of its powers strictly increase and the search ends.  The
+    is the period repeated n times: Cycle canonicalizes the primitive period
+    once and `_repeated` repeats that canonical block.  n is found by
+    multiplying by m until the trace reaches trace(a).  m has trace >= 3, so
+    the traces of its powers strictly increase and the search ends.  The
     preperiod absorbs matrices outside the purely periodic region.
 
     m^n is the product over period * n, and rotation keeps the trace, so
@@ -110,7 +126,7 @@ def cycle_of(a: Mat2) -> Cycle:
         mn = mul(mn, m)
         n += 1
     if mn.trace == t:
-        return Cycle(period * n)
+        return _repeated(Cycle(period), n)
     raise ExpansionError(f"no power of the period matrix has trace {t}; expansion is inconsistent")
 
 

@@ -4,10 +4,11 @@ Every test seeds its own random.Random so runs are reproducible.
 """
 
 import json
+from math import isqrt
 from typing import Sequence
 
 from cuspcovers import Cycle, Lattice2, Mat2, inverse, monodromy_of, mul
-from cuspcovers.cfrac import CFExpansion, QuadIrr, ceil_quad, step
+from cuspcovers.cfrac import CFExpansion, QuadIrr
 from cuspcovers.cycles import _validated
 from cuspcovers.intmath import factorize
 from cuspcovers.matrices import hermite_normal_form
@@ -53,6 +54,24 @@ def least_rotation_brute(seq) -> tuple:
     return min(seq[i:] + seq[:i] for i in range(len(seq)))
 
 
+def ceil_quad(x: QuadIrr) -> int:
+    """Exact ceiling, via isqrt bounds on sqrt(d); handles both signs of q."""
+    s = isqrt(x.d)
+    if x.q > 0:
+        return (x.p + s) // x.q + 1
+    return (-x.p - s - 1) // (-x.q) + 1
+
+
+def step_on_quadirr(x: QuadIrr) -> tuple[int, QuadIrr]:
+    """One expansion step on a validated QuadIrr: returns (digit, next) with
+    x = digit - 1/next, next > 1.  `cfrac.step` must give the same digit and
+    next state on plain ints."""
+    digit = ceil_quad(x)
+    p2 = digit * x.q - x.p
+    q2 = (p2 * p2 - x.d) // x.q
+    return digit, QuadIrr(p2, x.d, q2)
+
+
 def expand_by_state_table(x: QuadIrr) -> CFExpansion:
     """The expansion split at the first (p, q) state to repeat, found by
     recording every state: `cfrac.expand` must give the same split."""
@@ -61,7 +80,7 @@ def expand_by_state_table(x: QuadIrr) -> CFExpansion:
     cur = x
     while (cur.p, cur.q) not in seen:
         seen[cur.p, cur.q] = len(digits)
-        digit, cur = step(cur)
+        digit, cur = step_on_quadirr(cur)
         digits.append(digit)
     j = seen[cur.p, cur.q]
     return CFExpansion(tuple(digits[:j]), tuple(digits[j:]))

@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -10,7 +11,6 @@ from cuspcovers.cfrac import (
     CFExpansion,
     ExpansionError,
     QuadIrr,
-    ceil_quad,
     expand,
     fixed_point,
     is_purely_periodic,
@@ -20,7 +20,13 @@ from cuspcovers.cli import main
 from cuspcovers.cycles import monodromy_of
 from cuspcovers.matrices import Mat2, power
 from cuspcovers.verifier import candidate_matrices
-from helpers import expand_by_state_table, is_reduced_by_ceilings, random_cycle
+from helpers import (
+    ceil_quad,
+    expand_by_state_table,
+    is_reduced_by_ceilings,
+    random_cycle,
+    step_on_quadirr,
+)
 
 PAPER_A = Mat2(1640, 221, -141, -19)
 GOLDEN = QuadIrr(1, 5, 2)
@@ -69,22 +75,45 @@ def test_ceil_quad():
     assert ceil_quad(QuadIrr(-3, 5, 2)) == 0   # (-3 + sqrt 5)/2 ~ -0.38
 
 
+def _step(x: QuadIrr) -> tuple[int, int, int]:
+    return step(x.p, x.q, x.d, isqrt(x.d))
+
+
 def test_step_examples():
-    digit, nxt = step(QuadIrr(3, 5, 2))
-    assert digit == 3 and nxt == QuadIrr(3, 5, 2)  # fixed point of its own step
-    digit, nxt = step(GOLDEN)
-    assert digit == 2 and nxt == QuadIrr(3, 5, 2)
+    assert _step(QuadIrr(3, 5, 2)) == (3, 3, 2)  # fixed point of its own step
+    assert _step(GOLDEN) == (2, 3, 2)
+    assert _step(QuadIrr(0, 2, -1)) == (-1, 1, 1)  # -sqrt(2) = -1 - 1/(1 + sqrt 2)
 
 
 def test_step_keeps_discriminant_and_invariant():
     rng = random.Random(37)
     for _ in range(300):
         x = _random_quadirr(rng)
-        digit, nxt = step(x)
-        assert nxt.d == x.d
-        assert (nxt.d - nxt.p * nxt.p) % nxt.q == 0
+        digit, p2, q2 = _step(x)
+        nxt = QuadIrr(p2, x.d, q2)
+        assert (nxt.p, nxt.d, nxt.q) == (p2, x.d, q2)
+        assert (x.d - p2 * p2) % q2 == 0
         # next > 1 always
         assert ceil_quad(nxt) >= 2
+
+
+def test_step_matches_the_quadirr_step_for_both_signs_of_q():
+    # 300 states with q > 0 and 300 with q < 0, half of them with
+    # discriminants of order 10**27 like those of degree-4 covers.
+    rng = random.Random(53)
+    checked = {1: 0, -1: 0}
+    for i in range(600):
+        sign = 1 if i % 2 else -1
+        while True:
+            d = rng.randint(2, 10**6 if i % 4 < 2 else 10**27)
+            if isqrt(d) ** 2 != d:
+                break
+        x = QuadIrr(rng.randint(-10**4, 10**4), d, sign * rng.randint(1, 10**3))
+        digit, nxt = step_on_quadirr(x)
+        assert _step(x) == (digit, nxt.p, nxt.q)
+        assert nxt.d == x.d
+        checked[sign] += 1
+    assert checked == {1: 300, -1: 300}
 
 
 def test_expand_examples():

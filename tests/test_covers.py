@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 
 import cuspcovers.covers
+import cuspcovers.cycles
 from cuspcovers.covers import (
     FULL_LATTICE,
     Lattice2,
@@ -321,3 +322,22 @@ def test_index_primes_factor_each_distinct_piece_once(monkeypatch):
     enumerate_covers(PAPER_A, 4)
     t = PAPER_A.trace
     assert sorted(calls) == sorted([t - 2] * 4 + [t + 2] * 2 + [t + 1, t])
+
+
+def test_enumeration_canonicalizes_only_primitive_periods(monkeypatch):
+    # Each cover cycle is canonicalized once, at its primitive period, and
+    # repeated in canonical form; no n-fold repetition reaches Duval's pass.
+    seen = []
+    least_rotation = cuspcovers.cycles._least_rotation
+
+    def recorded(seq):
+        seen.append(seq)
+        return least_rotation(seq)
+
+    monkeypatch.setattr(cuspcovers.cycles, "_least_rotation", recorded)
+    records = enumerate_covers(PAPER_A, 4)
+    assert any(r.base_degree > 1 for r in records)
+    assert seen
+    for seq in seen:
+        k = len(seq)
+        assert all(k % w or seq != seq[:w] * (k // w) for w in range(1, k)), seq

@@ -7,6 +7,7 @@ from cuspcovers.cfrac import CFExpansion, ExpansionError
 from cuspcovers.cli import main
 from cuspcovers.cycles import (
     Cycle,
+    _repeated,
     cycle_of,
     dual_cycle,
     dual_length,
@@ -218,6 +219,22 @@ def test_base_power_concatenation():
             assert cycle_of(power(b, n)) == Cycle(tuple(c) * n)
             # a conjugate expands with a preperiod and a period in another rotation
             assert cycle_of(conjugated(power(b, n), random_unimodular(rng))) == Cycle(tuple(c) * n)
+
+
+def test_repetition_equals_full_canonicalization():
+    # _repeated skips validation and the least rotation; the block it repeats
+    # is canonical, so the result is the Cycle of the n-fold repetition.
+    rng = random.Random(79)
+    for _ in range(400):
+        seq = random_cycle_entries(rng)
+        c = Cycle(seq)
+        for n in (1, 2, 3, 4):
+            rep = _repeated(c, n)
+            full = Cycle(seq * n)
+            assert rep.entries == full.entries
+            assert rep == full and hash(rep) == hash(full)
+            assert isinstance(rep.entries, tuple) and len(rep) == n * len(c)
+    assert _repeated(PAPER_CYCLE, 1) is PAPER_CYCLE
 
 
 def test_dual_of_reversal_is_reversal_of_dual():
