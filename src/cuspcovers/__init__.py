@@ -8,15 +8,7 @@ certifies whether any cover is a complete intersection, everything in
 unbounded integer arithmetic.
 """
 
-from .cfrac import (
-    CFExpansion,
-    ExpansionError,
-    QuadIrr,
-    expand,
-    fixed_point,
-    is_purely_periodic,
-    step,
-)
+from .cfrac import ExpansionError, expand, step
 from .covers import (
     FULL_LATTICE,
     CoverRecord,
@@ -56,7 +48,6 @@ from .verifier import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CFExpansion",
     "Certificate",
     "CoverRecord",
     "Cycle",
@@ -67,7 +58,6 @@ __all__ = [
     "Lattice2",
     "Mat2",
     "NO_CI_COVER",
-    "QuadIrr",
     "admissible_traces",
     "candidate_matrices",
     "conjugate",
@@ -77,13 +67,11 @@ __all__ = [
     "dual_length",
     "enumerate_covers",
     "expand",
-    "fixed_point",
     "induced_action",
     "invariant_sublattices_between",
     "inverse",
     "is_ci_link",
     "is_prime",
-    "is_purely_periodic",
     "monodromy_of",
     "mul",
     "power",

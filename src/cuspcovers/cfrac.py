@@ -1,16 +1,22 @@
-"""Minus-sign continued fractions of real quadratic irrationals.
+"""Minus-sign continued fractions of the fixed slopes of cusp monodromies.
 
 The expansion x = a0 - 1/(a1 - 1/(a2 - ...)) with digits a_i = ceil(x_i) is
 eventually periodic exactly for quadratic irrationals.  By Zagier's
 reduction theory its period starts at the first reduced state,
-x > 1 > conj(x) > 0, which `is_purely_periodic` tests in integers.  All
-steps run in integer arithmetic on the (p, q) state of a normalized
-(p, d, q) triple, so discriminants of order 10**27 cost nothing in accuracy.
+x > 1 > conj(x) > 0, which `_reduced` tests in integers.  All steps run in
+integer arithmetic on the (p, q) state of x = (p + sqrt(d)) / q, so
+discriminants of order 10**27 cost nothing in accuracy.
+
+The expanded value is the expanding fixed slope (a - d + sqrt(t^2 - 4)) / (2b)
+of a monodromy [[a, b], [c, d]] with det 1 and trace t >= 3.  That state needs
+no rescaling: b != 0 (det 1 and b = 0 force a = d = +-1, trace +-2),
+t^2 - 4 > 0 is not a square (two squares differ by 4 only as 4 and 0), and
+with p = a - d, q = 2b, (t^2 - 4) - p^2 = 4(ad - 1) = 4bc, so q divides it,
+the invariant that keeps every step integral.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
 from .matrices import Mat2, require_cusp
@@ -23,44 +29,6 @@ class ExpansionError(RuntimeError):
 
     Valid input meets the ceiling: the covers of (x) expand about x digits.
     """
-
-
-@dataclass(frozen=True)
-class QuadIrr:
-    """The real number (p + sqrt(d)) / q with d > 0 not a perfect square.
-
-    Construction rescales (p, d, q) so that q divides d - p^2, the invariant
-    that keeps every expansion step integral and the state space finite.
-    """
-
-    p: int
-    d: int
-    q: int
-
-    def __post_init__(self) -> None:
-        if self.q == 0:
-            raise ValueError("zero denominator")
-        if self.d <= 0:
-            raise ValueError("discriminant must be positive")
-        r = isqrt(self.d)
-        if r * r == self.d:
-            raise ValueError("perfect-square discriminant gives a rational value")
-        if (self.d - self.p * self.p) % self.q != 0:
-            s = abs(self.q)
-            object.__setattr__(self, "p", self.p * s)
-            object.__setattr__(self, "d", self.d * s * s)
-            object.__setattr__(self, "q", self.q * s)
-
-    def __str__(self) -> str:
-        return f"({self.p} + sqrt({self.d}))/{self.q}"
-
-
-@dataclass(frozen=True)
-class CFExpansion:
-    """Eventually periodic digit sequence: preperiod then a primitive period."""
-
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
 
 
 def _reduced(p: int, q: int, s: int) -> bool:
@@ -87,9 +55,10 @@ def step(p: int, q: int, d: int, s: int) -> tuple[int, int, int]:
     return digit, p2, (p2 * p2 - d) // q
 
 
-def expand(x: QuadIrr) -> CFExpansion:
-    """Full expansion of x: the preperiod runs up to the first reduced state,
-    the period from there to that state's first return.
+def expand(a: Mat2) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(preperiod, period) of the expanding fixed slope of the monodromy a:
+    the preperiod runs up to the first reduced state, the period from there
+    to that state's first return.  Non-cusps raise ValueError.
 
     Every orbit of `step` reaches a reduced state and then stays among
     reduced states; step permutes the finitely many reduced (p, q) states of
@@ -100,10 +69,12 @@ def expand(x: QuadIrr) -> CFExpansion:
     repeating block would bring the state back sooner.  No return within
     `MAX_STEPS` digits raises ExpansionError.
 
-    The state steps as plain ints: (p, q, d) is read from x once and
-    s = isqrt(d) is taken once, as d never changes.
+    The state steps as plain ints, and s = isqrt(d) is taken once, as d
+    never changes.
     """
-    p, q, d = x.p, x.q, x.d
+    require_cusp(a)
+    t = a.trace
+    p, q, d = a.a - a.d, 2 * a.b, t * t - 4
     s = isqrt(d)
     digits: list[int] = []
     j: int | None = None
@@ -112,23 +83,7 @@ def expand(x: QuadIrr) -> CFExpansion:
             if _reduced(p, q, s):
                 j, p0, q0 = len(digits), p, q
         elif p == p0 and q == q0:
-            return CFExpansion(tuple(digits[:j]), tuple(digits[j:]))
+            return tuple(digits[:j]), tuple(digits[j:])
         digit, p, q = step(p, q, d, s)
         digits.append(digit)
     raise ExpansionError(f"state failed to repeat within {MAX_STEPS} steps")
-
-
-def fixed_point(a: Mat2) -> QuadIrr:
-    """The expanding fixed slope (a - d + sqrt(t^2 - 4)) / (2b) of a monodromy.
-
-    Requires det 1 and trace >= 3, so b != 0: det 1 and b = 0 force
-    a = d = +-1, trace +-2.
-    """
-    require_cusp(a)
-    t = a.trace
-    return QuadIrr(a.a - a.d, t * t - 4, 2 * a.b)
-
-
-def is_purely_periodic(x: QuadIrr) -> bool:
-    """True iff x is reduced, x > 1 > conj(x) > 0: the x with empty preperiod."""
-    return _reduced(x.p, x.q, isqrt(x.d))

@@ -12,7 +12,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .cfrac import ExpansionError, expand, fixed_point
+from .cfrac import ExpansionError, expand
 from .matrices import Mat2, mul
 
 
@@ -106,7 +106,7 @@ def monodromy_of(c: Cycle | Sequence[int]) -> Mat2:
 def cycle_of(a: Mat2) -> Cycle:
     """Resolution cycle of a det-1 monodromy with trace >= 3.
 
-    Expands the fixed slope of a (fixed_point rejects non-cusps).  a is
+    Expands the fixed slope of a (`expand` rejects non-cusps).  a is
     conjugate to m^n, m the monodromy of the primitive period, so the cycle
     is the period repeated n times: Cycle canonicalizes the primitive period
     once and `_repeated` repeats that canonical block.  n is found by
@@ -118,7 +118,7 @@ def cycle_of(a: Mat2) -> Cycle:
     m^n having trace(a) proves trace(monodromy_of(result)) == trace(a).  A
     mismatch raises ExpansionError.
     """
-    period = expand(fixed_point(a)).period
+    _, period = expand(a)
     t = a.trace
     m = mn = monodromy_of(period)
     n = 1

@@ -8,7 +8,6 @@ from math import isqrt
 from typing import Sequence
 
 from cuspcovers import Cycle, Lattice2, Mat2, inverse, monodromy_of, mul
-from cuspcovers.cfrac import CFExpansion, QuadIrr
 from cuspcovers.cycles import _validated
 from cuspcovers.intmath import factorize
 from cuspcovers.matrices import hermite_normal_form
@@ -54,42 +53,60 @@ def least_rotation_brute(seq) -> tuple:
     return min(seq[i:] + seq[:i] for i in range(len(seq)))
 
 
-def ceil_quad(x: QuadIrr) -> int:
-    """Exact ceiling, via isqrt bounds on sqrt(d); handles both signs of q."""
-    s = isqrt(x.d)
-    if x.q > 0:
-        return (x.p + s) // x.q + 1
-    return (-x.p - s - 1) // (-x.q) + 1
+def random_state(rng, max_d, max_p=100, max_q=50, sign=None) -> tuple[int, int, int]:
+    """A general expansion state (p, d, q): q != 0 of the given sign (random if
+    None), d > 0 not a perfect square, and q | d - p^2."""
+    while True:
+        p = rng.randint(-max_p, max_p)
+        q = rng.randint(1, max_q) * (sign or rng.choice((1, -1)))
+        d = rng.randint(2, max_d)
+        d -= (d - p * p) % q
+        if d > 0 and isqrt(d) ** 2 != d:
+            return p, d, q
 
 
-def step_on_quadirr(x: QuadIrr) -> tuple[int, QuadIrr]:
-    """One expansion step on a validated QuadIrr: returns (digit, next) with
-    x = digit - 1/next, next > 1.  `cfrac.step` must give the same digit and
-    next state on plain ints."""
-    digit = ceil_quad(x)
-    p2 = digit * x.q - x.p
-    q2 = (p2 * p2 - x.d) // x.q
-    return digit, QuadIrr(p2, x.d, q2)
+def fixed_slope(a: Mat2) -> tuple[int, int, int]:
+    """The expanding fixed slope (a - d + sqrt(t^2 - 4)) / (2b) of a monodromy,
+    as the state (p, d, q) from which `cfrac.expand(a)` starts."""
+    t = a.trace
+    return a.a - a.d, t * t - 4, 2 * a.b
 
 
-def expand_by_state_table(x: QuadIrr) -> CFExpansion:
-    """The expansion split at the first (p, q) state to repeat, found by
+def ceil_quad(p: int, d: int, q: int) -> int:
+    """Exact ceiling of (p + sqrt(d)) / q, via isqrt bounds on sqrt(d); handles both signs of q."""
+    s = isqrt(d)
+    if q > 0:
+        return (p + s) // q + 1
+    return (-p - s - 1) // (-q) + 1
+
+
+def step_by_ceiling(p: int, d: int, q: int) -> tuple[int, int, int]:
+    """One expansion step on x = (p + sqrt(d)) / q with q | d - p^2: returns
+    (digit, p', q') with x = digit - 1/x', x' = (p' + sqrt(d)) / q' > 1.
+    `cfrac.step` must give the same digit and next state."""
+    digit = ceil_quad(p, d, q)
+    p2 = digit * q - p
+    q2 = (p2 * p2 - d) // q
+    return digit, p2, q2
+
+
+def expand_by_state_table(p: int, d: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(preperiod, period) split at the first (p, q) state to repeat, found by
     recording every state: `cfrac.expand` must give the same split."""
     seen: dict[tuple[int, int], int] = {}
     digits: list[int] = []
-    cur = x
-    while (cur.p, cur.q) not in seen:
-        seen[cur.p, cur.q] = len(digits)
-        digit, cur = step_on_quadirr(cur)
+    while (p, q) not in seen:
+        seen[p, q] = len(digits)
+        digit, p, q = step_by_ceiling(p, d, q)
         digits.append(digit)
-    j = seen[cur.p, cur.q]
-    return CFExpansion(tuple(digits[:j]), tuple(digits[j:]))
+    j = seen[p, q]
+    return tuple(digits[:j]), tuple(digits[j:])
 
 
-def is_reduced_by_ceilings(x: QuadIrr) -> bool:
+def is_reduced_by_ceilings(p: int, d: int, q: int) -> bool:
     """x > 1 and 0 < conj(x) < 1 as ceil(x) >= 2 and ceil(conj(x)) == 1; the
-    conjugate triple (-p, d, -q) is normalized whenever (p, d, q) is."""
-    return ceil_quad(x) >= 2 and ceil_quad(QuadIrr(-x.p, x.d, -x.q)) == 1
+    conjugate state is (-p, d, -q)."""
+    return ceil_quad(p, d, q) >= 2 and ceil_quad(-p, d, -q) == 1
 
 
 def conjugate_by_products(a: Mat2, p: Mat2) -> Mat2 | None:

@@ -2,8 +2,9 @@
 
 Reference oracles (brute-force sublattice listing, trace-power and index
 formulas, Hermite-reduced lattice constructors, the exact ceiling and the
-`QuadIrr` step) live in tests/helpers.py,
-not in the package.
+expansion step on plain (p, d, q) ints) live in tests/helpers.py, not in
+the package.  `expand` takes the monodromy and returns (preperiod, period)
+as plain tuples, so no quadratic-irrational or expansion type is exported.
 """
 
 from pathlib import Path
@@ -14,7 +15,6 @@ from cuspcovers import Lattice2
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 PUBLIC = [
-    "CFExpansion",
     "Certificate",
     "CoverRecord",
     "Cycle",
@@ -25,7 +25,6 @@ PUBLIC = [
     "Lattice2",
     "Mat2",
     "NO_CI_COVER",
-    "QuadIrr",
     "admissible_traces",
     "candidate_matrices",
     "conjugate",
@@ -35,13 +34,11 @@ PUBLIC = [
     "dual_length",
     "enumerate_covers",
     "expand",
-    "fixed_point",
     "induced_action",
     "invariant_sublattices_between",
     "inverse",
     "is_ci_link",
     "is_prime",
-    "is_purely_periodic",
     "monodromy_of",
     "mul",
     "power",
@@ -52,18 +49,22 @@ PUBLIC = [
 ]
 
 MOVED_OR_DELETED = [
+    "CFExpansion",
+    "QuadIrr",
     "ceil_quad",
     "contains_lattice",
+    "fixed_point",
     "hermite_normal_form",
     "index_formula",
     "is_invariant",
+    "is_purely_periodic",
     "sublattices_of_index",
     "trace_power_polynomial",
 ]
 
 
 def test_all_lists_the_public_names():
-    assert len(PUBLIC) == 35
+    assert len(PUBLIC) == 31
     assert sorted(cuspcovers.__all__) == PUBLIC
 
 
@@ -77,6 +78,8 @@ def test_star_import_binds_exactly_all():
 def test_oracles_and_wrappers_are_not_in_the_package_root():
     for name in MOVED_OR_DELETED:
         assert not hasattr(cuspcovers, name), name
+    for name in ("CFExpansion", "QuadIrr", "fixed_point", "is_purely_periodic"):
+        assert not hasattr(cuspcovers.cfrac, name), name
 
 
 def test_lattice_has_no_hermite_constructors():

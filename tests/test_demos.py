@@ -1,4 +1,8 @@
-"""Smoke test: every demo script runs to completion against the package."""
+"""Smoke test: every demo script runs to completion against the package.
+
+Each demo runs with -W error, so a warning fails it as the suite's
+filterwarnings = error fails a test.
+"""
 
 import os
 import subprocess
@@ -19,6 +23,9 @@ def test_all_demos_found():
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error", str(demo)],
+        env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    if demo.name == "02_minus_continued_fractions.py":
+        assert "  period (8, 2, 4, 3, 12)\n" in proc.stdout
