@@ -47,15 +47,18 @@ def certificate_to_json(cert: Certificate) -> str:
     strings, and `witness` is null or an int.  Each distinct cover cycle is
     laid out once per document: its dual is read once, and its cycle, dual
     and lengths become strings that every record with that cycle refers to.
-    The document is one flat list of pieces, joined once.  The test suite
-    keeps json.dumps as the byte-for-byte oracle `certificate_to_json_oracle`
-    in tests/helpers.py.
+    A record's own members, `fiber_hnf`, `fiber_index` and `induced`, are
+    formatted as one string.  The document is one flat list of pieces,
+    joined once.  The test suite keeps json.dumps as the byte-for-byte
+    oracle `certificate_to_json_oracle` in tests/helpers.py.
     """
     # A record sits at depth 2 (document, covers, record), its members at
     # depth 3, keys in sorted order: `degree` falls between the members that
     # depend only on the cycle.  The dict lives for this call only.
     by_cycle: dict[Cycle, tuple[str, str]] = {}
     member = ",\n      "
+    # Entry separator and closing bracket of a depth-3 array, as `_layout` writes them.
+    entry, close = ",\n        ", "\n      ]"
     out = ['{\n  "covers": [']
     sep = "\n    {\n      "
     for rec in cert.covers:
@@ -67,12 +70,12 @@ def certificate_to_json(cert: Certificate) -> str:
                 f'"cycle": {_ints(cycle.entries, 3)}{member}"cycle_len": {len(cycle)}{member}"degree": ',
                 f'{member}"dual": {_ints(dual.entries, 3)}{member}"dual_len": {len(dual)}{member}"fiber_hnf": ',
             )
-        fiber = rec.fiber
+        fiber, ind = rec.fiber, rec.induced
         # Induced entries exceed 64-bit ranges at degree 4, hence decimal strings.
         out += (
-            sep, shared[0], str(rec.base_degree), shared[1], _ints((fiber.x, fiber.y, fiber.z), 3),
-            f'{member}"fiber_index": "{fiber.index}"{member}"induced": ',
-            _layout("[]", map('"{}"'.format, rec.induced.entries()), 3),
+            sep, shared[0], str(rec.base_degree), shared[1],
+            f'[\n        {fiber.x}{entry}{fiber.y}{entry}{fiber.z}{close}{member}"fiber_index": "{fiber.index}"'
+            f'{member}"induced": [\n        "{ind.a}"{entry}"{ind.b}"{entry}"{ind.c}"{entry}"{ind.d}"{close}',
         )
         sep = "\n    },\n    {\n      "
     witness = "null" if cert.witness is None else str(cert.witness)

@@ -15,7 +15,11 @@ from dataclasses import dataclass
 from math import prod
 from typing import Sequence
 
-from .cycles import Cycle, _repeated, cycle_of, dual_cycle
+from .cfrac import expand
+# cycle_of is not called here (records build their cycles through
+# `_base_cycle`), but stays bound as covers.cycle_of for code that reaches
+# the cycle names through this module.
+from .cycles import Cycle, _base_cycle, _repeated, cycle_of, dual_cycle  # noqa: F401
 from .intmath import factorize, is_prime, solve_quadratic_congruence
 from .matrices import Mat2, conjugate, power, require_cusp
 
@@ -184,7 +188,7 @@ def invariant_sublattices_between(a: Mat2, n: int) -> list[Lattice2]:
     return sorted(combos, key=Lattice2.sort_key)
 
 
-def _build_record(a: Mat2, n: int, lat: Lattice2) -> CoverRecord:
+def _build_record(a: Mat2, n: int, lat: Lattice2, bases: dict[tuple[int, ...], Cycle]) -> CoverRecord:
     """The degree-n cover with fiber lat.  Its cycle is that of X**n, X the
     induced action, built as the cycle of X repeated n times.
 
@@ -194,12 +198,22 @@ def _build_record(a: Mat2, n: int, lat: Lattice2) -> CoverRecord:
     X's cycle repeated n times.  A least rotation repeated n times is the
     least rotation of the repetition, so `_repeated` keeps X's canonical
     rotation without a second least-rotation pass, and the entries are those
-    of `cycle_of(power(X, n))`.  `cycle_of(X)` checks trace(X) against m**k;
-    for det 1 the trace of X**n is a fixed polynomial in trace(X), so that
-    check covers the repetition.
+    of `cycle_of(power(X, n))`.
+
+    X is expanded here, once per record, and its cycle is looked up in
+    `bases` by the expanded period.  Only a period's first record builds its
+    cycle, with `_base_cycle` (one canonicalization, one product, the trace
+    check).  Every induced action is P^-1 A P, of trace t = trace(A), so that
+    check covers every later record with the period: their k is the same.
+    For det 1 the trace of X**n is a fixed polynomial in trace(X), so it
+    covers the repetition too.
     """
     ind = induced_action(lat, a)
-    return CoverRecord(base_degree=n, fiber=lat, induced=ind, cycle=_repeated(cycle_of(ind), n))
+    _, period = expand(ind)
+    base = bases.get(period)
+    if base is None:
+        base = bases[period] = _base_cycle(period, ind.trace)
+    return CoverRecord(base_degree=n, fiber=lat, induced=ind, cycle=_repeated(base, n))
 
 
 def enumerate_covers(a: Mat2, max_degree: int = 4) -> list[CoverRecord]:
@@ -207,11 +221,14 @@ def enumerate_covers(a: Mat2, max_degree: int = 4) -> list[CoverRecord]:
 
     Records come in degree order, then in the order
     invariant_sublattices_between returns the fibers: index, then HNF triple.
+    Each induced action is expanded, and each distinct expanded period is
+    built into a base cycle once, in a dict that lives for this call only.
     """
     if not 1 <= max_degree <= 4:
         raise ValueError("base degree must lie in 1..4")
+    bases: dict[tuple[int, ...], Cycle] = {}
     return [
-        _build_record(a, n, lat)
+        _build_record(a, n, lat, bases)
         for n in range(1, max_degree + 1)
         for lat in invariant_sublattices_between(a, n)
     ]

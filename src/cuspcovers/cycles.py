@@ -103,23 +103,20 @@ def monodromy_of(c: Cycle | Sequence[int]) -> Mat2:
     return Mat2(p, q, r, s)
 
 
-def cycle_of(a: Mat2) -> Cycle:
-    """Resolution cycle of a det-1 monodromy with trace >= 3.
+def _base_cycle(period: tuple[int, ...], t: int) -> Cycle:
+    """The cycle of a monodromy of trace t whose expansion has this primitive period.
 
-    Expands the fixed slope of a (`expand` rejects non-cusps).  a is
-    conjugate to m^n, m the monodromy of the primitive period, so the cycle
-    is the period repeated n times: Cycle canonicalizes the primitive period
-    once and `_repeated` repeats that canonical block.  n is found by
-    multiplying by m until the trace reaches trace(a).  m has trace >= 3, so
-    the traces of its powers strictly increase and the search ends.  The
-    preperiod absorbs matrices outside the purely periodic region.
+    The monodromy is conjugate to m^n, m the monodromy of the period, so its
+    cycle is the period repeated n times: Cycle canonicalizes the period once
+    and `_repeated` repeats that canonical block.  n is found by multiplying
+    by m until the trace reaches t.  m has trace >= 3, so the traces of its
+    powers strictly increase and the search ends.
 
     m^n is the product over period * n, and rotation keeps the trace, so
-    m^n having trace(a) proves trace(monodromy_of(result)) == trace(a).  A
-    mismatch raises ExpansionError.
+    m^n having trace t proves trace(monodromy_of(result)) == t.  A mismatch
+    raises ExpansionError.  The result depends only on (period, t), so
+    callers that meet one period at one trace many times may share it.
     """
-    _, period = expand(a)
-    t = a.trace
     m = mn = monodromy_of(period)
     n = 1
     while mn.trace < t:
@@ -128,6 +125,17 @@ def cycle_of(a: Mat2) -> Cycle:
     if mn.trace == t:
         return _repeated(Cycle(period), n)
     raise ExpansionError(f"no power of the period matrix has trace {t}; expansion is inconsistent")
+
+
+def cycle_of(a: Mat2) -> Cycle:
+    """Resolution cycle of a det-1 monodromy with trace >= 3.
+
+    Expands the fixed slope of a (`expand` rejects non-cusps) and builds the
+    cycle from the primitive period with `_base_cycle`: one canonicalization,
+    one product, and the trace check against trace(a).  The preperiod
+    absorbs matrices outside the purely periodic region.
+    """
+    return _base_cycle(expand(a)[1], a.trace)
 
 
 def dual_cycle(c: Cycle) -> Cycle:

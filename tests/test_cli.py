@@ -14,7 +14,13 @@ import cuspcovers.verifier
 from cuspcovers import monodromy_of, verify
 from cuspcovers.cli import certificate_to_json, certificate_to_text, main
 from cuspcovers.matrices import Mat2
-from helpers import certificate_to_json_oracle, random_cycle, random_hyperbolic
+from helpers import (
+    certificate_to_json_oracle,
+    conjugated,
+    random_cycle,
+    random_hyperbolic,
+    random_unimodular,
+)
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -127,6 +133,12 @@ def test_certificate_json_matches_stdlib_encoder():
         induced += [e for r in cert.covers if r.base_degree == 4 for e in r.induced.entries()]
     assert min(induced) < -(2**63) and max(induced) > 2**63
     assert shares > 0
+
+    # A conjugate of (1622, 3, -541, -1), whose records share expanded periods
+    # across fibers, with negative multi-digit induced entries at degree 4.
+    cert = same(verify(conjugated(Mat2(1622, 3, -541, -1), random_unimodular(random.Random(5), steps=6))))
+    assert cert.monodromy != Mat2(1622, 3, -541, -1)
+    assert any(r.base_degree == 4 and min(r.induced.entries()) <= -10 for r in cert.covers)
 
 
 def test_verify_rotations_of_a_cycle_give_one_certificate(capsys):

@@ -5,6 +5,8 @@ import pytest
 
 import cuspcovers.covers
 import cuspcovers.cycles
+from cuspcovers.cfrac import ExpansionError
+from cuspcovers.cli import main
 from cuspcovers.covers import (
     FULL_LATTICE,
     Lattice2,
@@ -325,8 +327,11 @@ def test_index_primes_factor_each_distinct_piece_once(monkeypatch):
 
 
 def test_enumeration_canonicalizes_only_primitive_periods(monkeypatch):
-    # Each cover cycle is canonicalized once, at its primitive period, and
-    # repeated in canonical form; no n-fold repetition reaches Duval's pass.
+    # Each distinct expanded period is canonicalized once per enumerate_covers
+    # call, and its cycle repeated in canonical form; no n-fold repetition
+    # reaches Duval's pass.  The flagship's 58 records expand to 28 distinct
+    # periods.  Every record is still expanded, and a second call
+    # canonicalizes the 28 again: no state outlives one call.
     seen = []
     least_rotation = cuspcovers.cycles._least_rotation
 
@@ -334,10 +339,35 @@ def test_enumeration_canonicalizes_only_primitive_periods(monkeypatch):
         seen.append(seq)
         return least_rotation(seq)
 
+    periods = []
+    expand = cuspcovers.covers.expand
+
+    def expanded(a):
+        out = expand(a)
+        periods.append(out[1])
+        return out
+
     monkeypatch.setattr(cuspcovers.cycles, "_least_rotation", recorded)
+    monkeypatch.setattr(cuspcovers.covers, "expand", expanded)
     records = enumerate_covers(PAPER_A, 4)
     assert any(r.base_degree > 1 for r in records)
-    assert seen
+    assert len(records) == len(periods) == 58
+    assert len(seen) == len(set(seen)) == 28
+    assert set(seen) == set(periods)
     for seq in seen:
         k = len(seq)
         assert all(k % w or seq != seq[:w] * (k // w) for w in range(1, k)), seq
+    assert enumerate_covers(PAPER_A, 4) == records
+    assert len(seen) == 2 * 28 and len(periods) == 2 * 58
+
+
+def test_trace_check_guards_the_shared_period_path(monkeypatch, capsys):
+    # Each distinct period's first record is checked against the trace, and
+    # later records with that period share its cycle.  An expansion that gives
+    # every fiber the period (4,), whose power traces 4, 14, 52, 194, 724, 2702
+    # skip 1621, must still be caught on the record path.
+    monkeypatch.setattr(cuspcovers.covers, "expand", lambda a: ((), (4,)))
+    with pytest.raises(ExpansionError):
+        enumerate_covers(PAPER_A)
+    assert main(["verify", "-m", "1640", "221", "-141", "-19"]) == 1
+    assert "internal error" in capsys.readouterr().err
