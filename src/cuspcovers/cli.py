@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .cfrac import ExpansionError
 from .covers import CoverRecord, enumerate_covers
@@ -27,15 +27,24 @@ from .matrices import Mat2, require_cusp
 from .verifier import Certificate, admissible_traces, candidate_matrices, verify
 
 
-def _layout(brackets: str, items: Iterable[str], depth: int) -> str:
-    """One nonempty JSON array or object at `depth`, laid out as json.dumps(indent=2) does."""
+def _ints(entries: Sequence[int], depth: int) -> str:
+    """A nonempty int array at `depth`, laid out as json.dumps(indent=2) does.
+
+    One step per entry other than 2, which also writes the run of k 2s
+    before it as ("2" + separator) * k, so a cycle that is nearly all 2s
+    costs its number of blocks, not its length.
+    """
     pad = "  " * depth
-    inner = "\n  " + pad
-    return brackets[0] + inner + ("," + inner).join(items) + "\n" + pad + brackets[1]
-
-
-def _ints(entries: Iterable[int], depth: int) -> str:
-    return _layout("[]", map(str, entries), depth)
+    sep = ",\n  " + pad
+    two = "2" + sep
+    out = []
+    start = 0
+    for i in [i for i, e in enumerate(entries) if e != 2]:
+        out.append(f"{two * (i - start)}{entries[i]}")
+        start = i + 1
+    if start < len(entries):
+        out.append(two * (len(entries) - start - 1) + "2")
+    return "[\n  " + pad + sep.join(out) + "\n" + pad + "]"
 
 
 def certificate_to_json(cert: Certificate) -> str:
@@ -57,7 +66,7 @@ def certificate_to_json(cert: Certificate) -> str:
     # depend only on the cycle.  The dict lives for this call only.
     by_cycle: dict[Cycle, tuple[str, str]] = {}
     member = ",\n      "
-    # Entry separator and closing bracket of a depth-3 array, as `_layout` writes them.
+    # Entry separator and closing bracket of a depth-3 array, as `_ints` writes them.
     entry, close = ",\n        ", "\n      ]"
     out = ['{\n  "covers": [']
     sep = "\n    {\n      "
@@ -83,7 +92,7 @@ def certificate_to_json(cert: Certificate) -> str:
     out += (
         f'\n    }}\n  ]{top}"cycle": ', _ints(cert.cycle.entries, 1),
         f'{top}"dual_cycle": ', _ints(cert.dual.entries, 1),
-        f'{top}"input": ', _layout("{}", ['"matrix": ' + _ints(cert.monodromy.entries(), 2)], 1),
+        f'{top}"input": {{\n    "matrix": ', _ints(cert.monodromy.entries(), 2), "\n  }",
         f'{top}"trace": "{cert.monodromy.trace}"{top}"verdict": "{cert.verdict}"{top}"witness": {witness}\n}}\n',
     )
     return "".join(out)

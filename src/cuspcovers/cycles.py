@@ -4,12 +4,16 @@ A cycle is a cyclic sequence of integers >= 2, at least one >= 3, recording
 the negated self-intersection weights around the resolution graph.  This
 module converts between cycles and monodromy matrices, computes dual cycles
 by the block-swap rule, and decides the complete-intersection link test.
+Cover cycles are long and nearly all 2s, so each of these works on blocks
+(an entry >= 3, then a run of 2s): one scan finds the entries other than 2,
+then each block takes one Python step.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import pairwise, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .cfrac import ExpansionError, expand
@@ -30,31 +34,51 @@ def _validated(entries: Iterable[int]) -> tuple[int, ...]:
 
 
 def _least_rotation(seq: tuple[int, ...]) -> int:
-    """Start of the lexicographically smallest rotation of seq, in O(len(seq)).
+    """Start of the lexicographically smallest rotation of seq: one list
+    comprehension finds the entries other than 2, then O(blocks) steps.
 
-    Duval's Lyndon factorization (1983) run over seq + seq: the last Lyndon
-    factor starting before len(seq) begins the least rotation.
+    seq is a necklace of blocks, each a run of k 2s and then an entry e >= 3.
+    The least rotation starts right after an entry >= 3 (a 2 before the
+    start would make the rotation one place earlier smaller), so it is a
+    rotation of the block words 2^k e; with one block, it starts after its e.
+    No word is a prefix of another, and 2^k e < 2^k' e' iff
+    (-k, e) < (-k', e'): the int e - (k + 1) * (max(seq) + 1) orders them
+    the same way.  Duval's Lyndon factorization (1983) runs over these keys doubled;
+    the last Lyndon factor starting before the first copy's end begins the
+    least rotation of the keys, and the entry after the previous block's e
+    begins that of seq.
     """
-    k = len(seq)
-    ss = seq + seq
+    pos = [i for i, e in enumerate(seq) if e != 2]
+    b = len(pos)
+    if b == 1:
+        return (pos[0] + 1) % len(seq)
+    w = max(seq) + 1
+    keys = []
+    prev = pos[-1] - len(seq)
+    for j in pos:
+        keys.append(seq[j] + (prev - j) * w)
+        prev = j
+    keys += keys
     i = start = 0
-    while i < k:
+    while i < b:
         start = i
         j, m = i + 1, i
-        while j < 2 * k and ss[m] <= ss[j]:
-            m = i if ss[m] < ss[j] else m + 1
+        while j < 2 * b and keys[m] <= keys[j]:
+            m = i if keys[m] < keys[j] else m + 1
             j += 1
         while i <= m:
             i += j - m
-    return start
+    return (pos[start - 1] + 1) % len(seq)
 
 
 @dataclass(frozen=True)
 class Cycle:
     """A resolution cycle, stored as its lexicographically smallest rotation.
 
-    The least rotation is found in linear time (`_least_rotation`), so long
-    cover cycles canonicalize in time proportional to their length.
+    The least rotation is found by one list comprehension over the entries
+    and then one Python step per block (`_least_rotation`), so long cover
+    cycles, nearly all 2s, canonicalize at a Python cost proportional to
+    their number of blocks.
     """
 
     entries: tuple[int, ...]
@@ -92,14 +116,26 @@ def _repeated(c: Cycle, n: int) -> Cycle:
 def monodromy_of(c: Cycle | Sequence[int]) -> Mat2:
     """Monodromy of the cycle (b_1, ..., b_k): the product M(b_k) ... M(b_1).
 
-    M(b) = [[b, 1], [-1, 0]], so left-multiplying by it is the continuant
-    row update applied entry by entry, here on four plain ints with one Mat2
-    built at the end.  A Cycle or raw sequence is validated, then multiplied
-    in the rotation given; rotations have equal trace.
+    M(b) = [[b, 1], [-1, 0]], and M(2)^k = [[k+1, k], [-k, 1-k]] starts the
+    product at the leading run of k 2s.  The rest is one row update per
+    entry e >= 3 with the n - 1 2s after it, on X = [[p, q], [r, s]] held as
+    four plain ints, with one Mat2 built at the end:
+    M(2)^(n-1) M(e) X = Y + (n - 1) [[h, v], [-h, -v]], where Y = M(e) X and
+    (h, v) = (e - 1) (p, q) + (r, s) is the sum of Y's rows.  A Cycle or raw
+    sequence is validated, then multiplied in the rotation given; rotations
+    have equal trace.
     """
-    p, q, r, s = 1, 0, 0, 1
-    for b in _validated(c):
-        p, q, r, s = b * p + r, b * q + s, -p, -q
+    seq = _validated(c)
+    pos = [i for i, e in enumerate(seq) if e != 2]
+    k = pos[0]
+    p, q, r, s = k + 1, k, -k, 1 - k
+    pos.append(len(seq))
+    for i, j in pairwise(pos):
+        n = j - i
+        g = seq[i] - 1
+        h, v = g * p + r, g * q + s
+        p, q = p + n * h, q + n * v
+        r, s = h - p, v - q
     return Mat2(p, q, r, s)
 
 
@@ -141,22 +177,18 @@ def cycle_of(a: Mat2) -> Cycle:
 def dual_cycle(c: Cycle) -> Cycle:
     """Cycle of the dual cusp, by swapping the block structure.
 
-    Rotated to start at an entry >= 3, the cycle is blocks (m_i + 3, 2^n_i);
-    the dual is the blocks reversed with each (m, n) exchanged.  One backward
-    pass emits it: count the run of 2s, and at each entry e >= 3 emit run + 3
-    then e - 3 twos.
+    The cycle is a necklace of blocks (m_i + 3, 2^n_i); the dual is the
+    blocks reversed with each (m, n) exchanged.  One step per block, last
+    to first, emits n + 3 and then m 2s.
     """
     seq = c.entries
-    start = next(i for i, e in enumerate(seq) if e >= 3)
+    pos = [i for i, e in enumerate(seq) if e != 2]
     out: list[int] = []
-    run = 0
-    for e in reversed(seq[start:] + seq[:start]):
-        if e == 2:
-            run += 1
-        else:
-            out.append(run + 3)
-            out.extend([2] * (e - 3))
-            run = 0
+    j = pos[0] + len(seq)
+    for i in reversed(pos):
+        out.append(j - i + 2)
+        out.extend(repeat(2, seq[i] - 3))
+        j = i
     return Cycle(tuple(out))
 
 

@@ -53,6 +53,43 @@ def least_rotation_brute(seq) -> tuple:
     return min(seq[i:] + seq[:i] for i in range(len(seq)))
 
 
+def least_rotation_by_duval(seq) -> int:
+    """Start of the least rotation of seq by Duval's Lyndon factorization (1983)
+    over seq + seq, one step per entry: the block `cycles._least_rotation`
+    must give the same rotation."""
+    seq = tuple(seq)
+    k = len(seq)
+    ss = seq + seq
+    i = start = 0
+    while i < k:
+        start = i
+        j, m = i + 1, i
+        while j < 2 * k and ss[m] <= ss[j]:
+            m = i if ss[m] < ss[j] else m + 1
+            j += 1
+        while i <= m:
+            i += j - m
+    return start
+
+
+def dual_by_entries(c: Cycle) -> Cycle:
+    """The dual cycle by one backward pass over the entries, rotated to start at
+    an entry >= 3: count the run of 2s, and at each entry e >= 3 emit run + 3
+    then e - 3 twos.  The block `cycles.dual_cycle` must give the same cycle."""
+    seq = c.entries
+    start = next(i for i, e in enumerate(seq) if e >= 3)
+    out: list[int] = []
+    run = 0
+    for e in reversed(seq[start:] + seq[:start]):
+        if e == 2:
+            run += 1
+        else:
+            out.append(run + 3)
+            out.extend([2] * (e - 3))
+            run = 0
+    return Cycle(tuple(out))
+
+
 def random_state(rng, max_d, max_p=100, max_q=50, sign=None) -> tuple[int, int, int]:
     """A general expansion state (p, d, q): q != 0 of the given sign (random if
     None), d > 0 not a perfect square, and q | d - p^2."""

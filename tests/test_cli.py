@@ -12,7 +12,7 @@ import pytest
 import cuspcovers.covers
 import cuspcovers.verifier
 from cuspcovers import monodromy_of, verify
-from cuspcovers.cli import certificate_to_json, certificate_to_text, main
+from cuspcovers.cli import _ints, certificate_to_json, certificate_to_text, main
 from cuspcovers.matrices import Mat2
 from helpers import (
     certificate_to_json_oracle,
@@ -117,8 +117,18 @@ def test_certificate_json_matches_stdlib_encoder():
         return cert
 
     assert same(verify(Mat2(1640, 221, -141, -19))).witness is None  # the flagship
-    assert len(certificate_to_json(same(verify(Mat2(1621, 1, -1, 0))))) == 1472822
+    long_json = certificate_to_json(same(verify(Mat2(1621, 1, -1, 0)))).encode()
+    assert len(long_json) == 1472822
+    assert hashlib.sha256(long_json).hexdigest() == (
+        "93336817cea8f367b1cd928345237646c444f24f4f9fcfc05cbb9164ad971a16"
+    )
     assert same(verify(Mat2(3, 1, -1, 0))).witness == 0
+    # The canonical cycle (2, 2, 2, 4, 2, 2, 3) opens with a run of 2s.  A
+    # canonical rotation never ends in 2 (it starts after an entry >= 3), so
+    # the input matrix [[2, -3], [-1, 2]], which opens and closes with a 2 and
+    # has negative entries, is the array that ends in a run of 2s.
+    assert same(verify(monodromy_of((2, 2, 3, 2, 2, 2, 4)))).cycle.entries[:3] == (2, 2, 2)
+    assert same(verify(Mat2(2, -3, -1, 2))).monodromy.entries() == (2, -3, -1, 2)
     # A seeded search for a witness that is a proper cover.
     rng = random.Random(2)
     while not (cert := verify(monodromy_of(random_cycle(rng, max_len=6, max_entry=4)))).witness:
@@ -139,6 +149,18 @@ def test_certificate_json_matches_stdlib_encoder():
     cert = same(verify(conjugated(Mat2(1622, 3, -541, -1), random_unimodular(random.Random(5), steps=6))))
     assert cert.monodromy != Mat2(1622, 3, -541, -1)
     assert any(r.base_degree == 4 and min(r.induced.entries()) <= -10 for r in cert.covers)
+
+
+def test_int_arrays_match_the_stdlib_layout_at_depths_1_to_3():
+    # `_ints` writes each run of 2s in one step; json.dumps writes one entry
+    # at a time, its nested lines indented by two spaces per depth.
+    rng = random.Random(103)
+    cases = [(2,), (7,), (2, 2, 2), (3, 4, 5), (2, 2, 3, 2), (3, 2, 2), (-2, 2, 22, -1, 2), (12, -2, 2, 2, 0)]
+    for _ in range(400):
+        cases.append(tuple(rng.choice((2, 2, 2, 3, -2, 0, 12, -7, 10**30)) for _ in range(rng.randint(1, 25))))
+    for entries in cases:
+        for depth in (1, 2, 3):
+            assert _ints(entries, depth) == json.dumps(list(entries), indent=2).replace("\n", "\n" + "  " * depth)
 
 
 def test_verify_rotations_of_a_cycle_give_one_certificate(capsys):

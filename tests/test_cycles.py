@@ -7,6 +7,7 @@ from cuspcovers.cfrac import ExpansionError
 from cuspcovers.cli import main
 from cuspcovers.cycles import (
     Cycle,
+    _least_rotation,
     _repeated,
     cycle_of,
     dual_cycle,
@@ -17,7 +18,9 @@ from cuspcovers.cycles import (
 from cuspcovers.matrices import Mat2, inverse, power
 from helpers import (
     conjugated,
+    dual_by_entries,
     least_rotation_brute,
+    least_rotation_by_duval,
     monodromy_by_matrices,
     random_cycle,
     random_unimodular,
@@ -65,6 +68,77 @@ def test_canonical_rotation_matches_brute_force():
         assert Cycle(sample[i:] + sample[:i]).entries == least
     longest_run_first = (2,) * 500 + (3,) + (2,) * 499 + (3,)
     assert Cycle(longest_run_first[-1:] + longest_run_first[:-1]).entries == longest_run_first
+
+
+def block_shaped_entries(rng):
+    """Sequences at the edges of the block keys: no 2s, a single entry, a run
+    of 2s that wraps past the end, a word repeated n times, and blocks with
+    equal runs of 2s, so that keys tie and later blocks decide."""
+    shape = rng.randrange(5)
+    if shape == 0:
+        return [rng.randint(3, 6) for _ in range(rng.randint(1, 20))]
+    if shape == 1:
+        return [rng.randint(3, 40)]
+    if shape == 2:
+        body = random_cycle_entries(rng)
+        return [2] * rng.randint(1, 9) + body + [2] * rng.randint(1, 9)
+    if shape == 3:
+        word = random_cycle_entries(rng)[: rng.randint(1, 12)]
+        if max(word) == 2:
+            word[-1] = 3
+        return word * rng.randint(2, 5)
+    run = rng.randint(0, 3)
+    return [e for _ in range(rng.randint(2, 12)) for e in [2] * run + [rng.choice((3, 3, 4))]]
+
+
+def rotations(seq, rng, count=3):
+    """seq and `count` seeded rotations of it, as tuples."""
+    seq = tuple(seq)
+    return [seq] + [seq[i:] + seq[:i] for i in (rng.randrange(len(seq)) for _ in range(count))]
+
+
+def test_block_least_rotation_matches_brute_force_at_the_edges():
+    rng = random.Random(83)
+    for _ in range(3000):
+        for seq in rotations(block_shaped_entries(rng), rng, 1):
+            i = _least_rotation(seq)
+            assert 0 <= i < len(seq)
+            assert seq[i:] + seq[:i] == least_rotation_brute(seq), seq
+    assert _least_rotation((7,)) == 0
+    assert _least_rotation((3, 4, 5)) == 0
+    assert _least_rotation((2, 3, 2, 2)) == 2  # the run of three 2s wraps
+    assert Cycle((2, 2, 3, 2, 2, 2, 4)).entries == (2, 2, 2, 4, 2, 2, 3)
+    assert Cycle((2, 3, 2, 4, 2, 3)).entries == (2, 3, 2, 3, 2, 4)  # tie on the first block
+
+
+def test_block_least_rotation_matches_duval_on_long_cycles():
+    rng = random.Random(89)
+    for seq in ((3,) + (2,) * 20000, ((3,) + (2,) * 1600 + (5,) + (2,) * 1600) * 4):
+        for rot in rotations(seq, rng):
+            i, j = _least_rotation(rot), least_rotation_by_duval(rot)
+            assert rot[i:] + rot[:i] == rot[j:] + rot[:j]
+
+
+def test_block_dual_matches_entry_dual():
+    rng = random.Random(97)
+    for _ in range(1500):
+        c = Cycle(rng.choice((random_cycle_entries, block_shaped_entries))(rng))
+        assert dual_cycle(c) == dual_by_entries(c)
+    for seq in ((3,) + (2,) * 20000, ((3,) + (2,) * 1600 + (5,) + (2,) * 1600) * 4, (1621,), (3, 4, 5)):
+        c = Cycle(seq)
+        assert dual_cycle(c) == dual_by_entries(c)
+
+
+def test_block_monodromy_matches_matrix_oracle_on_long_and_wrapping_runs():
+    # A raw sequence multiplies in the order given, so its leading and trailing
+    # runs of 2s are separate factors of the product.
+    rng = random.Random(101)
+    for _ in range(500):
+        seq = block_shaped_entries(rng)
+        assert monodromy_of(seq) == monodromy_by_matrices(seq)
+    for seq in ((3,) + (2,) * 20000, ((3,) + (2,) * 1600 + (5,) + (2,) * 1600) * 4, (2,) * 700 + (3,) + (2,) * 900):
+        for rot in rotations(seq, rng):
+            assert monodromy_of(rot) == monodromy_by_matrices(rot)
 
 
 def test_cycle_invariants_enforced():
