@@ -3,10 +3,16 @@
 A normal cover of the cusp with monodromy A decomposes into a degree-n cover
 in the base and a fiberwise cover with fiber an A-invariant sublattice L
 pinched between (A**n - I)Z^2 and Z^2.  This module enumerates those
-lattices exactly, on HNF triples in closed form (triangular products down
-each prime-primary walk, CRT intersections across primes), conjugates A onto
-each fiber, and packages the resulting cycles as cover records for base
+lattices exactly and packages their cycles as cover records for base
 degrees 1 through 4.
+
+The enumeration runs on plain (x, y, z) int triples, the HNF basis
+[[x, y], [0, z]]: each prime-primary walk takes its children and the
+induced action P^-1 A P in closed form, CRT intersections combine the
+primes, and one validated `Lattice2` is built per fiber returned.  The
+public `contains`, `induced_action` and `prime_index_invariant_lattices`
+take a `Lattice2` and call the same triple helpers.  Records of one
+expanded period and base degree share one `Cycle`.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from .cfrac import expand
 # the cycle names through this module.
 from .cycles import Cycle, _base_cycle, _repeated, cycle_of, dual_cycle  # noqa: F401
 from .intmath import factorize, is_prime, solve_quadratic_congruence
-from .matrices import Mat2, conjugate, power, require_cusp
+from .matrices import Mat2, power, require_cusp
 
 
 @dataclass(frozen=True)
@@ -70,29 +76,74 @@ class CoverRecord:
     cycle: Cycle
 
     def __post_init__(self) -> None:
-        assert self.induced.det == 1
+        if self.induced.det != 1:
+            raise ValueError(f"induced action {self.induced} has determinant {self.induced.det}, not 1")
 
     @property
     def dual(self) -> Cycle:
         return dual_cycle(self.cycle)
 
 
+def _contains(x: int, y: int, z: int, m: tuple[int, int, int, int]) -> bool:
+    """Whether both columns (a, c) and (b, d) of m = (a, b, c, d) lie in the
+    lattice with HNF triple (x, y, z)."""
+    a, b, c, d = m
+    return not (c % z or d % z or (a - c // z * y) % x or (b - d // z * y) % x)
+
+
+def _induced(a: Mat2, x: int, y: int, z: int) -> tuple[int, int, int, int]:
+    """P^-1 A P for P = [[x, y], [0, z]], row-major, in closed form.
+
+    With u = c y / z and N = (a - d) y z + b z^2 - c y^2, P^-1 A P is
+    [[a - u, N / (x z)], [c x / z, d + u]].  It is integral, that is, the
+    lattice is A-invariant, iff z | c x, z | c y and x z | N; raises
+    ValueError otherwise.  z | c y needs no test: det(P^-1 A P) = det A is an
+    integer, so once the off-diagonal entries are, (a - u)(d + u) =
+    ad + (a - d) u - u^2 is one too, and for u = r / s in lowest terms that
+    forces s | r^2, so s = 1.
+    """
+    c = a.c
+    cx, xz = c * x, x * z
+    n = (a.a - a.d) * y * z + a.b * z * z - c * y * y
+    if cx % z or n % xz:
+        raise ValueError(f"lattice {Lattice2(x, y, z)} is not invariant under the monodromy")
+    u = c * y // z
+    return a.a - u, n // xz, cx // z, a.d + u
+
+
+def _prime_index_children(
+    act: tuple[int, int, int, int], ell: int, x: int, y: int, z: int
+) -> list[tuple[int, int, int]]:
+    """The invariant sublattices of prime index ell in the lattice (x, y, z),
+    on which A acts, in the lattice's basis, by act = (a, b, c, d).
+
+    In that basis they are <(ell, 0), (t, 1)> for the roots t of
+    c t^2 + (d - a) t - b mod ell, and <(1, 0), (0, ell)> when c = 0 mod ell;
+    when act is scalar mod ell every t is a root and all ell + 1 appear.
+    Back in Z^2 the basis products are triangular, with HNF triples
+    (x ell, (x t + y) mod x ell, z) and (x, y ell mod x, z ell).
+    """
+    a, b, c, d = act
+    a2, a1, a0 = c % ell, (d - a) % ell, -b % ell
+    if a2 == 0 and a1 == 0 and a0 == 0:
+        ts: Sequence[int] = range(ell)
+    else:
+        ts = solve_quadratic_congruence(a2, a1, a0, ell)
+    xl = x * ell
+    out = [(xl, (x * t + y) % xl, z) for t in ts]
+    if a2 == 0:
+        out.append((x, y * ell % x, z * ell))
+    return out
+
+
 def contains(lat: Lattice2, m: Mat2) -> bool:
     """Whether both columns of m lie in the lattice."""
-    for u, v in m.columns():
-        if v % lat.z:
-            return False
-        if (u - (v // lat.z) * lat.y) % lat.x:
-            return False
-    return True
+    return _contains(lat.x, lat.y, lat.z, m.entries())
 
 
 def induced_action(lat: Lattice2, a: Mat2) -> Mat2:
     """A rewritten in the lattice basis: P^-1 A P for P the HNF basis."""
-    out = conjugate(a, lat.basis)
-    if out is None:
-        raise ValueError(f"lattice {lat} is not invariant under the monodromy")
-    return out
+    return Mat2(*_induced(a, lat.x, lat.y, lat.z))
 
 
 def prime_index_invariant_lattices(a: Mat2, ell: int) -> list[Lattice2]:
@@ -104,66 +155,59 @@ def prime_index_invariant_lattices(a: Mat2, ell: int) -> list[Lattice2]:
     """
     if not is_prime(ell):
         raise ValueError(f"index {ell} is not prime")
-    a2, a1, a0 = a.c % ell, (a.d - a.a) % ell, (-a.b) % ell
-    if a2 == 0 and a1 == 0 and a0 == 0:
-        ts: Sequence[int] = range(ell)
-    else:
-        ts = solve_quadratic_congruence(a2, a1, a0, ell)
-    out = [Lattice2(ell, t, 1) for t in ts]
-    if a2 == 0:
-        out.append(Lattice2(1, 0, ell))
-    return sorted(out, key=Lattice2.sort_key)
+    children = _prime_index_children(a.entries(), ell, 1, 0, 1)
+    return sorted((Lattice2(*t) for t in children), key=Lattice2.sort_key)
 
 
-def _shifted_lattice(parent: Lattice2, child: Lattice2) -> Lattice2:
-    # child in parent coordinates -> absolute: the basis product [[x, y], [0, z]]
-    # [[x', y'], [0, z']] is triangular, with HNF (x x', (x y' + y z') mod x x', z z').
-    x = parent.x * child.x
-    return Lattice2(x, (parent.x * child.y + parent.y * child.z) % x, parent.z * child.z)
-
-
-def _intersect_coprime(l1: Lattice2, l2: Lattice2) -> Lattice2:
+def _intersect_coprime(m1: tuple[int, int, int], m2: tuple[int, int, int]) -> tuple[int, int, int]:
     # For coprime indices L1 cap L2 = (x1 x2, y, z1 z2) with y = z2 y1 (mod x1) and
     # y = z1 y2 (mod x2), by CRT; pow(x1, -1, 1) is 0, so index 1 needs no case.
-    k = (l1.z * l2.y - l2.z * l1.y) * pow(l1.x, -1, l2.x)
-    x = l1.x * l2.x
-    return Lattice2(x, (l2.z * l1.y + l1.x * k) % x, l1.z * l2.z)
+    x1, y1, z1 = m1
+    x2, y2, z2 = m2
+    x = x1 * x2
+    return x, (z2 * y1 + x1 * (z1 * y2 - z2 * y1) * pow(x1, -1, x2)) % x, z1 * z2
 
 
-def _primary_part_lattices(a: Mat2, shifted: Mat2, ell: int) -> set[Lattice2]:
-    """A-invariant lattices of ell-power index containing shifted Z^2.
+def _primary_part(a: Mat2, shifted: tuple[int, int, int, int], ell: int) -> set[tuple[int, int, int]]:
+    """HNF triples of the A-invariant lattices of ell-power index containing
+    shifted Z^2.
 
-    shifted is A**n - I.  Walks down from Z^2; from each invariant lattice M
-    the index-ell invariant sublattices of M and the scalar sublattice ell*M
-    together reach every such lattice.  Z^2 / L for L of index ell**k above
-    shifted Z^2 is a quotient of Z^2 / shifted Z^2, so ell**k divides the
-    ell-part ell**e of its order and L contains ell**e Z^2 as well.
+    shifted is A**n - I, row-major.  Walks down from Z^2; from each invariant
+    lattice M the index-ell invariant sublattices of M and the scalar
+    sublattice ell*M together reach every such lattice.  Z^2 / L for L of
+    index ell**k above shifted Z^2 is a quotient of Z^2 / shifted Z^2, so
+    ell**k divides the ell-part ell**e of its order and L contains
+    ell**e Z^2 as well.
     """
-    found = {FULL_LATTICE}
-    frontier = [FULL_LATTICE]
+    found = {(1, 0, 1)}
+    frontier = [(1, 0, 1)]
     while frontier:
-        m = frontier.pop()
-        action = induced_action(m, a)
-        children = [_shifted_lattice(m, c) for c in prime_index_invariant_lattices(action, ell)]
-        children.append(Lattice2(ell * m.x, ell * m.y, ell * m.z))
+        x, y, z = frontier.pop()
+        children = _prime_index_children(_induced(a, x, y, z), ell, x, y, z)
+        children.append((x * ell, y * ell, z * ell))
         for child in children:
-            if child not in found and contains(child, shifted):
+            if child not in found and _contains(*child, shifted):
                 found.add(child)
                 frontier.append(child)
     return found
 
 
-def _index_primes(shifted: Mat2, trace: int, n: int) -> list[int]:
+def _index_primes(shifted: tuple[int, int, int, int], trace: int, n: int) -> list[int]:
     # Primes of |det(A**n - I)| = |2 - P_n(trace)|, through its small
     # algebraic factors for n in 1..4, each distinct factor factored once.
+    # The factorizations must multiply back to the index, checked under
+    # python -O too: a missing prime would drop its fibers from the census.
     pieces = {
         1: [trace - 2],
         2: [trace - 2, trace + 2],
         3: [trace - 2, trace + 1, trace + 1],
         4: [trace, trace, trace - 2, trace + 2],
     }[n]
-    assert prod(pieces) == abs(shifted.det)
-    return sorted({p for piece in set(pieces) for p in factorize(piece)})
+    factors = {piece: factorize(piece) for piece in set(pieces)}
+    a, b, c, d = shifted
+    if prod(p**k for piece in pieces for p, k in factors[piece].items()) != abs(a * d - b * c):
+        raise RuntimeError(f"the factors of {pieces} do not multiply to |det(A**{n} - I)|")
+    return sorted({p for f in factors.values() for p in f})
 
 
 def invariant_sublattices_between(a: Mat2, n: int) -> list[Lattice2]:
@@ -173,22 +217,26 @@ def invariant_sublattices_between(a: Mat2, n: int) -> list[Lattice2]:
     The quotient is split into prime-primary parts; invariant lattices are
     enumerated within each part and recombined by intersection, which keeps
     the search polynomial in the number of prime factors rather than in the
-    total index.  Every lattice is an HNF triple in closed form; the CRT
-    intersection is injective on tuples of primary parts, so none repeats.
+    total index.  Walk, intersections and sort run on HNF int triples, sorted
+    by the tuple (index, x, y, z); the CRT intersection is injective on
+    tuples of primary parts, so none repeats.  One Lattice2 is built per
+    fiber returned.
     """
     require_cusp(a)
     if not 1 <= n <= 4:
         raise ValueError("base degree must lie in 1..4")
     an = power(a, n)
-    shifted = Mat2(an.a - 1, an.b, an.c, an.d - 1)
-    combos = [FULL_LATTICE]
+    shifted = (an.a - 1, an.b, an.c, an.d - 1)
+    combos = [(1, 0, 1)]
     for ell in _index_primes(shifted, a.trace, n):
-        part = _primary_part_lattices(a, shifted, ell)
-        combos = [_intersect_coprime(base, opt) for base in combos for opt in part]
-    return sorted(combos, key=Lattice2.sort_key)
+        part = _primary_part(a, shifted, ell)
+        combos = [_intersect_coprime(m, p) for m in combos for p in part]
+    return [Lattice2(x, y, z) for _, x, y, z in sorted((x * z, x, y, z) for x, y, z in combos)]
 
 
-def _build_record(a: Mat2, n: int, lat: Lattice2, bases: dict[tuple[int, ...], Cycle]) -> CoverRecord:
+def _build_record(
+    a: Mat2, n: int, lat: Lattice2, cycles: dict[tuple[tuple[int, ...], int], Cycle]
+) -> CoverRecord:
     """The degree-n cover with fiber lat.  Its cycle is that of X**n, X the
     induced action, built as the cycle of X repeated n times.
 
@@ -201,19 +249,23 @@ def _build_record(a: Mat2, n: int, lat: Lattice2, bases: dict[tuple[int, ...], C
     of `cycle_of(power(X, n))`.
 
     X is expanded here, once per record, and its cycle is looked up in
-    `bases` by the expanded period.  Only a period's first record builds its
-    cycle, with `_base_cycle` (one canonicalization, one product, the trace
-    check).  Every induced action is P^-1 A P, of trace t = trace(A), so that
-    check covers every later record with the period: their k is the same.
-    For det 1 the trace of X**n is a fixed polynomial in trace(X), so it
-    covers the repetition too.
+    `cycles` by (expanded period, n), so records of one period and degree
+    share one Cycle and one entries tuple.  The cycle of X sits under
+    (period, 1).  Only a period's first record builds it, with `_base_cycle`
+    (one canonicalization, one product, the trace check).  Every induced
+    action is P^-1 A P, of trace t = trace(A), so that check covers every
+    later record with the period: their k is the same.  For det 1 the trace
+    of X**n is a fixed polynomial in trace(X), so it covers the repetition too.
     """
     ind = induced_action(lat, a)
     _, period = expand(ind)
-    base = bases.get(period)
-    if base is None:
-        base = bases[period] = _base_cycle(period, ind.trace)
-    return CoverRecord(base_degree=n, fiber=lat, induced=ind, cycle=_repeated(base, n))
+    cycle = cycles.get((period, n))
+    if cycle is None:
+        base = cycles.get((period, 1))
+        if base is None:
+            base = cycles[period, 1] = _base_cycle(period, ind.trace)
+        cycle = cycles[period, n] = _repeated(base, n)
+    return CoverRecord(base_degree=n, fiber=lat, induced=ind, cycle=cycle)
 
 
 def enumerate_covers(a: Mat2, max_degree: int = 4) -> list[CoverRecord]:
@@ -221,14 +273,15 @@ def enumerate_covers(a: Mat2, max_degree: int = 4) -> list[CoverRecord]:
 
     Records come in degree order, then in the order
     invariant_sublattices_between returns the fibers: index, then HNF triple.
-    Each induced action is expanded, and each distinct expanded period is
-    built into a base cycle once, in a dict that lives for this call only.
+    Each induced action is expanded; each distinct expanded period is built
+    into a base cycle once, and each (period, degree) into one shared Cycle,
+    in a dict that lives for this call only.
     """
     if not 1 <= max_degree <= 4:
         raise ValueError("base degree must lie in 1..4")
-    bases: dict[tuple[int, ...], Cycle] = {}
+    cycles: dict[tuple[tuple[int, ...], int], Cycle] = {}
     return [
-        _build_record(a, n, lat, bases)
+        _build_record(a, n, lat, cycles)
         for n in range(1, max_degree + 1)
         for lat in invariant_sublattices_between(a, n)
     ]

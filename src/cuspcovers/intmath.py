@@ -86,7 +86,7 @@ def solve_quadratic_congruence(a2: int, a1: int, a0: int, m: int) -> list[int]:
     For m odd and a2 != 0 mod m the roots are (-a1 +- sqrt(D)) / (2*a2) with
     D = a1^2 - 4*a2*a0; the degenerate-to-linear case (a2 == 0 mod m) takes
     a modular inverse, and m = 2 is checked directly.  Every root is checked
-    by substitution.  Rejects non-prime moduli and the identically-zero
+    by substitution, under python -O too; a failure raises RuntimeError.  Rejects non-prime moduli and the identically-zero
     congruence; callers must factor composite moduli themselves.
     """
     if not is_prime(m):
@@ -110,5 +110,7 @@ def solve_quadratic_congruence(a2: int, a1: int, a0: int, m: int) -> list[int]:
         else:
             r = _sqrt_mod(disc, m)
             roots = sorted(((-a1 + r) * inv % m, (-a1 - r) * inv % m))
-    assert all((a2 * t * t + a1 * t + a0) % m == 0 for t in roots)
+    for t in roots:
+        if (a2 * t * t + a1 * t + a0) % m:
+            raise RuntimeError(f"{t} is not a root of {a2} t^2 + {a1} t + {a0} modulo {m}")
     return roots

@@ -7,9 +7,9 @@ import json
 from math import isqrt
 from typing import Sequence
 
-from cuspcovers import Cycle, Lattice2, Mat2, inverse, monodromy_of, mul
+from cuspcovers import FULL_LATTICE, Cycle, Lattice2, Mat2, conjugate, inverse, monodromy_of, mul, power
 from cuspcovers.cycles import _validated
-from cuspcovers.intmath import factorize
+from cuspcovers.intmath import factorize, solve_quadratic_congruence
 from cuspcovers.matrices import hermite_normal_form
 
 
@@ -249,3 +249,71 @@ def index_formula(x: int, n: int) -> int:
     if n < 1:
         raise ValueError("index_formula requires n >= 1")
     return abs(2 - trace_power_polynomial(x, n))
+
+
+def lattice_contains(lat: Lattice2, m: Mat2) -> bool:
+    """Whether m's columns lie in lat: adding them to lat's basis keeps its HNF."""
+    return from_columns(*lat.basis.columns(), *m.columns()) == lat
+
+
+def shifted_lattice(parent: Lattice2, child: Lattice2) -> Lattice2:
+    """child, given in parent's HNF basis, as a sublattice of Z^2: the basis
+    product [[x, y], [0, z]] [[x', y'], [0, z']] is triangular, with HNF
+    (x x', (x y' + y z') mod x x', z z')."""
+    x = parent.x * child.x
+    return Lattice2(x, (parent.x * child.y + parent.y * child.z) % x, parent.z * child.z)
+
+
+def intersect_coprime(l1: Lattice2, l2: Lattice2) -> Lattice2:
+    """L1 cap L2 for coprime indices: (x1 x2, y, z1 z2) with y = z2 y1 (mod x1)
+    and y = z1 y2 (mod x2), by CRT."""
+    k = (l1.z * l2.y - l2.z * l1.y) * pow(l1.x, -1, l2.x)
+    x = l1.x * l2.x
+    return Lattice2(x, (l2.z * l1.y + l1.x * k) % x, l1.z * l2.z)
+
+
+def prime_index_lattices_by_roots(act: Mat2, ell: int) -> list[Lattice2]:
+    """The index-ell act-invariant sublattices of Z^2: <(ell, 0), (t, 1)> for the
+    roots t of c t^2 + (d - a) t - b mod ell (every t when act is scalar mod
+    ell), and <(1, 0), (0, ell)> when c = 0 mod ell."""
+    a2, a1, a0 = act.c % ell, (act.d - act.a) % ell, -act.b % ell
+    ts = range(ell) if a2 == a1 == a0 == 0 else solve_quadratic_congruence(a2, a1, a0, ell)
+    out = [Lattice2(ell, t, 1) for t in ts]
+    if a2 == 0:
+        out.append(Lattice2(1, 0, ell))
+    return out
+
+
+def primary_part_lattices(a: Mat2, shifted: Mat2, ell: int) -> set[Lattice2]:
+    """A-invariant lattices of ell-power index containing shifted Z^2, by a walk
+    down from Z^2 on Lattice2 values: each lattice's index-ell invariant
+    sublattices, found in its basis with `conjugate`, and its scalar
+    sublattice ell * M."""
+    found = {FULL_LATTICE}
+    frontier = [FULL_LATTICE]
+    while frontier:
+        m = frontier.pop()
+        action = conjugate(a, m.basis)
+        children = [shifted_lattice(m, c) for c in prime_index_lattices_by_roots(action, ell)]
+        children.append(Lattice2(ell * m.x, ell * m.y, ell * m.z))
+        for child in children:
+            if child not in found and lattice_contains(child, shifted):
+                found.add(child)
+                frontier.append(child)
+    return found
+
+
+def invariant_sublattices_by_walk(a: Mat2, n: int) -> list[Lattice2]:
+    """The A-invariant lattices between (A**n - I)Z^2 and Z^2, n in 1..4, by the
+    Lattice2 walk of each prime-primary part and CRT intersections:
+    `covers.invariant_sublattices_between` must give the same list.  The primes
+    are those of t - 2, t, t + 1 and t + 2 (t the trace) that divide the index."""
+    an = power(a, n)
+    shifted = Mat2(an.a - 1, an.b, an.c, an.d - 1)
+    t = a.trace
+    primes = {p for piece in (t - 2, t, t + 1, t + 2) for p in factorize(piece)}
+    combos = [FULL_LATTICE]
+    for ell in sorted(p for p in primes if shifted.det % p == 0):
+        part = primary_part_lattices(a, shifted, ell)
+        combos = [intersect_coprime(base, opt) for base in combos for opt in part]
+    return sorted(combos, key=Lattice2.sort_key)

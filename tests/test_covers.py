@@ -1,5 +1,8 @@
 import random
+import subprocess
+import sys
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +14,7 @@ from cuspcovers.covers import (
     FULL_LATTICE,
     Lattice2,
     _intersect_coprime,
-    _shifted_lattice,
+    _prime_index_children,
     contains,
     enumerate_covers,
     induced_action,
@@ -25,6 +28,8 @@ from helpers import (
     from_basis,
     from_columns,
     index_formula,
+    invariant_sublattices_by_walk,
+    prime_index_lattices_by_roots,
     random_cycle,
     random_hyperbolic,
     random_unimodular,
@@ -182,8 +187,11 @@ def test_invariant_sublattices_against_brute_force():
 
 
 def test_closed_forms_match_hermite_normal_form():
-    # _shifted_lattice is the HNF of the product of the two bases, and
-    # _intersect_coprime the HNF of m2 L1 + m1 L2 for coprime indices m1, m2.
+    # Each child triple of `_prime_index_children` is the HNF of the product of
+    # the parent's basis and the child's basis in it, and `_intersect_coprime`
+    # the HNF of m2 L1 + m1 L2 for coprime indices m1, m2.  The identity action
+    # is scalar mod every ell, so all ell + 1 children appear, the c = 0 child
+    # among them, under parents with y != 0.
     rng = random.Random(83)
 
     def triple():
@@ -196,17 +204,89 @@ def test_closed_forms_match_hermite_normal_form():
         s2 = [(m1 * u, m1 * v) for u, v in l2.basis.columns()]
         return from_columns(*s1, *s2)
 
+    def hnf(lat):
+        return (lat.x, lat.y, lat.z)
+
+    def children(parent, act, ell):
+        return sorted(_prime_index_children(act.entries(), ell, *hnf(parent)))
+
+    def products(parent, lats):
+        return sorted(hnf(from_basis(mul(parent.basis, lat.basis))) for lat in lats)
+
     units = [FULL_LATTICE, Lattice2(1, 0, 7), Lattice2(5, 3, 1)]
     for l1 in units:
         for l2 in units:
             if gcd(l1.index, l2.index) == 1:
-                assert _intersect_coprime(l1, l2) == hermite_sum(l1, l2)
-    for _ in range(3000):
-        l1, l2 = triple(), triple()
-        assert _shifted_lattice(l1, l2) == from_basis(mul(l1.basis, l2.basis))
+                assert _intersect_coprime(hnf(l1), hnf(l2)) == hnf(hermite_sum(l1, l2))
+    for _ in range(1000):
+        parent, ell = triple(), rng.choice((2, 3, 5, 7))
+        assert children(parent, IDENTITY, ell) == products(parent, sublattices_of_index(ell))
+        act = random_hyperbolic(rng, max_len=4, max_entry=6)
+        assert children(parent, act, ell) == products(parent, prime_index_lattices_by_roots(act, ell))
+        l1, l2 = parent, triple()
         while gcd(l1.index, l2.index) != 1:
             l2 = triple()
-        assert _intersect_coprime(l1, l2) == hermite_sum(l1, l2)
+        assert _intersect_coprime(hnf(l1), hnf(l2)) == hnf(hermite_sum(l1, l2))
+
+
+def _walk_matches(a: Mat2) -> int:
+    fibers = 0
+    for n in (1, 2, 3, 4):
+        lats = invariant_sublattices_between(a, n)
+        assert lats == invariant_sublattices_by_walk(a, n), (a, n)
+        fibers += len(lats)
+    return fibers
+
+
+def test_walk_matches_the_lattice_walk_oracle():
+    # The triple walk against the Lattice2 walk it replaced, which finds each
+    # child with `conjugate` and a basis product: seeded cusps of trace <= 300,
+    # the flagship, and [[1 + ell^2, ell], [ell, 1]], scalar mod ell, so that
+    # every t is a root and the c = 0 child appears at every level.
+    rng = random.Random(89)
+    cusps = [PAPER_A] + [Mat2(1 + ell * ell, ell, ell, 1) for ell in (3, 5, 7)]
+    while len(cusps) < 24:
+        m = monodromy_of(random_cycle(rng, max_len=4, max_entry=8))
+        if m.trace <= 300:
+            cusps.append(conjugated(m, random_unimodular(rng, steps=3)))
+    fibers = [_walk_matches(a) for a in cusps]
+    assert fibers[0] == 58
+    assert min(fibers[1:4]) > 58
+
+
+def test_induced_action_matches_conjugation():
+    # The closed form P^-1 A P against `conjugate` on the walk's invariant
+    # lattices (on the flagship's degree-4 fibers N passes 10**20) and
+    # on random HNF triples, nearly all of them not invariant.  A triple that
+    # fails only z | c x, or only x z | N, must raise as well.
+    rng = random.Random(97)
+    pairs = [(PAPER_A, lat) for n in (1, 2, 3, 4) for lat in invariant_sublattices_between(PAPER_A, n)]
+    for _ in range(40):
+        a = random_hyperbolic(rng, max_len=4, max_entry=6)
+        pairs += [(a, lat) for lat in invariant_sublattices_between(a, rng.randint(1, 4))]
+    for _ in range(600):
+        a = random_hyperbolic(rng, max_len=4, max_entry=6)
+        x = rng.randint(1, 40)
+        pairs.append((a, Lattice2(x, rng.randrange(x), rng.randint(1, 40))))
+    largest = 0
+    only = {"c x": 0, "N": 0}
+    for a, lat in pairs:
+        x, y, z = lat.x, lat.y, lat.z
+        n = (a.a - a.d) * y * z + a.b * z * z - a.c * y * y
+        largest = max(largest, abs(n))
+        expected = conjugate(a, lat.basis)
+        if expected is None:
+            with pytest.raises(ValueError) as err:
+                induced_action(lat, a)
+            assert str(err.value) == f"lattice {lat} is not invariant under the monodromy"
+            cx_divides, n_divides = a.c * x % z == 0, n % (x * z) == 0
+            if cx_divides != n_divides:
+                only["N" if cx_divides else "c x"] += 1
+        else:
+            assert induced_action(lat, a) == expected
+    assert len(pairs) >= 600
+    assert largest > 10**20
+    assert min(only.values()) > 10, only
 
 
 def test_induced_action_paper_values():
@@ -371,3 +451,62 @@ def test_trace_check_guards_the_shared_period_path(monkeypatch, capsys):
         enumerate_covers(PAPER_A)
     assert main(["verify", "-m", "1640", "221", "-141", "-19"]) == 1
     assert "internal error" in capsys.readouterr().err
+
+
+def test_records_share_one_cycle_per_period_and_degree():
+    # Records of one expanded period and degree share one Cycle: the flagship's
+    # 58 records hold 40 cycle objects, and the 3284 of (2, 6, 2, 6) hold 324
+    # with 12194 entries between them (117642 when each record of degree > 1
+    # held its own repetition).  Each record's cycle is still its fiber's
+    # cycle repeated n times, and the dict that shares them lives for one call.
+    for cycle, records, objects, held in (((8, 2, 4, 3, 12), 58, 40, 2958), ((2, 6, 2, 6), 3284, 324, 12194)):
+        first = enumerate_covers(monodromy_of(cycle), 4)
+        shared = {id(r.cycle): r.cycle for r in first}
+        assert (len(first), len(shared)) == (records, objects)
+        assert sum(map(len, shared.values())) == held
+        for r in first:
+            assert r.cycle == Cycle(cycle_of(r.induced).entries * r.base_degree)
+        second = enumerate_covers(monodromy_of(cycle), 4)
+        assert second == first
+        assert shared.keys().isdisjoint(id(r.cycle) for r in second)
+
+
+def test_self_checks_hold_under_python_optimize():
+    # Under -O, where assert statements vanish, a factorization that drops a
+    # prime, a wrong square root modulo a prime and an induced action of
+    # determinant 2 must still raise, not yield a certificate.
+    script = """
+import cuspcovers, cuspcovers.covers, cuspcovers.intmath
+from cuspcovers import FULL_LATTICE, CoverRecord, Cycle, Mat2, solve_quadratic_congruence, verify
+assert False, "assert statements run"
+factorize = cuspcovers.covers.factorize
+cuspcovers.covers.factorize = lambda n: {p: k for p, k in factorize(n).items() if p != 541}
+try:
+    verify(Mat2(1640, 221, -141, -19))
+except RuntimeError as exc:
+    print("factorize:", exc)
+cuspcovers.covers.factorize = factorize
+cuspcovers.intmath._sqrt_mod = lambda n, p: 0
+try:
+    solve_quadratic_congruence(1, 0, -2, 7)
+except RuntimeError as exc:
+    print("congruence:", exc)
+try:
+    CoverRecord(1, FULL_LATTICE, Mat2(2, 0, 0, 1), Cycle((3,)))
+except ValueError as exc:
+    print("record:", exc)
+"""
+    repo = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        cwd=repo,
+        env={"PYTHONPATH": str(repo / "src"), "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "factorize: the factors of [1619, 1623] do not multiply to |det(A**2 - I)|",
+        "congruence: 0 is not a root of 1 t^2 + 0 t + 5 modulo 7",
+        "record: induced action [[2, 0], [0, 1]] has determinant 2, not 1",
+    ]
