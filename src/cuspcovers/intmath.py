@@ -86,8 +86,9 @@ def solve_quadratic_congruence(a2: int, a1: int, a0: int, m: int) -> list[int]:
     For m odd and a2 != 0 mod m the roots are (-a1 +- sqrt(D)) / (2*a2) with
     D = a1^2 - 4*a2*a0; the degenerate-to-linear case (a2 == 0 mod m) takes
     a modular inverse, and m = 2 is checked directly.  Every root is checked
-    by substitution, under python -O too; a failure raises RuntimeError.  Rejects non-prime moduli and the identically-zero
-    congruence; callers must factor composite moduli themselves.
+    by substitution, under python -O too; a failure raises RuntimeError.
+    Rejects non-prime moduli and the identically-zero congruence; callers
+    must factor composite moduli themselves.
     """
     if not is_prime(m):
         raise ValueError(f"modulus {m} is not prime")

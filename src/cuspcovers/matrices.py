@@ -4,9 +4,9 @@ Products, powers, inverses, the cusp-monodromy check, conjugation with an
 integrality verdict, and the Hermite normal form that gives each sublattice
 of Z^2 a unique basis.  The cover census builds its lattices as HNF triples
 in closed form (`covers`) and never reduces a basis; `hermite_normal_form`
-is the general reduction the tests check those closed forms against.  It
-conjugates onto those triangular bases in closed form too, and `conjugate`
-is the general form the tests check that against.
+is the general reduction the tests check those closed forms against.
+`covers` also conjugates onto those triangular bases in closed form, and
+`conjugate` is the general form the tests check it against.
 """
 
 from __future__ import annotations

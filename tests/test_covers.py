@@ -218,7 +218,7 @@ def test_closed_forms_match_hermite_normal_form():
         for l2 in units:
             if gcd(l1.index, l2.index) == 1:
                 assert _intersect_coprime(hnf(l1), hnf(l2)) == hnf(hermite_sum(l1, l2))
-    for _ in range(1000):
+    for _ in range(3000):
         parent, ell = triple(), rng.choice((2, 3, 5, 7))
         assert children(parent, IDENTITY, ell) == products(parent, sublattices_of_index(ell))
         act = random_hyperbolic(rng, max_len=4, max_entry=6)
@@ -455,15 +455,17 @@ def test_trace_check_guards_the_shared_period_path(monkeypatch, capsys):
 
 def test_records_share_one_cycle_per_period_and_degree():
     # Records of one expanded period and degree share one Cycle: the flagship's
-    # 58 records hold 40 cycle objects, and the 3284 of (2, 6, 2, 6) hold 324
-    # with 12194 entries between them (117642 when each record of degree > 1
-    # held its own repetition).  Each record's cycle is still its fiber's
-    # cycle repeated n times, and the dict that shares them lives for one call.
+    # 58 records hold at most 40 cycle objects, and the 3284 of (2, 6, 2, 6)
+    # at most 324 with at most 12194 entries between them (117642 when each
+    # record of degree > 1 held its own repetition).  Each record's cycle is
+    # still its fiber's cycle repeated n times, and the dict that shares them
+    # lives for one call.
     for cycle, records, objects, held in (((8, 2, 4, 3, 12), 58, 40, 2958), ((2, 6, 2, 6), 3284, 324, 12194)):
         first = enumerate_covers(monodromy_of(cycle), 4)
         shared = {id(r.cycle): r.cycle for r in first}
-        assert (len(first), len(shared)) == (records, objects)
-        assert sum(map(len, shared.values())) == held
+        assert len(first) == records
+        assert len(shared) <= objects
+        assert sum(map(len, shared.values())) <= held
         for r in first:
             assert r.cycle == Cycle(cycle_of(r.induced).entries * r.base_degree)
         second = enumerate_covers(monodromy_of(cycle), 4)
