@@ -11,7 +11,10 @@ CPython encodes indent=2 in pure Python, one call per list entry, so
 `certificate_to_json` lays out each array and object itself, one member per
 line, keys in sorted order.  Most covers of one cusp share a cycle, so each
 distinct cover cycle, with its dual, is laid out once per document, and the
-document is joined once from a flat list of pieces.
+document is joined once from a flat list of pieces.  Cycle arrays, and the
+cycles of the text certificate, are written from a `Cycle`'s blocks (a run
+of k 2s, then an entry >= 3), one string piece per block; no entries tuple
+is built.
 """
 
 from __future__ import annotations
@@ -27,24 +30,17 @@ from .matrices import Mat2, require_cusp
 from .verifier import Certificate, admissible_traces, candidate_matrices, verify
 
 
-def _ints(entries: Sequence[int], depth: int) -> str:
+def _ints(values: Cycle | Sequence[int], depth: int) -> str:
     """A nonempty int array at `depth`, laid out as json.dumps(indent=2) does.
 
-    One step per entry other than 2, which also writes the run of k 2s
-    before it as ("2" + separator) * k, so a cycle that is nearly all 2s
-    costs its number of blocks, not its length.
+    A Cycle is written from its blocks (`Cycle.joined`), a run of k 2s as
+    one repeated string, so a cycle that is nearly all 2s costs its number
+    of blocks, not its length; its entries tuple is never built.
     """
     pad = "  " * depth
     sep = ",\n  " + pad
-    two = "2" + sep
-    out = []
-    start = 0
-    for i in [i for i, e in enumerate(entries) if e != 2]:
-        out.append(f"{two * (i - start)}{entries[i]}")
-        start = i + 1
-    if start < len(entries):
-        out.append(two * (len(entries) - start - 1) + "2")
-    return "[\n  " + pad + sep.join(out) + "\n" + pad + "]"
+    body = values.joined(sep) if isinstance(values, Cycle) else sep.join(map(str, values))
+    return "[\n  " + pad + body + "\n" + pad + "]"
 
 
 def certificate_to_json(cert: Certificate) -> str:
@@ -56,6 +52,7 @@ def certificate_to_json(cert: Certificate) -> str:
     strings, and `witness` is null or an int.  Each distinct cover cycle is
     laid out once per document: its dual is read once, and its cycle, dual
     and lengths become strings that every record with that cycle refers to.
+    Each cycle array is written from the cycle's blocks, one piece per block.
     A record's own members, `fiber_hnf`, `fiber_index` and `induced`, are
     formatted as one string.  The document is one flat list of pieces,
     joined once.  The test suite keeps json.dumps as the byte-for-byte
@@ -76,8 +73,8 @@ def certificate_to_json(cert: Certificate) -> str:
         if shared is None:
             dual = rec.dual
             shared = by_cycle[cycle] = (
-                f'"cycle": {_ints(cycle.entries, 3)}{member}"cycle_len": {len(cycle)}{member}"degree": ',
-                f'{member}"dual": {_ints(dual.entries, 3)}{member}"dual_len": {len(dual)}{member}"fiber_hnf": ',
+                f'"cycle": {_ints(cycle, 3)}{member}"cycle_len": {len(cycle)}{member}"degree": ',
+                f'{member}"dual": {_ints(dual, 3)}{member}"dual_len": {len(dual)}{member}"fiber_hnf": ',
             )
         fiber, ind = rec.fiber, rec.induced
         # Induced entries exceed 64-bit ranges at degree 4, hence decimal strings.
@@ -90,8 +87,8 @@ def certificate_to_json(cert: Certificate) -> str:
     witness = "null" if cert.witness is None else str(cert.witness)
     top = ",\n  "
     out += (
-        f'\n    }}\n  ]{top}"cycle": ', _ints(cert.cycle.entries, 1),
-        f'{top}"dual_cycle": ', _ints(cert.dual.entries, 1),
+        f'\n    }}\n  ]{top}"cycle": ', _ints(cert.cycle, 1),
+        f'{top}"dual_cycle": ', _ints(cert.dual, 1),
         f'{top}"input": {{\n    "matrix": ', _ints(cert.monodromy.entries(), 2), "\n  }",
         f'{top}"trace": "{cert.monodromy.trace}"{top}"verdict": "{cert.verdict}"{top}"witness": {witness}\n}}\n',
     )

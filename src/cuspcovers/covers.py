@@ -11,8 +11,8 @@ The enumeration runs on plain (x, y, z) int triples, the HNF basis
 induced action P^-1 A P in closed form, CRT intersections combine the
 primes, and one validated `Lattice2` is built per fiber returned.  The
 public `contains`, `induced_action` and `prime_index_invariant_lattices`
-take a `Lattice2` and call the same triple helpers.  Records of one
-expanded period and base degree share one `Cycle`.
+take a `Lattice2` and call the same triple helpers.  Records with equal
+cycles share one `Cycle` object.
 """
 
 from __future__ import annotations
@@ -235,7 +235,7 @@ def invariant_sublattices_between(a: Mat2, n: int) -> list[Lattice2]:
 
 
 def _build_record(
-    a: Mat2, n: int, lat: Lattice2, cycles: dict[tuple[tuple[int, ...], int], Cycle]
+    a: Mat2, n: int, lat: Lattice2, cycles: dict[tuple[tuple[int, ...], int] | Cycle, Cycle]
 ) -> CoverRecord:
     """The degree-n cover with fiber lat.  Its cycle is that of X**n, X the
     induced action, built as the cycle of X repeated n times.
@@ -250,9 +250,11 @@ def _build_record(
 
     X is expanded here, once per record, and its cycle is looked up in
     `cycles` by (expanded period, n), so records of one period and degree
-    share one Cycle and one entries tuple.  The cycle of X sits under
-    (period, 1).  Only a period's first record builds it, with `_base_cycle`
-    (one canonicalization, one product, the trace check).  Every induced
+    share one Cycle.  The cycle of X sits under (period, 1).  Only a period's
+    first record builds it, with `_base_cycle` (one canonicalization, one
+    product, the trace check).  On a miss, the new cycle is also interned by
+    value in the same dict, so periods that are rotations of one another
+    share one Cycle too; the hit path hashes no cycle.  Every induced
     action is P^-1 A P, of trace t = trace(A), so that check covers every
     later record with the period: their k is the same.  For det 1 the trace
     of X**n is a fixed polynomial in trace(X), so it covers the repetition too.
@@ -263,8 +265,10 @@ def _build_record(
     if cycle is None:
         base = cycles.get((period, 1))
         if base is None:
-            base = cycles[period, 1] = _base_cycle(period, ind.trace)
-        cycle = cycles[period, n] = _repeated(base, n)
+            base = _base_cycle(period, ind.trace)
+            base = cycles[period, 1] = cycles.setdefault(base, base)
+        cycle = _repeated(base, n)
+        cycle = cycles[period, n] = cycles.setdefault(cycle, cycle)
     return CoverRecord(base_degree=n, fiber=lat, induced=ind, cycle=cycle)
 
 
@@ -275,11 +279,12 @@ def enumerate_covers(a: Mat2, max_degree: int = 4) -> list[CoverRecord]:
     invariant_sublattices_between returns the fibers: index, then HNF triple.
     Each induced action is expanded; each distinct expanded period is built
     into a base cycle once, and each (period, degree) into one shared Cycle,
-    in a dict that lives for this call only.
+    interned by value so that equal cycles are one object, in a dict that
+    lives for this call only.
     """
     if not 1 <= max_degree <= 4:
         raise ValueError("base degree must lie in 1..4")
-    cycles: dict[tuple[tuple[int, ...], int], Cycle] = {}
+    cycles: dict[tuple[tuple[int, ...], int] | Cycle, Cycle] = {}
     return [
         _build_record(a, n, lat, cycles)
         for n in range(1, max_degree + 1)

@@ -4,60 +4,74 @@ A cycle is a cyclic sequence of integers >= 2, at least one >= 3, recording
 the negated self-intersection weights around the resolution graph.  This
 module converts between cycles and monodromy matrices, computes dual cycles
 by the block-swap rule, and decides the complete-intersection link test.
-Cover cycles are long and nearly all 2s, so each of these works on blocks
-(an entry >= 3, then a run of 2s): one scan finds the entries other than 2,
-then each block takes one Python step.
+
+Cover cycles are long and nearly all 2s, so a `Cycle` stores its blocks, not
+its entries.  A block is a run of k 2s and then an entry e >= 3; the blocks
+are one flat int tuple (k_1, e_1, ..., k_b, e_b) that starts at the least
+rotation.  Length, dual length, dual, monodromy, equality, hashing,
+repetition and the decimal text cost O(blocks).  Only `Cycle(entries)` and
+`monodromy_of` of a raw sequence read entries, in one pass that also checks
+them, and `Cycle.entries` builds the full tuple on demand.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
-from itertools import pairwise, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .cfrac import ExpansionError, expand
 from .matrices import Mat2, mul
 
+# Passed to Cycle.__post_init__ in place of entries when the blocks are set already.
+_BLOCKS = object()
 
-def _validated(entries: Iterable[int]) -> tuple[int, ...]:
-    """entries as a cycle tuple, checked in three C-level passes: operator.index
-    (TypeError on a non-integer, never truncation), then min, then max."""
+
+def _blocks(entries: Iterable[int]) -> tuple[tuple[int, ...], int]:
+    """entries, checked as a cycle, as flat blocks (k_1, e_1, ..., k_b, e_b)
+    read from the first entry, and the number of 2s after e_b.
+
+    operator.index rejects a non-integer first (TypeError, never
+    truncation); then one loop over the entries grows the run of 2s, closes
+    a block at each entry >= 3 and rejects an entry < 2.
+    """
     seq = tuple(map(operator.index, entries))
     if not seq:
         raise ValueError("a cycle must be nonempty")
-    if min(seq) < 2:
-        raise ValueError("cycle entries must all be >= 2")
-    if max(seq) == 2:
+    out: list[int] = []
+    run = 0
+    for e in seq:
+        if e == 2:
+            run += 1
+        elif e > 2:
+            out += (run, e)
+            run = 0
+        else:
+            raise ValueError("cycle entries must all be >= 2")
+    if not out:
         raise ValueError("a cycle must contain an entry >= 3")
-    return seq
+    return tuple(out), run
 
 
-def _least_rotation(seq: tuple[int, ...]) -> int:
-    """Start of the lexicographically smallest rotation of seq: one list
-    comprehension finds the entries other than 2, then O(blocks) steps.
+def _least_rotation(blocks: tuple[int, ...]) -> int:
+    """Offset in the flat blocks of the least rotation of their cycle: 2i for
+    block i, after O(blocks) steps.
 
-    seq is a necklace of blocks, each a run of k 2s and then an entry e >= 3.
-    The least rotation starts right after an entry >= 3 (a 2 before the
-    start would make the rotation one place earlier smaller), so it is a
-    rotation of the block words 2^k e; with one block, it starts after its e.
-    No word is a prefix of another, and 2^k e < 2^k' e' iff
-    (-k, e) < (-k', e'): the int e - (k + 1) * (max(seq) + 1) orders them
-    the same way.  Duval's Lyndon factorization (1983) runs over these keys doubled;
-    the last Lyndon factor starting before the first copy's end begins the
-    least rotation of the keys, and the entry after the previous block's e
-    begins that of seq.
+    The least rotation of the entries starts right after an entry >= 3 (a 2
+    before the start would make the rotation one place earlier smaller), so
+    it is a rotation of the block words 2^k e.  No word is a prefix of
+    another, and 2^k e < 2^k' e' iff (-k, e) < (-k', e'): the int
+    e - k * (max e + 1) orders them the same way.  Duval's Lyndon
+    factorization (1983) runs over these keys doubled; the last Lyndon
+    factor starting before the first copy's end begins the least rotation.
     """
-    pos = [i for i, e in enumerate(seq) if e != 2]
-    b = len(pos)
+    es = blocks[1::2]
+    b = len(es)
     if b == 1:
-        return (pos[0] + 1) % len(seq)
-    w = max(seq) + 1
-    keys = []
-    prev = pos[-1] - len(seq)
-    for j in pos:
-        keys.append(seq[j] + (prev - j) * w)
-        prev = j
+        return 0
+    w = max(es) + 1
+    keys = [e - k * w for k, e in zip(blocks[::2], es)]
     keys += keys
     i = start = 0
     while i < b:
@@ -68,48 +82,76 @@ def _least_rotation(seq: tuple[int, ...]) -> int:
             j += 1
         while i <= m:
             i += j - m
-    return (pos[start - 1] + 1) % len(seq)
+    return 2 * start
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Cycle:
-    """A resolution cycle, stored as its lexicographically smallest rotation.
+    """A resolution cycle, stored as the flat blocks (k_1, e_1, ..., k_b, e_b)
+    of its lexicographically smallest rotation: k_i 2s, then e_i >= 3.
 
-    The least rotation is found by one list comprehension over the entries
-    and then one Python step per block (`_least_rotation`), so long cover
-    cycles, nearly all 2s, canonicalize at a Python cost proportional to
-    their number of blocks.
+    `Cycle(entries)` checks the entries and reads their blocks in one pass
+    (`_blocks`; the 2s after the last entry >= 3 wrap to the front), then
+    rotates the blocks to the least rotation (`_least_rotation`).  Equality
+    and hashing compare blocks, which is comparing canonical entries.
     """
 
-    entries: tuple[int, ...]
+    blocks: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        seq = _validated(self.entries)
-        i = _least_rotation(seq)
-        object.__setattr__(self, "entries", seq[i:] + seq[:i])
+    def __init__(self, entries: Iterable[int]) -> None:
+        self.__post_init__(entries)
+
+    def __post_init__(self, entries: Iterable[int]) -> None:
+        # `dual_cycle` sets the blocks itself and passes _BLOCKS.
+        if entries is not _BLOCKS:
+            blocks, tail = _blocks(entries)
+            if tail:
+                blocks = (blocks[0] + tail, *blocks[1:])
+            object.__setattr__(self, "blocks", blocks)
+        i = _least_rotation(self.blocks)
+        if i:
+            object.__setattr__(self, "blocks", self.blocks[i:] + self.blocks[:i])
+
+    @property
+    def entries(self) -> tuple[int, ...]:
+        """The canonical entry tuple, built on each access."""
+        out: list[int] = []
+        for k, e in zip(self.blocks[::2], self.blocks[1::2]):
+            out += itertools.repeat(2, k)
+            out.append(e)
+        return tuple(out)
+
+    def joined(self, sep: str) -> str:
+        """The canonical entries in decimal, separated by sep: one piece per
+        block, its run of k 2s written as ("2" + sep) * k."""
+        runs = map(("2" + sep).__mul__, self.blocks[::2])
+        return sep.join(map(operator.add, runs, map(str, self.blocks[1::2])))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return sum(self.blocks[::2]) + len(self.blocks) // 2
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.entries)
 
     def __str__(self) -> str:
-        return "(" + ", ".join(str(e) for e in self.entries) + ")"
+        return "(" + self.joined(", ") + ")"
+
+    def __repr__(self) -> str:
+        return f"Cycle({self.entries!r})"
 
 
 def _repeated(c: Cycle, n: int) -> Cycle:
-    """c repeated n times, built without `_validated` or `_least_rotation`.
+    """c repeated n times, built without `_blocks` or `_least_rotation`.
 
     A repetition of a valid cycle is valid, and the least rotation of w**n
     is (least rotation of w)**n: rotating w**n by i gives (w rotated by i)**n,
     and n-th powers of words of one length compare as the words do.  So
-    c.entries * n is already canonical.
+    c.blocks * n is already canonical.
     """
     if n == 1:
         return c
     out = object.__new__(Cycle)
-    object.__setattr__(out, "entries", c.entries * n)
+    object.__setattr__(out, "blocks", c.blocks * n)
     return out
 
 
@@ -118,24 +160,25 @@ def monodromy_of(c: Cycle | Sequence[int]) -> Mat2:
 
     M(b) = [[b, 1], [-1, 0]], and M(2)^k = [[k+1, k], [-k, 1-k]] starts the
     product at the leading run of k 2s.  The rest is one row update per
-    entry e >= 3 with the n - 1 2s after it, on X = [[p, q], [r, s]] held as
-    four plain ints, with one Mat2 built at the end:
-    M(2)^(n-1) M(e) X = Y + (n - 1) [[h, v], [-h, -v]], where Y = M(e) X and
-    (h, v) = (e - 1) (p, q) + (r, s) is the sum of Y's rows.  A Cycle or raw
-    sequence is validated, then multiplied in the rotation given; rotations
-    have equal trace.
+    entry e >= 3 with the run of j 2s after it, on X = [[p, q], [r, s]] held
+    as four plain ints, with one Mat2 built at the end:
+    M(2)^j M(e) X = Y + j [[h, v], [-h, -v]], where Y = M(e) X and
+    (h, v) = (e - 1) (p, q) + (r, s) is the sum of Y's rows.  A Cycle
+    multiplies its blocks in its canonical rotation; a raw sequence is
+    validated, read as blocks once and multiplied in the rotation given.
+    Rotations have equal trace.
     """
-    seq = _validated(c)
-    pos = [i for i, e in enumerate(seq) if e != 2]
-    k = pos[0]
+    if isinstance(c, Cycle):
+        blocks, tail = c.blocks, 0
+    else:
+        blocks, tail = _blocks(c)
+    k = blocks[0]
     p, q, r, s = k + 1, k, -k, 1 - k
-    pos.append(len(seq))
-    for i, j in pairwise(pos):
-        n = j - i
-        g = seq[i] - 1
+    for e, j in zip(blocks[1::2], (*blocks[2::2], tail)):
+        g = e - 1
         h, v = g * p + r, g * q + s
-        p, q = p + n * h, q + n * v
-        r, s = h - p, v - q
+        r, s = -p - j * h, -q - j * v
+        p, q = h - r, v - s
     return Mat2(p, q, r, s)
 
 
@@ -143,23 +186,24 @@ def _base_cycle(period: tuple[int, ...], t: int) -> Cycle:
     """The cycle of a monodromy of trace t whose expansion has this primitive period.
 
     The monodromy is conjugate to m^n, m the monodromy of the period, so its
-    cycle is the period repeated n times: Cycle canonicalizes the period once
-    and `_repeated` repeats that canonical block.  n is found by multiplying
-    by m until the trace reaches t.  m has trace >= 3, so the traces of its
-    powers strictly increase and the search ends.
+    cycle is the period repeated n times: Cycle canonicalizes the period once,
+    its blocks give m, and `_repeated` repeats that canonical block.  n is
+    found by multiplying by m until the trace reaches t.  m has trace >= 3,
+    so the traces of its powers strictly increase and the search ends.
 
-    m^n is the product over period * n, and rotation keeps the trace, so
-    m^n having trace t proves trace(monodromy_of(result)) == t.  A mismatch
-    raises ExpansionError.  The result depends only on (period, t), so
-    callers that meet one period at one trace many times may share it.
+    m^n is the product over the result's blocks, and rotation keeps the
+    trace, so m^n having trace t proves trace(monodromy_of(result)) == t.  A
+    mismatch raises ExpansionError.  The result depends only on (period, t),
+    so callers that meet one period at one trace many times may share it.
     """
-    m = mn = monodromy_of(period)
+    c = Cycle(period)
+    m = mn = monodromy_of(c)
     n = 1
     while mn.trace < t:
         mn = mul(mn, m)
         n += 1
     if mn.trace == t:
-        return _repeated(Cycle(period), n)
+        return _repeated(c, n)
     raise ExpansionError(f"no power of the period matrix has trace {t}; expansion is inconsistent")
 
 
@@ -177,24 +221,20 @@ def cycle_of(a: Mat2) -> Cycle:
 def dual_cycle(c: Cycle) -> Cycle:
     """Cycle of the dual cusp, by swapping the block structure.
 
-    The cycle is a necklace of blocks (m_i + 3, 2^n_i); the dual is the
-    blocks reversed with each (m, n) exchanged.  One step per block, last
-    to first, emits n + 3 and then m 2s.
+    The dual reverses the blocks and takes each block (k, e) to (e - 3, k + 3):
+    one C-level pass over the reversed flat blocks, then the least rotation
+    of the result.  The blocks are valid by construction, so no entry is
+    scanned or validated.
     """
-    seq = c.entries
-    pos = [i for i, e in enumerate(seq) if e != 2]
-    out: list[int] = []
-    j = pos[0] + len(seq)
-    for i in reversed(pos):
-        out.append(j - i + 2)
-        out.extend(repeat(2, seq[i] - 3))
-        j = i
-    return Cycle(tuple(out))
+    out = object.__new__(Cycle)
+    object.__setattr__(out, "blocks", tuple(map(operator.add, c.blocks[::-1], itertools.cycle((-3, 3)))))
+    out.__post_init__(_BLOCKS)
+    return out
 
 
 def dual_length(c: Cycle) -> int:
-    """Length of the dual cycle: the sum of (entry - 2), i.e. sum - 2 * length."""
-    return sum(c.entries) - 2 * len(c.entries)
+    """Length of the dual cycle: the sum of (entry - 2), that is, of e - 2 over the blocks."""
+    return sum(c.blocks[1::2]) - len(c.blocks)
 
 
 def is_ci_link(c: Cycle) -> bool:

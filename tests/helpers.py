@@ -4,11 +4,11 @@ Every test seeds its own random.Random so runs are reproducible.
 """
 
 import json
+import operator
 from math import isqrt
 from typing import Sequence
 
 from cuspcovers import FULL_LATTICE, Cycle, Lattice2, Mat2, conjugate, inverse, monodromy_of, mul, power
-from cuspcovers.cycles import _validated
 from cuspcovers.intmath import factorize, solve_quadratic_congruence
 from cuspcovers.matrices import hermite_normal_form
 
@@ -51,6 +51,23 @@ def least_rotation_brute(seq) -> tuple:
     """The lexicographically smallest rotation of seq, by comparing all of them (O(k^2))."""
     seq = tuple(seq)
     return min(seq[i:] + seq[:i] for i in range(len(seq)))
+
+
+def blocks_by_entries(seq) -> tuple:
+    """The flat blocks (k_1, e_1, ..., k_b, e_b) of seq, a run of k 2s then an
+    entry e >= 3 each, read from its first entry, with the 2s after its last
+    entry >= 3 wrapped into k_1: one step per entry.  `Cycle(seq).blocks`
+    must equal this for the least rotation of seq."""
+    seq = tuple(seq)
+    out: list[int] = []
+    run = len(seq) - 1 - max(i for i, e in enumerate(seq) if e != 2)
+    for e in seq:
+        if e == 2:
+            run += 1
+        else:
+            out += [run, e]
+            run = 0
+    return tuple(out)
 
 
 def least_rotation_by_duval(seq) -> int:
@@ -158,11 +175,25 @@ def conjugate_by_products(a: Mat2, p: Mat2) -> Mat2 | None:
     return Mat2(*(e // det for e in m.entries()))
 
 
+def validated_by_entries(c) -> tuple[int, ...]:
+    """c checked as a cycle one test at a time, raising what `Cycle` and
+    `cycles.monodromy_of` raise: a TypeError for a non-integer anywhere, then
+    the first ValueError that applies."""
+    seq = tuple(operator.index(e) for e in c)
+    if not seq:
+        raise ValueError("a cycle must be nonempty")
+    if any(e < 2 for e in seq):
+        raise ValueError("cycle entries must all be >= 2")
+    if all(e == 2 for e in seq):
+        raise ValueError("a cycle must contain an entry >= 3")
+    return seq
+
+
 def monodromy_by_matrices(c) -> Mat2:
     """M(b_k) ... M(b_1) with one Mat2 per entry: `cycles.monodromy_of` must
     give the same matrix and raise the same errors."""
     out = Mat2(1, 0, 0, 1)
-    for b in _validated(c):
+    for b in validated_by_entries(c):
         out = Mat2(b * out.a + out.c, b * out.b + out.d, -out.a, -out.b)
     return out
 

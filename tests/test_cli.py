@@ -11,7 +11,7 @@ import pytest
 
 import cuspcovers.covers
 import cuspcovers.verifier
-from cuspcovers import monodromy_of, verify
+from cuspcovers import Cycle, monodromy_of, verify
 from cuspcovers.cli import _ints, certificate_to_json, certificate_to_text, main
 from cuspcovers.matrices import Mat2
 from helpers import (
@@ -152,15 +152,31 @@ def test_certificate_json_matches_stdlib_encoder():
 
 
 def test_int_arrays_match_the_stdlib_layout_at_depths_1_to_3():
-    # `_ints` writes each run of 2s in one step; json.dumps writes one entry
-    # at a time, its nested lines indented by two spaces per depth.
+    # `_ints` writes a Cycle from its blocks, each run of k 2s in one step,
+    # and any other int sequence one entry at a time; json.dumps writes one
+    # entry at a time, its nested lines indented by two spaces per depth.
     rng = random.Random(103)
     cases = [(2,), (7,), (2, 2, 2), (3, 4, 5), (2, 2, 3, 2), (3, 2, 2), (-2, 2, 22, -1, 2), (12, -2, 2, 2, 0)]
     for _ in range(400):
         cases.append(tuple(rng.choice((2, 2, 2, 3, -2, 0, 12, -7, 10**30)) for _ in range(rng.randint(1, 25))))
+    cases += [Cycle((3,)), Cycle((2,) * 40 + (7,)), Cycle((3, 4, 5)), Cycle((2, 2, 3, 2, 2, 2, 4))]
+    cases += [random_cycle(rng, max_len=rng.randint(1, 30), max_entry=rng.choice((3, 4, 40))) for _ in range(300)]
     for entries in cases:
         for depth in (1, 2, 3):
             assert _ints(entries, depth) == json.dumps(list(entries), indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def test_text_certificate_of_a_long_cycle_is_pinned(capsys):
+    # The text writer prints each cycle from its blocks.  (1621) prints the
+    # 1619-entry dual of its cycle (1621): 1618 2s, then a 3.
+    code, out, _ = run_cli(capsys, "verify", "-c", "1621")
+    assert code == 0
+    assert "\ndual:      (" + "2, " * 1618 + "3)\n" in out
+    data = out.encode()
+    assert len(data) == 8707
+    assert hashlib.sha256(data).hexdigest() == (
+        "ec2629e31aab0ecd3787b5aea1eb3cea9249b61582ee6226236493c8dfe558b8"
+    )
 
 
 def test_verify_rotations_of_a_cycle_give_one_certificate(capsys):

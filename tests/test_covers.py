@@ -1,6 +1,7 @@
 import random
 import subprocess
 import sys
+import tracemalloc
 from math import gcd
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from cuspcovers.covers import (
 from cuspcovers.cycles import Cycle, cycle_of, dual_cycle, monodromy_of
 from cuspcovers.matrices import IDENTITY, Mat2, conjugate, mul, power
 from helpers import (
+    blocks_by_entries,
     conjugated,
     from_basis,
     from_columns,
@@ -411,13 +413,17 @@ def test_enumeration_canonicalizes_only_primitive_periods(monkeypatch):
     # call, and its cycle repeated in canonical form; no n-fold repetition
     # reaches Duval's pass.  The flagship's 58 records expand to 28 distinct
     # periods.  Every record is still expanded, and a second call
-    # canonicalizes the 28 again: no state outlives one call.
+    # canonicalizes the 28 again: no state outlives one call.  Duval's pass
+    # runs on blocks, so the probe sees each period as the blocks
+    # `Cycle(period)` reads from it (two of the 28 are rotations of one
+    # another that differ only in where the 2s after the last entry >= 3
+    # fall, and read as equal blocks).
     seen = []
     least_rotation = cuspcovers.cycles._least_rotation
 
-    def recorded(seq):
-        seen.append(seq)
-        return least_rotation(seq)
+    def recorded(blocks):
+        seen.append(blocks)
+        return least_rotation(blocks)
 
     periods = []
     expand = cuspcovers.covers.expand
@@ -432,9 +438,10 @@ def test_enumeration_canonicalizes_only_primitive_periods(monkeypatch):
     records = enumerate_covers(PAPER_A, 4)
     assert any(r.base_degree > 1 for r in records)
     assert len(records) == len(periods) == 58
-    assert len(seen) == len(set(seen)) == 28
-    assert set(seen) == set(periods)
-    for seq in seen:
+    assert len(seen) == len(set(periods)) == 28
+    assert sorted(seen) == sorted(map(blocks_by_entries, set(periods)))
+    assert len(set(seen)) == 27
+    for seq in set(periods):
         k = len(seq)
         assert all(k % w or seq != seq[:w] * (k // w) for w in range(1, k)), seq
     assert enumerate_covers(PAPER_A, 4) == records
@@ -454,23 +461,47 @@ def test_trace_check_guards_the_shared_period_path(monkeypatch, capsys):
 
 
 def test_records_share_one_cycle_per_period_and_degree():
-    # Records of one expanded period and degree share one Cycle: the flagship's
-    # 58 records hold at most 40 cycle objects, and the 3284 of (2, 6, 2, 6)
-    # at most 324 with at most 12194 entries between them (117642 when each
-    # record of degree > 1 held its own repetition).  Each record's cycle is
-    # still its fiber's cycle repeated n times, and the dict that shares them
-    # lives for one call.
-    for cycle, records, objects, held in (((8, 2, 4, 3, 12), 58, 40, 2958), ((2, 6, 2, 6), 3284, 324, 12194)):
+    # Records with equal cycles share one Cycle: the flagship's 58 records
+    # hold 24 cycle objects, one per distinct cycle (40 when periods that are
+    # rotations of one another built separate cycles), the 3284 of
+    # (2, 6, 2, 6) hold 96 (324 before), and (1621)'s 58 hold 24 (38 before).
+    # Each record's cycle is still its fiber's cycle repeated n times, and the
+    # dict that shares them lives for one call.
+    for cycle, records, objects, held in (
+        ((8, 2, 4, 3, 12), 58, 24, 1794),
+        ((2, 6, 2, 6), 3284, 96, 2968),
+        ((1621,), 58, 24, 20080),
+    ):
         first = enumerate_covers(monodromy_of(cycle), 4)
         shared = {id(r.cycle): r.cycle for r in first}
         assert len(first) == records
-        assert len(shared) <= objects
-        assert sum(map(len, shared.values())) <= held
+        assert len(shared) == len(set(shared.values())) == objects
+        assert sum(map(len, shared.values())) == held
         for r in first:
             assert r.cycle == Cycle(cycle_of(r.induced).entries * r.base_degree)
         second = enumerate_covers(monodromy_of(cycle), 4)
         assert second == first
         assert shared.keys().isdisjoint(id(r.cycle) for r in second)
+
+
+def test_records_hold_their_cycles_as_blocks():
+    # (6661)'s 58 records hold 24 cycles with 80660 entries in 224 blocks.
+    # Stored as blocks and shared by value, they keep about 40 kB alive
+    # (tracemalloc, Python 3.11); held as entry tuples, one per (expanded
+    # period, degree), they kept 1.12 MB.  The bound leaves room for other
+    # Python versions' object sizes.
+    a = monodromy_of((6661,))
+    tracemalloc.start()
+    try:
+        records = enumerate_covers(a, 4)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 80_000
+    cycles = {id(r.cycle): r.cycle for r in records}
+    assert len(records) == 58 and len(cycles) == 24
+    assert sum(map(len, cycles.values())) == 80660
+    assert sum(len(c.blocks) // 2 for c in cycles.values()) == 224
 
 
 def test_self_checks_hold_under_python_optimize():

@@ -17,6 +17,7 @@ from cuspcovers.cycles import (
 )
 from cuspcovers.matrices import Mat2, inverse, power
 from helpers import (
+    blocks_by_entries,
     conjugated,
     dual_by_entries,
     least_rotation_brute,
@@ -98,15 +99,20 @@ def rotations(seq, rng, count=3):
 
 
 def test_block_least_rotation_matches_brute_force_at_the_edges():
+    # `_least_rotation` takes flat blocks (k_1, e_1, ..., k_b, e_b) and returns
+    # the offset 2i of the block that starts the least rotation.
     rng = random.Random(83)
     for _ in range(3000):
         for seq in rotations(block_shaped_entries(rng), rng, 1):
-            i = _least_rotation(seq)
-            assert 0 <= i < len(seq)
-            assert seq[i:] + seq[:i] == least_rotation_brute(seq), seq
-    assert _least_rotation((7,)) == 0
-    assert _least_rotation((3, 4, 5)) == 0
-    assert _least_rotation((2, 3, 2, 2)) == 2  # the run of three 2s wraps
+            blocks = blocks_by_entries(seq)
+            i = _least_rotation(blocks)
+            assert 0 <= i < len(blocks) and i % 2 == 0
+            assert blocks[i:] + blocks[:i] == blocks_by_entries(least_rotation_brute(seq)), seq
+    assert _least_rotation((0, 7)) == 0
+    assert _least_rotation((0, 3, 0, 4, 0, 5)) == 0
+    assert _least_rotation((1, 3, 2, 4)) == 2
+    assert blocks_by_entries((2, 2, 4, 2, 3, 2)) == (3, 4, 1, 3)  # the run of three 2s wraps
+    assert Cycle((2, 2, 4, 2, 3, 2)).blocks == (3, 4, 1, 3)
     assert Cycle((2, 2, 3, 2, 2, 2, 4)).entries == (2, 2, 2, 4, 2, 2, 3)
     assert Cycle((2, 3, 2, 4, 2, 3)).entries == (2, 3, 2, 3, 2, 4)  # tie on the first block
 
@@ -115,8 +121,8 @@ def test_block_least_rotation_matches_duval_on_long_cycles():
     rng = random.Random(89)
     for seq in ((3,) + (2,) * 20000, ((3,) + (2,) * 1600 + (5,) + (2,) * 1600) * 4):
         for rot in rotations(seq, rng):
-            i, j = _least_rotation(rot), least_rotation_by_duval(rot)
-            assert rot[i:] + rot[:i] == rot[j:] + rot[:j]
+            j = least_rotation_by_duval(rot)
+            assert Cycle(rot).entries == rot[j:] + rot[:j]
 
 
 def test_block_dual_matches_entry_dual():
@@ -189,14 +195,17 @@ def test_monodromy_of_matches_matrix_oracle():
 @pytest.mark.parametrize(
     "bad,error",
     [((), ValueError), ((2, 2), ValueError), ((3, 1), ValueError), ((0,), ValueError),
-     ((2.9, 3), TypeError), (("3",), TypeError)],
+     ((2.9, 3), TypeError), (("3",), TypeError), ((1, 2.5), TypeError), ((2, 2, 1), ValueError)],
 )
 def test_monodromy_of_rejects_invalid_cycles_like_the_oracle(bad, error):
-    with pytest.raises(error) as new:
-        monodromy_of(bad)
+    # Cycle and monodromy_of check the entries in the one pass that reads their
+    # blocks; the oracle checks one condition at a time.
     with pytest.raises(error) as old:
         monodromy_by_matrices(bad)
-    assert str(new.value) == str(old.value)
+    for make in (monodromy_of, Cycle):
+        with pytest.raises(error) as new:
+            make(bad)
+        assert str(new.value) == str(old.value)
 
 
 def test_cycle_of_flagship():
@@ -316,3 +325,64 @@ def test_dual_of_reversal_is_reversal_of_dual():
     for _ in range(200):
         c = random_cycle(rng)
         assert dual_cycle(reversed_cycle(c)) == reversed_cycle(dual_cycle(c))
+
+
+def oracle_shaped_entries(rng):
+    """The shapes where blocks and entries part ways: no 2s, one block, a run
+    of 2s that wraps past the end, a word repeated n times, or any of the
+    shapes of `block_shaped_entries`."""
+    shape = rng.randrange(5)
+    if shape == 0:
+        return [rng.randint(3, 9) for _ in range(rng.randint(1, 15))]
+    if shape == 1:
+        return [2] * rng.randint(0, 60) + [rng.randint(3, 40)]
+    if shape == 2:
+        return [2] * rng.randint(1, 20) + random_cycle_entries(rng) + [2] * rng.randint(1, 20)
+    if shape == 3:
+        word = block_shaped_entries(rng)[:8]
+        if max(word) == 2:
+            word[-1] = 3
+        return word * rng.randint(2, 6)
+    return block_shaped_entries(rng)
+
+
+def test_block_cycle_operations_match_the_entry_oracles():
+    # Every Cycle operation works on blocks; each must give what the entries
+    # give: least rotation by brute force, the dual and the monodromy one
+    # entry at a time, lengths and text from the entries.
+    rng = random.Random(107)
+    cases = []
+    for _ in range(1200):
+        seq = tuple(oracle_shaped_entries(rng))
+        least = least_rotation_brute(seq)
+        c = Cycle(seq)
+        cases.append((c, least))
+        assert c.entries == least and c.blocks == blocks_by_entries(least)
+        assert Cycle(least) == c and Cycle(list(seq)) == c
+        for rot in rotations(seq, rng, 2):
+            assert Cycle(rot) == c and hash(Cycle(rot)) == hash(c)
+        assert len(c) == len(seq)
+        assert dual_length(c) == sum(e - 2 for e in seq)
+        assert is_ci_link(c) == (min(len(seq), sum(e - 2 for e in seq)) <= 4)
+        d, oracle = dual_cycle(c), dual_by_entries(c)
+        assert d.entries == oracle.entries and d == oracle and hash(d) == hash(oracle)
+        assert dual_cycle(d) == c
+        assert monodromy_of(c) == monodromy_by_matrices(least)
+        assert monodromy_of(seq) == monodromy_by_matrices(seq)
+        assert str(c) == "(" + ", ".join(map(str, least)) + ")"
+        assert tuple(c) == least
+        for n in (2, 3, 5):
+            rep = _repeated(c, n)
+            assert rep.entries == least * n and len(rep) == n * len(seq)
+            assert rep == Cycle(seq * n) and hash(rep) == hash(Cycle(seq * n))
+            assert dual_length(rep) == n * dual_length(c)
+    # Equality of two cycles is equality of their least rotations, also for
+    # near misses: the same entries with two neighbours swapped.
+    for c, least in cases:
+        other = list(least)
+        i = rng.randrange(len(other))
+        other[i - 1], other[i] = other[i], other[i - 1]
+        same = least_rotation_brute(other) == least
+        assert (Cycle(other) == c) == same
+        assert not same or hash(Cycle(other)) == hash(c)
+    assert Cycle((3, 2)) != Cycle((2, 2, 3)) and Cycle((3, 3)) != Cycle((3,))
