@@ -10,10 +10,8 @@ unbounded integer arithmetic.
 
 from .cfrac import ExpansionError, expand, step
 from .covers import (
-    FULL_LATTICE,
     CoverRecord,
     Lattice2,
-    contains,
     enumerate_covers,
     induced_action,
     invariant_sublattices_between,
@@ -27,9 +25,8 @@ from .cycles import (
     is_ci_link,
     monodromy_of,
 )
-from .intmath import is_prime, solve_quadratic_congruence
+from .intmath import solve_quadratic_congruence
 from .matrices import (
-    IDENTITY,
     Mat2,
     conjugate,
     inverse,
@@ -52,16 +49,13 @@ __all__ = [
     "CoverRecord",
     "Cycle",
     "ExpansionError",
-    "FULL_LATTICE",
     "HAS_CI_COVER",
-    "IDENTITY",
     "Lattice2",
     "Mat2",
     "NO_CI_COVER",
     "admissible_traces",
     "candidate_matrices",
     "conjugate",
-    "contains",
     "cycle_of",
     "dual_cycle",
     "dual_length",
@@ -71,7 +65,6 @@ __all__ = [
     "invariant_sublattices_between",
     "inverse",
     "is_ci_link",
-    "is_prime",
     "monodromy_of",
     "mul",
     "power",

@@ -10,9 +10,9 @@ The enumeration runs on plain (x, y, z) int triples, the HNF basis
 [[x, y], [0, z]]: each prime-primary walk takes its children and the
 induced action P^-1 A P in closed form, CRT intersections combine the
 primes, and one validated `Lattice2` is built per fiber returned.  The
-public `contains`, `induced_action` and `prime_index_invariant_lattices`
-take a `Lattice2` and call the same triple helpers.  Records with equal
-cycles share one `Cycle` object.
+public `induced_action` and `prime_index_invariant_lattices` take a
+`Lattice2` and call the same triple helpers.  Records with equal cycles
+share one `Cycle` object.
 """
 
 from __future__ import annotations
@@ -59,9 +59,6 @@ class Lattice2:
 
     def __str__(self) -> str:
         return f"<({self.x},0), ({self.y},{self.z})>"
-
-
-FULL_LATTICE = Lattice2(1, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -134,11 +131,6 @@ def _prime_index_children(
     if a2 == 0:
         out.append((x, y * ell % x, z * ell))
     return out
-
-
-def contains(lat: Lattice2, m: Mat2) -> bool:
-    """Whether both columns of m lie in the lattice."""
-    return _contains(lat.x, lat.y, lat.z, m.entries())
 
 
 def induced_action(lat: Lattice2, a: Mat2) -> Mat2:
@@ -234,11 +226,13 @@ def invariant_sublattices_between(a: Mat2, n: int) -> list[Lattice2]:
     return [Lattice2(x, y, z) for _, x, y, z in sorted((x * z, x, y, z) for x, y, z in combos)]
 
 
-def _build_record(
-    a: Mat2, n: int, lat: Lattice2, cycles: dict[tuple[tuple[int, ...], int] | Cycle, Cycle]
-) -> CoverRecord:
-    """The degree-n cover with fiber lat.  Its cycle is that of X**n, X the
-    induced action, built as the cycle of X repeated n times.
+def enumerate_covers(a: Mat2, max_degree: int = 4) -> list[CoverRecord]:
+    """Cover records for every base degree 1..max_degree and invariant fiber.
+
+    Records come in degree order, then in the order
+    invariant_sublattices_between returns the fibers: index, then HNF triple.
+    The degree-n record with fiber L has the cycle of X**n, X the induced
+    action on L, built as the cycle of X repeated n times.
 
     X**n fixes the same expanding slope as X, so both expand to one primitive
     period, with period matrix m.  X is conjugate to m**k and its cycle is the
@@ -248,45 +242,33 @@ def _build_record(
     rotation without a second least-rotation pass, and the entries are those
     of `cycle_of(power(X, n))`.
 
-    X is expanded here, once per record, and its cycle is looked up in
-    `cycles` by (expanded period, n), so records of one period and degree
-    share one Cycle.  The cycle of X sits under (period, 1).  Only a period's
-    first record builds it, with `_base_cycle` (one canonicalization, one
-    product, the trace check).  On a miss, the new cycle is also interned by
-    value in the same dict, so periods that are rotations of one another
-    share one Cycle too; the hit path hashes no cycle.  Every induced
-    action is P^-1 A P, of trace t = trace(A), so that check covers every
-    later record with the period: their k is the same.  For det 1 the trace
-    of X**n is a fixed polynomial in trace(X), so it covers the repetition too.
-    """
-    ind = induced_action(lat, a)
-    _, period = expand(ind)
-    cycle = cycles.get((period, n))
-    if cycle is None:
-        base = cycles.get((period, 1))
-        if base is None:
-            base = _base_cycle(period, ind.trace)
-            base = cycles[period, 1] = cycles.setdefault(base, base)
-        cycle = _repeated(base, n)
-        cycle = cycles[period, n] = cycles.setdefault(cycle, cycle)
-    return CoverRecord(base_degree=n, fiber=lat, induced=ind, cycle=cycle)
-
-
-def enumerate_covers(a: Mat2, max_degree: int = 4) -> list[CoverRecord]:
-    """Cover records for every base degree 1..max_degree and invariant fiber.
-
-    Records come in degree order, then in the order
-    invariant_sublattices_between returns the fibers: index, then HNF triple.
-    Each induced action is expanded; each distinct expanded period is built
-    into a base cycle once, and each (period, degree) into one shared Cycle,
-    interned by value so that equal cycles are one object, in a dict that
-    lives for this call only.
+    X is expanded once per record, and its cycle is looked up in `cycles`, a
+    dict that lives for this call only, by (expanded period, n), so records
+    of one period and degree share one Cycle.  The cycle of X sits under
+    (period, 1).  Only a period's first record builds it, with `_base_cycle`
+    (one canonicalization, one product, the trace check).  On a miss, the new
+    cycle is also interned by value in the same dict, so periods that are
+    rotations of one another share one Cycle too; the hit path hashes no
+    cycle.  Every induced action is P^-1 A P, of trace t = trace(A), so that
+    check covers every later record with the period: their k is the same.
+    For det 1 the trace of X**n is a fixed polynomial in trace(X), so it
+    covers the repetition too.
     """
     if not 1 <= max_degree <= 4:
         raise ValueError("base degree must lie in 1..4")
     cycles: dict[tuple[tuple[int, ...], int] | Cycle, Cycle] = {}
-    return [
-        _build_record(a, n, lat, cycles)
-        for n in range(1, max_degree + 1)
-        for lat in invariant_sublattices_between(a, n)
-    ]
+    records: list[CoverRecord] = []
+    for n in range(1, max_degree + 1):
+        for lat in invariant_sublattices_between(a, n):
+            ind = induced_action(lat, a)
+            _, period = expand(ind)
+            cycle = cycles.get((period, n))
+            if cycle is None:
+                base = cycles.get((period, 1))
+                if base is None:
+                    base = _base_cycle(period, ind.trace)
+                    base = cycles[period, 1] = cycles.setdefault(base, base)
+                cycle = _repeated(base, n)
+                cycle = cycles[period, n] = cycles.setdefault(cycle, cycle)
+            records.append(CoverRecord(base_degree=n, fiber=lat, induced=ind, cycle=cycle))
+    return records

@@ -1,7 +1,8 @@
 """Unbounded-integer primitives: primality, factoring, quadratic congruences.
 
 Everything here is exact and deterministic; no floating point, no
-probabilistic shortcuts.  Monodromy entries reach ~10**27 in the degree-4
+probabilistic shortcuts.  Primality and factoring share one trial-division
+routine, `_least_factor`.  Monodromy entries reach ~10**27 in the degree-4
 cover computations, so all arithmetic rides on Python's arbitrary-precision
 integers.  Quadratic congruences modulo a prime are solved by the
 discriminant formula with Tonelli-Shanks square roots, not by scanning the
@@ -9,20 +10,24 @@ residues, so a large prime modulus costs a few modular powers.
 """
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic primality test by trial division (intended for n <= 10**12)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
+def _least_factor(n: int, f: int) -> int:
+    """The least prime factor of n >= 2, given that n has none below f, which
+    is 2 or odd: trial division by f and the odd numbers above it up to
+    sqrt(n); n itself when none divides it."""
+    if f == 2:
+        if n % 2 == 0:
+            return 2
+        f = 3
     while f * f <= n:
         if n % f == 0:
-            return False
+            return f
         f += 2
-    return True
+    return n
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality test by trial division (intended for n <= 10**12)."""
+    return n >= 2 and _least_factor(n, 2) == n
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -41,18 +46,18 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: exponent}, by trial division."""
+    """Prime factorization of n >= 1 as {prime: exponent}, by trial division.
+
+    Each factor found is the least of what is left, so the next search
+    starts there."""
     if n < 1:
         raise ValueError("factorize requires a positive integer")
     out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    f = 2
+    while n > 1:
+        f = _least_factor(n, f)
+        out[f] = out.get(f, 0) + 1
+        n //= f
     return out
 
 

@@ -10,6 +10,7 @@ and matrix searches used to hunt for candidate cusps live here too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .covers import CoverRecord, enumerate_covers
 from .cycles import Cycle, cycle_of, dual_cycle, is_ci_link
@@ -81,7 +82,8 @@ def candidate_matrices(trace: int, limit: int) -> list[Mat2]:
     a > b > -d >= 0, so their fixed slopes are purely periodic.
 
     For each a from trace up (d = trace - a <= 0), b runs over the divisors
-    of 1 - a*d in the window (-d, a) and c = (a*d - 1)/b; ordered by a, then b.
+    of 1 - a*d in the window (-d, a) and c = (a*d - 1)/b; ordered by a, then b,
+    and the first limit pairs (a, b) are kept.
     With k = a - trace and b = k + j (0 < j < trace), k = -j (mod b) turns
     b | 1 + k*a into b | j*(trace - j) - 1 > 0, so k <= j*(trace - 1 - j) - 1
     <= (trace - 1)**2 // 4 - 1, where the scan stops (attained for traces
@@ -91,15 +93,11 @@ def candidate_matrices(trace: int, limit: int) -> list[Mat2]:
         raise ValueError("trace must be >= 3")
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    out: list[Mat2] = []
-    for a in range(trace, trace + min(CANDIDATE_SPAN, (trace - 1) ** 2 // 4 - 1) + 1):
-        if len(out) >= limit:
-            break
-        d = trace - a
-        m = 1 - a * d  # = |a*d - 1| since a*d <= 0
-        for b in range(-d + 1, a):
-            if m % b == 0:
-                out.append(Mat2(a, b, (a * d - 1) // b, d))
-                if len(out) >= limit:
-                    break
-    return out
+    pairs = (
+        (a, b)
+        for a in range(trace, trace + min(CANDIDATE_SPAN, (trace - 1) ** 2 // 4 - 1) + 1)
+        for m in [1 + a * (a - trace)]  # = 1 - a*d = |a*d - 1| since a*d <= 0
+        for b in range(a - trace + 1, a)
+        if m % b == 0
+    )
+    return [Mat2(a, b, (a * (trace - a) - 1) // b, trace - a) for a, b in islice(pairs, limit)]

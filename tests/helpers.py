@@ -8,9 +8,12 @@ import operator
 from math import isqrt
 from typing import Sequence
 
-from cuspcovers import FULL_LATTICE, Cycle, Lattice2, Mat2, conjugate, inverse, monodromy_of, mul, power
+from cuspcovers import Cycle, Lattice2, Mat2, conjugate, inverse, monodromy_of, mul, power
 from cuspcovers.intmath import factorize, solve_quadratic_congruence
 from cuspcovers.matrices import hermite_normal_form
+
+# Z^2 itself, the fiber of every degree-1 cover and the root of each lattice walk.
+FULL_LATTICE = Lattice2(1, 0, 1)
 
 
 def random_cycle(rng, max_len=8, max_entry=12) -> Cycle:

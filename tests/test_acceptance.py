@@ -26,12 +26,10 @@ from cuspcovers import (
     Mat2,
     admissible_traces,
     conjugate,
-    contains,
     cycle_of,
     dual_cycle,
     invariant_sublattices_between,
     inverse,
-    is_prime,
     monodromy_of,
     power,
     prime_index_invariant_lattices,
@@ -39,10 +37,12 @@ from cuspcovers import (
     verify,
 )
 from cuspcovers.cli import certificate_to_json, certificate_to_text, main
+from cuspcovers.intmath import is_prime
 from helpers import (
     conjugated,
     from_columns,
     index_formula,
+    lattice_contains,
     random_cycle,
     random_unimodular,
     reversed_cycle,
@@ -232,7 +232,7 @@ def test_criterion_9_property_suites():
                     for d in range(1, total + 1)
                     if total % d == 0
                     for lat in sublattices_of_index(d)
-                    if contains(lat, kernel.basis) and conjugate(a, lat.basis) is not None
+                    if conjugate(a, lat.basis) is not None and lattice_contains(lat, kernel.basis)
                 ),
                 key=Lattice2.sort_key,
             )

@@ -5,6 +5,10 @@ formulas, Hermite-reduced lattice constructors, the exact ceiling and the
 expansion step on plain (p, d, q) ints) live in tests/helpers.py, not in
 the package.  `expand` takes the monodromy and returns (preperiod, period)
 as plain tuples, so no quadratic-irrational or expansion type is exported.
+Names that only tests and package internals use stay out of the root:
+`IDENTITY` and `is_prime` live in `cuspcovers.matrices` and
+`cuspcovers.intmath`, the lattice-membership test is the private
+`covers._contains`, and Z^2 as a lattice is `Lattice2(1, 0, 1)`.
 """
 
 from pathlib import Path
@@ -19,16 +23,13 @@ PUBLIC = [
     "CoverRecord",
     "Cycle",
     "ExpansionError",
-    "FULL_LATTICE",
     "HAS_CI_COVER",
-    "IDENTITY",
     "Lattice2",
     "Mat2",
     "NO_CI_COVER",
     "admissible_traces",
     "candidate_matrices",
     "conjugate",
-    "contains",
     "cycle_of",
     "dual_cycle",
     "dual_length",
@@ -38,7 +39,6 @@ PUBLIC = [
     "invariant_sublattices_between",
     "inverse",
     "is_ci_link",
-    "is_prime",
     "monodromy_of",
     "mul",
     "power",
@@ -50,13 +50,17 @@ PUBLIC = [
 
 MOVED_OR_DELETED = [
     "CFExpansion",
+    "FULL_LATTICE",
+    "IDENTITY",
     "QuadIrr",
     "ceil_quad",
+    "contains",
     "contains_lattice",
     "fixed_point",
     "hermite_normal_form",
     "index_formula",
     "is_invariant",
+    "is_prime",
     "is_purely_periodic",
     "sublattices_of_index",
     "trace_power_polynomial",
@@ -64,7 +68,7 @@ MOVED_OR_DELETED = [
 
 
 def test_all_lists_the_public_names():
-    assert len(PUBLIC) == 31
+    assert len(PUBLIC) == 27
     assert sorted(cuspcovers.__all__) == PUBLIC
 
 
@@ -80,6 +84,8 @@ def test_oracles_and_wrappers_are_not_in_the_package_root():
         assert not hasattr(cuspcovers, name), name
     for name in ("CFExpansion", "QuadIrr", "fixed_point", "is_purely_periodic"):
         assert not hasattr(cuspcovers.cfrac, name), name
+    for name in ("FULL_LATTICE", "contains", "_build_record"):
+        assert not hasattr(cuspcovers.covers, name), name
 
 
 def test_lattice_has_no_hermite_constructors():

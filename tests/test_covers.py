@@ -12,11 +12,10 @@ import cuspcovers.cycles
 from cuspcovers.cfrac import ExpansionError
 from cuspcovers.cli import main
 from cuspcovers.covers import (
-    FULL_LATTICE,
     Lattice2,
+    _contains,
     _intersect_coprime,
     _prime_index_children,
-    contains,
     enumerate_covers,
     induced_action,
     invariant_sublattices_between,
@@ -25,12 +24,14 @@ from cuspcovers.covers import (
 from cuspcovers.cycles import Cycle, cycle_of, dual_cycle, monodromy_of
 from cuspcovers.matrices import IDENTITY, Mat2, conjugate, mul, power
 from helpers import (
+    FULL_LATTICE,
     blocks_by_entries,
     conjugated,
     from_basis,
     from_columns,
     index_formula,
     invariant_sublattices_by_walk,
+    lattice_contains,
     prime_index_lattices_by_roots,
     random_cycle,
     random_hyperbolic,
@@ -72,13 +73,23 @@ def test_sublattices_of_index():
 
 
 def test_contains():
-    assert contains(FULL_LATTICE, PAPER_A)
+    def contains(x, y, z, m):
+        return _contains(x, y, z, m.entries())
+
+    assert contains(1, 0, 1, PAPER_A)
     # the index-3 fiber sits above (A^2 - I)Z^2, its degree: A^2 - I vanishes
     # mod 3 column-wise, while A - I does not (second column is (221, -20))
-    assert contains(Lattice2(1, 0, 3), shifted(PAPER_A, 2))
-    assert not contains(Lattice2(1, 0, 3), shifted(PAPER_A, 1))
-    assert contains(Lattice2(811, 183, 1), shifted(PAPER_A, 3))
-    assert not contains(Lattice2(1, 0, 3), IDENTITY)
+    assert contains(1, 0, 3, shifted(PAPER_A, 2))
+    assert not contains(1, 0, 3, shifted(PAPER_A, 1))
+    assert contains(811, 183, 1, shifted(PAPER_A, 3))
+    assert not contains(1, 0, 3, IDENTITY)
+    # the closed form agrees with the Hermite-reduction oracle
+    rng = random.Random(89)
+    for _ in range(500):
+        x, z = rng.randint(1, 12), rng.randint(1, 12)
+        lat = Lattice2(x, rng.randrange(x), z)
+        m = Mat2(*(rng.randint(-40, 40) for _ in range(4)))
+        assert contains(lat.x, lat.y, lat.z, m) == lattice_contains(lat, m)
 
 
 def test_is_invariant():
@@ -182,7 +193,7 @@ def test_invariant_sublattices_against_brute_force():
                 for d in range(1, total + 1)
                 if total % d == 0
                 for lat in sublattices_of_index(d)
-                if contains(lat, kernel.basis) and conjugate(a, lat.basis) is not None
+                if conjugate(a, lat.basis) is not None and lattice_contains(lat, kernel.basis)
             ]
             assert smart == sorted(brute, key=Lattice2.sort_key)
             checked[n] += 1
@@ -510,7 +521,7 @@ def test_self_checks_hold_under_python_optimize():
     # determinant 2 must still raise, not yield a certificate.
     script = """
 import cuspcovers, cuspcovers.covers, cuspcovers.intmath
-from cuspcovers import FULL_LATTICE, CoverRecord, Cycle, Mat2, solve_quadratic_congruence, verify
+from cuspcovers import CoverRecord, Cycle, Lattice2, Mat2, solve_quadratic_congruence, verify
 assert False, "assert statements run"
 factorize = cuspcovers.covers.factorize
 cuspcovers.covers.factorize = lambda n: {p: k for p, k in factorize(n).items() if p != 541}
@@ -525,7 +536,7 @@ try:
 except RuntimeError as exc:
     print("congruence:", exc)
 try:
-    CoverRecord(1, FULL_LATTICE, Mat2(2, 0, 0, 1), Cycle((3,)))
+    CoverRecord(1, Lattice2(1, 0, 1), Mat2(2, 0, 0, 1), Cycle((3,)))
 except ValueError as exc:
     print("record:", exc)
 """

@@ -1,5 +1,5 @@
 import random
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 
@@ -145,3 +145,24 @@ def test_congruence_modulo_a_prime_above_a_million():
     assert solve_quadratic_congruence(1, 2, 1, m) == [m - 1]
     assert solve_quadratic_congruence(1, 0, -2, m) == []  # 2 is a non-residue, m = 3 mod 8
     assert solve_quadratic_congruence(m, 3, 4, m) == [333333]  # 3 * 333333 + 4 = m
+
+
+def test_primality_and_factoring_share_one_trial_division():
+    # `is_prime` and `factorize` run one trial-division loop: the factors
+    # multiply back, each one is prime, and n is prime iff it is its own
+    # factorization.  A loop that skips a divisor keeps the two consistent,
+    # so below 20000 a sieve checks the primes independently.  The large
+    # cases reach past the first divisor found: a repeated 2, a repeated odd
+    # prime, and two primes near 10**6.
+    limit = 20000
+    composite = {j for i in range(2, isqrt(limit) + 1) for j in range(i * i, limit, i)}
+    for n in range(1, limit):
+        assert is_prime(n) == (n >= 2 and n not in composite)
+    for n in [*range(1, limit), 1621 * 1619, 2**40, 3**25, 999983 * 1000003]:
+        factors = factorize(n)
+        assert prod(p**k for p, k in factors.items()) == n
+        assert all(is_prime(p) for p in factors)
+        assert is_prime(n) == (factors == {n: 1})
+    assert factorize(2**40) == {2: 40}
+    assert factorize(3**25) == {3: 25}
+    assert factorize(999983 * 1000003) == {999983: 1, 1000003: 1}

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cuspcovers.cfrac import expand
-from cuspcovers.cycles import Cycle, monodromy_of
+from cuspcovers.cycles import Cycle, cycle_of, monodromy_of
 from cuspcovers.intmath import is_prime
 from cuspcovers.matrices import Mat2, inverse
 from cuspcovers.verifier import (
@@ -176,3 +176,25 @@ def test_candidate_matrices_complete_below_the_proven_bound():
         ]
         assert candidate_matrices(t, 10**9) == brute
         assert brute[-1].a == t + (t - 1) ** 2 // 4 - 1
+
+
+def test_no_ci_cover_begins_at_trace_63():
+    # Every cusp class of trace 3..63, one matrix per cycle: candidate_matrices
+    # is complete below its proven bound, and the cycle keys the conjugacy
+    # class.  All 552 classes have a CI cover but the four classes of
+    # (2,2,4,2,5) and (2,2,2,2,3,7), each with its reversal.  All four have
+    # trace 63, which the paper's trace filter rejects.
+    classes = {}
+    for t in range(3, 64):
+        for m in candidate_matrices(t, 10**9):
+            classes.setdefault(cycle_of(m), m)
+    assert len(classes) == 552
+    without = {c for c, m in classes.items() if verify(m).verdict == NO_CI_COVER}
+    assert without == {
+        Cycle((2, 2, 4, 2, 5)),
+        Cycle((2, 2, 5, 2, 4)),
+        Cycle((2, 2, 2, 2, 3, 7)),
+        Cycle((2, 2, 2, 2, 7, 3)),
+    }
+    assert {classes[c].trace for c in without} == {63}
+    assert 63 not in admissible_traces(63)
