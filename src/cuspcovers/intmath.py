@@ -1,13 +1,19 @@
 """Unbounded-integer primitives: primality, factoring, quadratic congruences.
 
 Everything here is exact and deterministic; no floating point, no
-probabilistic shortcuts.  Primality and factoring share one trial-division
-routine, `_least_factor`.  Monodromy entries reach ~10**27 in the degree-4
-cover computations, so all arithmetic rides on Python's arbitrary-precision
-integers.  Quadratic congruences modulo a prime are solved by the
-discriminant formula with Tonelli-Shanks square roots, not by scanning the
-residues, so a large prime modulus costs a few modular powers.
+probabilistic shortcuts.  Primality has two sources.  `_odd_prime_table`,
+a sieve of Eratosthenes over the odd numbers in `limit // 2 + 1` bytes,
+serves only the admissible-trace filter, which checks each trace it passes
+again by trial division.  Everything else, `is_prime` and `factorize`, runs
+one trial-division routine, `_least_factor`.  Monodromy entries reach
+~10**27 in the degree-4 cover computations, so all arithmetic rides on
+Python's arbitrary-precision integers.  Quadratic congruences modulo a
+prime are solved by the discriminant formula with Tonelli-Shanks square
+roots, not by scanning the residues, so a large prime modulus costs a few
+modular powers.
 """
+
+from math import isqrt
 
 
 def _least_factor(n: int, f: int) -> int:
@@ -23,6 +29,21 @@ def _least_factor(n: int, f: int) -> int:
             return f
         f += 2
     return n
+
+
+def _odd_prime_table(limit: int) -> bytearray:
+    """Sieve of Eratosthenes over the odd numbers: limit // 2 + 1 bytes, byte i
+    is 1 exactly when 2i + 1 is prime, so every odd n <= limit is prime iff
+    byte n // 2 is set.  Each odd prime p crosses out p*p, p*p + 2p, ...,
+    which are p apart in the table."""
+    size = limit // 2 + 1
+    table = bytearray([1]) * size
+    table[0] = 0  # 1 is not prime
+    for i in range(1, (isqrt(2 * size - 1) + 1) // 2):
+        if table[i]:
+            p = 2 * i + 1
+            table[p * p // 2 :: p] = bytes(len(range(p * p // 2, size, p)))
+    return table
 
 
 def is_prime(n: int) -> bool:

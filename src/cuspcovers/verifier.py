@@ -4,17 +4,22 @@ intersection?
 A cover is a CI exactly when its cycle or its dual cycle has length at most
 4, and covers of base degree 5 or more repeat a cycle five times, so
 checking every normal cover of degree 1..4 decides the question.  The trace
-and matrix searches used to hunt for candidate cusps live here too.
+and matrix searches used to hunt for candidate cusps live here too.  The
+trace filter reads its primality tests from `intmath`'s sieve of the odd
+numbers and checks each trace that passes again by trial division
+(`is_prime`); nothing else here uses the sieve.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import islice
+from math import isqrt
 
 from .covers import CoverRecord, enumerate_covers
 from .cycles import Cycle, cycle_of, dual_cycle, is_ci_link
-from .intmath import is_prime
+from .intmath import _odd_prime_table, is_prime
 from .matrices import Mat2, require_cusp
 
 CANDIDATE_SPAN = 10**4
@@ -62,19 +67,45 @@ def admissible_traces(limit: int) -> list[int]:
     These keep the fiber indices of normal covers as unfactorable as
     possible.  Applied literally the filter starts 13, 1621, 6661; the value
     5 fails it because 7 is not three times a prime.  The last two force
-    x == 1 (mod 6), so x steps by 6 from 7; (x + 2)/3, the cheapest to test,
-    is tested first.
+    x == 1 (mod 12): x + 2 = 3*prime makes x == 1 (mod 6), and x == 7 (mod 12)
+    makes (x + 1)/2 even and above 2.  So x steps by 12 from 13, all four
+    numbers are odd, and each is looked up in one sieve of the odd numbers
+    up to limit (`limit // 2 + 1` bytes).  Every trace the sieve passes is
+    checked again by trial division; a disagreement raises RuntimeError.
     """
     if limit < 3:
         raise ValueError("limit must be >= 3")
-    return [
+    table = _odd_prime_table(limit)
+    traces = [
         x
-        for x in range(7, limit + 1, 6)
-        if is_prime((x + 2) // 3)
-        and is_prime((x + 1) // 2)
-        and is_prime(x)
-        and is_prime(x - 2)
+        for x in range(13, limit + 1, 12)
+        if table[(x + 2) // 6] and table[(x + 1) // 4] and table[x // 2] and table[x // 2 - 1]
     ]
+    for x in traces:
+        if not (is_prime((x + 2) // 3) and is_prime((x + 1) // 2) and is_prime(x) and is_prime(x - 2)):
+            raise RuntimeError(f"the prime table passes {x}, which trial division rejects")
+    return traces
+
+
+def _candidate_pairs(trace: int) -> Iterator[tuple[int, int]]:
+    """The pairs (a, b) of `candidate_matrices` in order, up to the scan's bound.
+
+    With k = a - trace and m = 1 + a*k, b | m with k < b < a exactly when its
+    cofactor m // b is one too: b > k gives m // b <= m / (k + 1) < a, and
+    b < a gives m // b > m / a > k.  Since m < a*a, the pairs {b, m // b}
+    split at isqrt(m) < a, so b runs over (k, isqrt(m)] and each divisor
+    found yields its cofactor too: at most trace/2 divisions per a, about
+    sqrt(trace*k) while k is much smaller than trace.
+    """
+    for a in range(trace, trace + min(CANDIDATE_SPAN, (trace - 1) ** 2 // 4 - 1) + 1):
+        k = a - trace
+        m = 1 + a * k  # = 1 - a*d = |a*d - 1| since a*d <= 0
+        small = [b for b in range(k + 1, isqrt(m) + 1) if m % b == 0]
+        for b in small:
+            yield a, b
+        for b in reversed(small):
+            if b * b != m:
+                yield a, m // b
 
 
 def candidate_matrices(trace: int, limit: int) -> list[Mat2]:
@@ -87,17 +118,14 @@ def candidate_matrices(trace: int, limit: int) -> list[Mat2]:
     With k = a - trace and b = k + j (0 < j < trace), k = -j (mod b) turns
     b | 1 + k*a into b | j*(trace - j) - 1 > 0, so k <= j*(trace - 1 - j) - 1
     <= (trace - 1)**2 // 4 - 1, where the scan stops (attained for traces
-    3..201); CANDIDATE_SPAN caps it from trace 202 on.
+    3..201); CANDIDATE_SPAN caps it from trace 202 on, so from there the list
+    can miss candidates of larger a.
     """
     if trace < 3:
         raise ValueError("trace must be >= 3")
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    pairs = (
-        (a, b)
-        for a in range(trace, trace + min(CANDIDATE_SPAN, (trace - 1) ** 2 // 4 - 1) + 1)
-        for m in [1 + a * (a - trace)]  # = 1 - a*d = |a*d - 1| since a*d <= 0
-        for b in range(a - trace + 1, a)
-        if m % b == 0
-    )
-    return [Mat2(a, b, (a * (trace - a) - 1) // b, trace - a) for a, b in islice(pairs, limit)]
+    return [
+        Mat2(a, b, (a * (trace - a) - 1) // b, trace - a)
+        for a, b in islice(_candidate_pairs(trace), limit)
+    ]

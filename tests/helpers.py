@@ -5,15 +5,28 @@ Every test seeds its own random.Random so runs are reproducible.
 
 import json
 import operator
+import os
+from itertools import islice
 from math import isqrt
 from typing import Sequence
 
 from cuspcovers import Cycle, Lattice2, Mat2, conjugate, inverse, monodromy_of, mul, power
-from cuspcovers.intmath import factorize, solve_quadratic_congruence
+from cuspcovers.intmath import factorize, is_prime, solve_quadratic_congruence
 from cuspcovers.matrices import hermite_normal_form
+from cuspcovers.verifier import CANDIDATE_SPAN
 
 # Z^2 itself, the fiber of every degree-1 cover and the root of each lattice walk.
 FULL_LATTICE = Lattice2(1, 0, 1)
+
+
+def subprocess_env(src) -> dict[str, str]:
+    """The environment of a subprocess that runs the package from src: only
+    PYTHONPATH and PATH, plus PYTHONDONTWRITEBYTECODE when it is set here, so
+    a run that forbids bytecode writes none under src."""
+    env = {"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    return env
 
 
 def random_cycle(rng, max_len=8, max_entry=12) -> Cycle:
@@ -351,3 +364,32 @@ def invariant_sublattices_by_walk(a: Mat2, n: int) -> list[Lattice2]:
         part = primary_part_lattices(a, shifted, ell)
         combos = [intersect_coprime(base, opt) for base in combos for opt in part]
     return sorted(combos, key=Lattice2.sort_key)
+
+
+def admissible_traces_by_trial_division(limit: int) -> list[int]:
+    """The trace filter by `is_prime` on each x == 1 (mod 6) from 7 up:
+    `verifier.admissible_traces` must give the same list."""
+    if limit < 3:
+        raise ValueError("limit must be >= 3")
+    return [
+        x
+        for x in range(7, limit + 1, 6)
+        if is_prime((x + 2) // 3)
+        and is_prime((x + 1) // 2)
+        and is_prime(x)
+        and is_prime(x - 2)
+    ]
+
+
+def candidate_matrices_by_scan(trace: int, limit: int) -> list[Mat2]:
+    """The candidates by testing every b in (a - trace, a) for each a, up to the
+    same bound and CANDIDATE_SPAN: `verifier.candidate_matrices` must give the
+    same list."""
+    pairs = (
+        (a, b)
+        for a in range(trace, trace + min(CANDIDATE_SPAN, (trace - 1) ** 2 // 4 - 1) + 1)
+        for m in [1 + a * (a - trace)]
+        for b in range(a - trace + 1, a)
+        if m % b == 0
+    )
+    return [Mat2(a, b, (a * (trace - a) - 1) // b, trace - a) for a, b in islice(pairs, limit)]

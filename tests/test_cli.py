@@ -20,6 +20,7 @@ from helpers import (
     random_cycle,
     random_hyperbolic,
     random_unimodular,
+    subprocess_env,
 )
 
 
@@ -320,7 +321,7 @@ def test_module_entry_point():
         capture_output=True,
         text=True,
         cwd=repo,
-        env={"PYTHONPATH": str(repo / "src"), "PATH": "/usr/bin:/bin"},
+        env=subprocess_env(repo / "src"),
     )
     assert proc.returncode == 0
     assert proc.stdout == "cycle: (3)  dual: (3)\n"

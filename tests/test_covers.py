@@ -38,6 +38,7 @@ from helpers import (
     random_unimodular,
     reversed_cycle,
     sublattices_of_index,
+    subprocess_env,
 )
 
 PAPER_A = Mat2(1640, 221, -141, -19)
@@ -546,7 +547,7 @@ except ValueError as exc:
         capture_output=True,
         text=True,
         cwd=repo,
-        env={"PYTHONPATH": str(repo / "src"), "PATH": "/usr/bin:/bin"},
+        env=subprocess_env(repo / "src"),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [

@@ -4,6 +4,7 @@ from math import isqrt, prod
 import pytest
 
 from cuspcovers.intmath import (
+    _odd_prime_table,
     factorize,
     is_prime,
     solve_quadratic_congruence,
@@ -29,6 +30,13 @@ def test_is_prime_against_sieve():
                 sieve[j] = False
     for n in range(-5, limit + 1):
         assert is_prime(n) == (n >= 2 and sieve[n])
+
+
+def test_odd_prime_table_matches_is_prime():
+    table = _odd_prime_table(19999)
+    assert len(table) == 19999 // 2 + 1
+    for n in range(1, 20000, 2):
+        assert table[n // 2] == is_prime(n)
 
 
 def test_is_prime_large():

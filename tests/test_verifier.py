@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cuspcovers import verifier
 from cuspcovers.cfrac import expand
 from cuspcovers.cycles import Cycle, cycle_of, monodromy_of
 from cuspcovers.intmath import is_prime
@@ -13,7 +14,13 @@ from cuspcovers.verifier import (
     candidate_matrices,
     verify,
 )
-from helpers import conjugated, random_cycle, random_unimodular
+from helpers import (
+    admissible_traces_by_trial_division,
+    candidate_matrices_by_scan,
+    conjugated,
+    random_cycle,
+    random_unimodular,
+)
 
 PAPER_A = Mat2(1640, 221, -141, -19)
 
@@ -135,6 +142,31 @@ def test_admissible_trace_factor_structure():
     assert (1621 - 2, (1621 + 2) // 3, (1621 + 1) // 2) == (1619, 541, 811)
 
 
+def test_admissible_traces_match_the_trial_division_oracle():
+    # The sieve answers every limit as the trial-division filter does.
+    oracle = admissible_traces_by_trial_division(3000)
+    for limit in range(3, 3001):
+        assert admissible_traces(limit) == [x for x in oracle if x <= limit]
+    traces = admissible_traces(10**6)
+    assert traces == admissible_traces_by_trial_division(10**6)
+    assert len(traces) == 54
+
+
+def test_a_wrong_prime_table_is_caught(monkeypatch):
+    # 73, 71 and (73 + 1)/2 = 37 are prime, but (73 + 2)/3 = 25 is not: a
+    # table that calls 25 prime must not let 73 through.
+    real = verifier._odd_prime_table
+
+    def marks_25_prime(limit):
+        table = real(limit)
+        table[25 // 2] = 1
+        return table
+
+    monkeypatch.setattr(verifier, "_odd_prime_table", marks_25_prime)
+    with pytest.raises(RuntimeError, match="73"):
+        admissible_traces(100)
+
+
 def test_five_fails_the_strict_filter():
     # 5 and 3 are prime, but 5 + 2 = 7 is not three times a prime
     assert 5 not in admissible_traces(10000)
@@ -176,6 +208,21 @@ def test_candidate_matrices_complete_below_the_proven_bound():
         ]
         assert candidate_matrices(t, 10**9) == brute
         assert brute[-1].a == t + (t - 1) ** 2 // 4 - 1
+
+
+def test_candidate_matrices_match_the_scan_oracle():
+    # Divisor pairs below isqrt(1 - a*d) give every b of the full scan, in
+    # order: on complete lists (traces 3..120), on lists cut by CANDIDATE_SPAN
+    # (traces 202, 257 and 499, run to the end) and on the paper's traces.
+    for t in range(3, 121):
+        scan = candidate_matrices_by_scan(t, 10**9)
+        for limit in (1, 5, 64, 10**9):
+            assert candidate_matrices(t, limit) == scan[:limit]
+    for t in (202, 257, 499):
+        assert candidate_matrices(t, 10**9) == candidate_matrices_by_scan(t, 10**9)
+    for t in admissible_traces(10**5):
+        assert candidate_matrices(t, 64) == candidate_matrices_by_scan(t, 64)
+    assert candidate_matrices(94441, 300) == candidate_matrices_by_scan(94441, 300)
 
 
 def test_no_ci_cover_begins_at_trace_63():
