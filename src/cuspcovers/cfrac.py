@@ -3,7 +3,8 @@
 The expansion x = a0 - 1/(a1 - 1/(a2 - ...)) with digits a_i = ceil(x_i) is
 eventually periodic exactly for quadratic irrationals.  By Zagier's
 reduction theory its period starts at the first reduced state,
-x > 1 > conj(x) > 0, which `_reduced` tests in integers.  All steps run in
+x > 1 > conj(x) > 0, which `_reduced` tests in integers (`expand` runs
+the same test inline).  All steps run in
 integer arithmetic on the (p, q) state of x = (p + sqrt(d)) / q, so
 discriminants of order 10**27 cost nothing in accuracy.
 
@@ -66,24 +67,39 @@ def expand(a: Mat2) -> tuple[tuple[int, ...], tuple[int, ...]]:
     form a single cycle.  The preperiod is never revisited and the first
     return, a repeat of (p, q), closes the period.  That period is
     primitive: digits determine a purely periodic value, so a shorter
-    repeating block would bring the state back sooner.  No return within
-    `MAX_STEPS` digits raises ExpansionError.
+    repeating block would bring the state back sooner.  An expansion of
+    len(preperiod) + len(period) digits needs a `MAX_STEPS` above that sum;
+    otherwise it raises ExpansionError.
 
-    The state steps as plain ints, and s = isqrt(d) is taken once, as d
-    never changes.
+    The cusp test runs on the unpacked entries (`require_cusp` only words
+    the error), and the state steps as plain ints in two loops: one up to
+    the first reduced state, with `_reduced` written inline, and one until
+    that state returns.  s = isqrt(d) is taken once, as d never changes, and
+    `step` is read from the module once per call, so a wrapper bound in its
+    place sees every digit.
     """
-    require_cusp(a)
-    t = a.trace
-    p, q, d = a.a - a.d, 2 * a.b, t * t - 4
+    aa, ab, ac, ad = a
+    t = aa + ad
+    if aa * ad - ab * ac != 1 or t < 3:
+        require_cusp(a)
+    p, q, d = aa - ad, 2 * ab, t * t - 4
     s = isqrt(d)
-    digits: list[int] = []
-    j: int | None = None
+    advance = step
+    preperiod: list[int] = []
     for _ in range(MAX_STEPS):
-        if j is None:
-            if _reduced(p, q, s):
-                j, p0, q0 = len(digits), p, q
-        elif p == p0 and q == q0:
-            return tuple(digits[:j]), tuple(digits[j:])
-        digit, p, q = step(p, q, d, s)
-        digits.append(digit)
+        if q > 0 and s < p and abs(p - q) <= s:
+            break
+        digit, p, q = advance(p, q, d, s)
+        preperiod.append(digit)
+    else:
+        raise ExpansionError(f"state failed to repeat within {MAX_STEPS} steps")
+    p0, q0 = p, q
+    period: list[int] = []
+    # The two loops share MAX_STEPS passes: the first took len(preperiod) + 1,
+    # its last one finding the reduced state, and each period digit takes one.
+    for _ in range(MAX_STEPS - len(preperiod) - 1):
+        digit, p, q = advance(p, q, d, s)
+        period.append(digit)
+        if p == p0 and q == q0:
+            return tuple(preperiod), tuple(period)
     raise ExpansionError(f"state failed to repeat within {MAX_STEPS} steps")

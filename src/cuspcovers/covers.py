@@ -13,13 +13,18 @@ primes, and one validated `Lattice2` is built per fiber returned.  The
 public `induced_action` and `prime_index_invariant_lattices` take a
 `Lattice2` and call the same triple helpers.  Records with equal cycles
 share one `Cycle` object.
+
+`Lattice2` and `CoverRecord` are `typing.NamedTuple` value types: a lattice
+is the tuple (x, y, z) and a record the tuple (base_degree, fiber, induced,
+cycle), so they equal plain tuples, unpack, have a length and order
+lexicographically.  Each subclasses a private field base so that its
+`__new__` can run its check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .cfrac import expand
 # cycle_of is not called here (records build their cycles through
@@ -30,21 +35,32 @@ from .intmath import factorize, is_prime, solve_quadratic_congruence
 from .matrices import Mat2, power, require_cusp
 
 
-@dataclass(frozen=True)
-class Lattice2:
-    """Finite-index sublattice of Z^2 in Hermite normal form.
-
-    The basis columns are (x, 0) and (y, z) with x > 0, z > 0, 0 <= y < x;
-    the normal form is unique per lattice, so equality is structural.
-    """
-
+class _Lattice2Fields(NamedTuple):
     x: int
     y: int
     z: int
 
-    def __post_init__(self) -> None:
-        if self.x <= 0 or self.z <= 0 or not 0 <= self.y < self.x:
-            raise ValueError(f"not a Hermite normal form triple: {(self.x, self.y, self.z)}")
+
+class Lattice2(_Lattice2Fields):
+    """Finite-index sublattice of Z^2 in Hermite normal form.
+
+    The basis columns are (x, 0) and (y, z) with x > 0, z > 0, 0 <= y < x;
+    the normal form is unique per lattice, so equality is structural.  The
+    lattice is the tuple (x, y, z): it orders lexicographically as that
+    tuple, and `sort_key` gives the fiber order.  `__new__` checks the normal
+    form, and `_make` (so `_replace` too) goes through it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, x: int, y: int, z: int) -> Lattice2:
+        if x <= 0 or z <= 0 or not 0 <= y < x:
+            raise ValueError(f"not a Hermite normal form triple: {(x, y, z)}")
+        return tuple.__new__(cls, (x, y, z))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> Lattice2:
+        return cls(*iterable)
 
     @property
     def index(self) -> int:
@@ -61,20 +77,31 @@ class Lattice2:
         return f"<({self.x},0), ({self.y},{self.z})>"
 
 
-@dataclass(frozen=True)
-class CoverRecord:
-    """One normal Galois cover: base degree, fiber lattice, induced action and
-    cycle.  `dual` is derived on each access, not stored; JSON reads it once
-    per distinct cycle."""
-
+class _CoverRecordFields(NamedTuple):
     base_degree: int
     fiber: Lattice2
     induced: Mat2
     cycle: Cycle
 
-    def __post_init__(self) -> None:
-        if self.induced.det != 1:
-            raise ValueError(f"induced action {self.induced} has determinant {self.induced.det}, not 1")
+
+class CoverRecord(_CoverRecordFields):
+    """One normal Galois cover: base degree, fiber lattice, induced action and
+    cycle, as a tuple of those four.  `__new__` checks that the induced
+    action has determinant 1, and `_make` (so `_replace` too) goes through
+    it.  `dual` is derived on each access, not stored; JSON reads it once per
+    distinct cycle."""
+
+    __slots__ = ()
+
+    def __new__(cls, base_degree: int, fiber: Lattice2, induced: Mat2, cycle: Cycle) -> CoverRecord:
+        a, b, c, d = induced
+        if a * d - b * c != 1:
+            raise ValueError(f"induced action {induced} has determinant {induced.det}, not 1")
+        return tuple.__new__(cls, (base_degree, fiber, induced, cycle))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> CoverRecord:
+        return cls(*iterable)
 
     @property
     def dual(self) -> Cycle:
@@ -135,7 +162,7 @@ def _prime_index_children(
 
 def induced_action(lat: Lattice2, a: Mat2) -> Mat2:
     """A rewritten in the lattice basis: P^-1 A P for P the HNF basis."""
-    return Mat2(*_induced(a, lat.x, lat.y, lat.z))
+    return Mat2(*_induced(a, *lat))
 
 
 def prime_index_invariant_lattices(a: Mat2, ell: int) -> list[Lattice2]:
@@ -149,15 +176,6 @@ def prime_index_invariant_lattices(a: Mat2, ell: int) -> list[Lattice2]:
         raise ValueError(f"index {ell} is not prime")
     children = _prime_index_children(a.entries(), ell, 1, 0, 1)
     return sorted((Lattice2(*t) for t in children), key=Lattice2.sort_key)
-
-
-def _intersect_coprime(m1: tuple[int, int, int], m2: tuple[int, int, int]) -> tuple[int, int, int]:
-    # For coprime indices L1 cap L2 = (x1 x2, y, z1 z2) with y = z2 y1 (mod x1) and
-    # y = z1 y2 (mod x2), by CRT; pow(x1, -1, 1) is 0, so index 1 needs no case.
-    x1, y1, z1 = m1
-    x2, y2, z2 = m2
-    x = x1 * x2
-    return x, (z2 * y1 + x1 * (z1 * y2 - z2 * y1) * pow(x1, -1, x2)) % x, z1 * z2
 
 
 def _primary_part(a: Mat2, shifted: tuple[int, int, int, int], ell: int) -> set[tuple[int, int, int]]:
@@ -182,6 +200,30 @@ def _primary_part(a: Mat2, shifted: tuple[int, int, int, int], ell: int) -> set[
                 found.add(child)
                 frontier.append(child)
     return found
+
+
+def _intersect_part(
+    combos: list[tuple[int, int, int]], part: set[tuple[int, int, int]]
+) -> list[tuple[int, int, int]]:
+    """HNF triples of M cap P for every M in combos and P in part, where the
+    indices of part are powers of one prime ell and those of combos prime to it.
+
+    For coprime indices, L1 cap L2 is (x1 x2, y, z1 z2) with y = z2 y1
+    (mod x1) and y = z1 y2 (mod x2), by CRT:
+    y = z2 y1 + x1 (z1 y2 - z2 y1) u mod x1 x2, for any u = x1^-1 (mod x2).
+    Every x2 of the part divides its largest x, ell^e, so one
+    u = x1^-1 mod ell^e per M serves the whole part; pow(x1, -1, 1) is 0,
+    so a part with x = 1 throughout needs no case.
+    """
+    top = max(x for x, _, _ in part)
+    out: list[tuple[int, int, int]] = []
+    for x1, y1, z1 in combos:
+        u = pow(x1, -1, top)
+        out += [
+            (x1 * x2, (z2 * y1 + x1 * (z1 * y2 - z2 * y1) * u) % (x1 * x2), z1 * z2)
+            for x2, y2, z2 in part
+        ]
+    return out
 
 
 def _index_primes(shifted: tuple[int, int, int, int], trace: int, n: int) -> list[int]:
@@ -221,8 +263,7 @@ def invariant_sublattices_between(a: Mat2, n: int) -> list[Lattice2]:
     shifted = (an.a - 1, an.b, an.c, an.d - 1)
     combos = [(1, 0, 1)]
     for ell in _index_primes(shifted, a.trace, n):
-        part = _primary_part(a, shifted, ell)
-        combos = [_intersect_coprime(m, p) for m in combos for p in part]
+        combos = _intersect_part(combos, _primary_part(a, shifted, ell))
     return [Lattice2(x, y, z) for _, x, y, z in sorted((x * z, x, y, z) for x, y, z in combos)]
 
 
@@ -270,5 +311,5 @@ def enumerate_covers(a: Mat2, max_degree: int = 4) -> list[CoverRecord]:
                     base = cycles[period, 1] = cycles.setdefault(base, base)
                 cycle = _repeated(base, n)
                 cycle = cycles[period, n] = cycles.setdefault(cycle, cycle)
-            records.append(CoverRecord(base_degree=n, fiber=lat, induced=ind, cycle=cycle))
+            records.append(CoverRecord(n, lat, ind, cycle))
     return records

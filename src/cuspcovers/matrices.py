@@ -7,19 +7,21 @@ in closed form (`covers`) and never reduces a basis; `hermite_normal_form`
 is the general reduction the tests check those closed forms against.
 `covers` also conjugates onto those triangular bases in closed form, and
 `conjugate` is the general form the tests check it against.
+
+`Mat2` is a `typing.NamedTuple`: a matrix is the tuple (a, b, c, d), so it
+equals that plain tuple, unpacks into its entries, has length 4 and orders
+lexicographically.  Building one costs one tuple.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .intmath import xgcd
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(NamedTuple):
     """Row-major [[a, b], [c, d]] with unbounded integer entries."""
 
     a: int

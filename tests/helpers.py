@@ -311,12 +311,29 @@ def shifted_lattice(parent: Lattice2, child: Lattice2) -> Lattice2:
     return Lattice2(x, (parent.x * child.y + parent.y * child.z) % x, parent.z * child.z)
 
 
+def hermite_sum(l1: Lattice2, l2: Lattice2) -> Lattice2:
+    """m2 L1 + m1 L2, m1 and m2 the indices of L1 and L2, by Hermite reduction
+    of the scaled bases: L1 cap L2 when m1 and m2 are coprime."""
+    m1, m2 = l1.index, l2.index
+    s1 = [(m2 * u, m2 * v) for u, v in l1.basis.columns()]
+    s2 = [(m1 * u, m1 * v) for u, v in l2.basis.columns()]
+    return from_columns(*s1, *s2)
+
+
+def intersect_coprime_triples(m1: Sequence[int], m2: Sequence[int]) -> tuple[int, int, int]:
+    """L1 cap L2 for coprime indices, on HNF triples: (x1 x2, y, z1 z2) with
+    y = z2 y1 (mod x1) and y = z1 y2 (mod x2), by CRT, one modular inverse
+    per pair; pow(x1, -1, 1) is 0, so index 1 needs no case.
+    `covers._intersect_part` shares one inverse across a primary part."""
+    x1, y1, z1 = m1
+    x2, y2, z2 = m2
+    x = x1 * x2
+    return x, (z2 * y1 + x1 * (z1 * y2 - z2 * y1) * pow(x1, -1, x2)) % x, z1 * z2
+
+
 def intersect_coprime(l1: Lattice2, l2: Lattice2) -> Lattice2:
-    """L1 cap L2 for coprime indices: (x1 x2, y, z1 z2) with y = z2 y1 (mod x1)
-    and y = z1 y2 (mod x2), by CRT."""
-    k = (l1.z * l2.y - l2.z * l1.y) * pow(l1.x, -1, l2.x)
-    x = l1.x * l2.x
-    return Lattice2(x, (l2.z * l1.y + l1.x * k) % x, l1.z * l2.z)
+    """L1 cap L2 for coprime indices, as a Lattice2."""
+    return Lattice2(*intersect_coprime_triples(l1, l2))
 
 
 def prime_index_lattices_by_roots(act: Mat2, ell: int) -> list[Lattice2]:

@@ -15,6 +15,7 @@ from cuspcovers.matrices import Mat2, power
 from cuspcovers.verifier import candidate_matrices
 from helpers import (
     ceil_quad,
+    conjugated,
     expand_by_state_table,
     fixed_slope,
     is_reduced_by_ceilings,
@@ -26,6 +27,7 @@ from helpers import (
 
 PAPER_A = Mat2(1640, 221, -141, -19)
 GOLDEN_A = Mat2(2, 1, 1, 1)  # fixed slope (1 + sqrt 5)/2
+PREPERIODIC_A = Mat2(1781, 2021, -141, -160)  # PAPER_A conjugated by [[1, 1], [0, 1]]
 
 
 def test_fixed_point_examples():
@@ -139,6 +141,44 @@ def test_expand_ceiling_is_an_internal_error(monkeypatch, capsys):
         expand(monodromy_of((3,) + (2,) * 200))
     assert main(["cycle", "-c", ",".join(["3"] + ["2"] * 200)]) == 1
     assert "internal error" in capsys.readouterr().err
+
+
+def test_expand_ceiling_is_the_digit_count_plus_one(monkeypatch):
+    # An expansion of L = len(preperiod) + len(period) digits raises at every
+    # MAX_STEPS up to L and returns from L + 1 on, with or without a preperiod.
+    assert PREPERIODIC_A == conjugated(PAPER_A, Mat2(1, 1, 0, 1))
+    cases = [(a, *expand(a)) for a in (PAPER_A, GOLDEN_A, PREPERIODIC_A)]
+    assert [len(pre) for _, pre, _ in cases] == [0, 1, 2]
+    for a, pre, period in cases:
+        total = len(pre) + len(period)
+        for ceiling in range(1, total + 1):
+            monkeypatch.setattr(cuspcovers.cfrac, "MAX_STEPS", ceiling)
+            with pytest.raises(ExpansionError, match=f"within {ceiling} steps"):
+                expand(a)
+        monkeypatch.setattr(cuspcovers.cfrac, "MAX_STEPS", total + 1)
+        assert expand(a) == (pre, period)
+
+
+def test_expand_calls_step_once_per_digit(monkeypatch):
+    # expand reads `step` from its module on each call, so a wrapper bound
+    # there sees every digit: len(preperiod) + len(period) calls, no more,
+    # on seeded cusps and on every cover of (1621).
+    cusps = _seeded_monodromies(random.Random(59))
+    cusps += [r.induced for r in enumerate_covers(monodromy_of((1621,)), 4)]
+    calls = []
+
+    def counted(p, q, d, s, step=step):
+        calls.append(None)
+        return step(p, q, d, s)
+
+    monkeypatch.setattr(cuspcovers.cfrac, "step", counted)
+    preperiodic = 0
+    for a in cusps:
+        calls.clear()
+        pre, period = expand(a)
+        assert len(calls) == len(pre) + len(period)
+        preperiodic += pre != ()
+    assert preperiodic > 0
 
 
 def _is_reduced(p: int, d: int, q: int) -> bool:

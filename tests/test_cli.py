@@ -11,7 +11,7 @@ import pytest
 
 import cuspcovers.covers
 import cuspcovers.verifier
-from cuspcovers import Cycle, monodromy_of, verify
+from cuspcovers import Certificate, CoverRecord, Cycle, Lattice2, monodromy_of, verify
 from cuspcovers.cli import _ints, certificate_to_json, certificate_to_text, main
 from cuspcovers.matrices import Mat2
 from helpers import (
@@ -152,6 +152,34 @@ def test_certificate_json_matches_stdlib_encoder():
     assert any(r.base_degree == 4 and min(r.induced.entries()) <= -10 for r in cert.covers)
 
 
+def test_json_memos_keep_the_stdlib_bytes_for_shared_and_equal_values():
+    # The writer lays out each cycle object once and each distinct induced
+    # matrix once per document.  A hand-built certificate whose records hold
+    # equal but distinct cycles, one cycle object at several degrees, and one
+    # induced matrix at several fibers, as one object and as an equal copy,
+    # must still give the stdlib encoder's bytes.
+    a = Mat2(1640, 221, -141, -19)
+    cert = verify(a)
+    first, second = cert.covers[:2]
+    twin = Cycle(second.cycle.entries)
+    assert twin == second.cycle and twin is not second.cycle
+    ind = second.induced
+    records = (
+        first,
+        second,
+        CoverRecord(1, Lattice2(7, 3, 1), ind, twin),
+        CoverRecord(2, Lattice2(7, 3, 5), Mat2(*ind), second.cycle),
+        CoverRecord(2, Lattice2(1, 0, 9), ind, Cycle(twin.entries)),
+        CoverRecord(3, Lattice2(1, 0, 1), first.induced, second.cycle),
+    )
+    for witness in (None, 2):
+        hand = Certificate(a, cert.cycle, records, witness)
+        assert certificate_to_json(hand) == certificate_to_json_oracle(hand)
+    # The census gives equal cycles one object, so the writer, keyed by
+    # identity, lays out each distinct cycle of the flagship once.
+    assert len({id(r.cycle) for r in cert.covers}) == len({r.cycle for r in cert.covers}) == 24
+
+
 def test_int_arrays_match_the_stdlib_layout_at_depths_1_to_3():
     # `_ints` writes a Cycle from its blocks, each run of k 2s in one step,
     # and any other int sequence one entry at a time; json.dumps writes one
@@ -233,8 +261,8 @@ def test_duals_are_built_only_on_demand(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "covers", "-c", "8,2,4,3,12")
     assert code == 0 and len(built) == 0
 
-    for cls in (cuspcovers.covers.CoverRecord, cuspcovers.verifier.Certificate):
-        assert "dual" not in {f.name for f in dataclasses.fields(cls)}
+    assert "dual" not in cuspcovers.covers.CoverRecord._fields
+    assert "dual" not in {f.name for f in dataclasses.fields(cuspcovers.verifier.Certificate)}
 
 
 def test_output_file(tmp_path, capsys):

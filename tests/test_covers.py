@@ -14,7 +14,9 @@ from cuspcovers.cli import main
 from cuspcovers.covers import (
     Lattice2,
     _contains,
-    _intersect_coprime,
+    _index_primes,
+    _intersect_part,
+    _primary_part,
     _prime_index_children,
     enumerate_covers,
     induced_action,
@@ -29,7 +31,9 @@ from helpers import (
     conjugated,
     from_basis,
     from_columns,
+    hermite_sum,
     index_formula,
+    intersect_coprime_triples,
     invariant_sublattices_by_walk,
     lattice_contains,
     prime_index_lattices_by_roots,
@@ -202,21 +206,15 @@ def test_invariant_sublattices_against_brute_force():
 
 def test_closed_forms_match_hermite_normal_form():
     # Each child triple of `_prime_index_children` is the HNF of the product of
-    # the parent's basis and the child's basis in it, and `_intersect_coprime`
-    # the HNF of m2 L1 + m1 L2 for coprime indices m1, m2.  The identity action
-    # is scalar mod every ell, so all ell + 1 children appear, the c = 0 child
-    # among them, under parents with y != 0.
+    # the parent's basis and the child's basis in it, and the CRT oracle
+    # `intersect_coprime_triples` the HNF of m2 L1 + m1 L2 for coprime indices
+    # m1, m2.  The identity action is scalar mod every ell, so all ell + 1
+    # children appear, the c = 0 child among them, under parents with y != 0.
     rng = random.Random(83)
 
     def triple():
         x = rng.randint(1, 60)
         return Lattice2(x, rng.randrange(x), rng.randint(1, 60))
-
-    def hermite_sum(l1, l2):
-        m1, m2 = l1.index, l2.index
-        s1 = [(m2 * u, m2 * v) for u, v in l1.basis.columns()]
-        s2 = [(m1 * u, m1 * v) for u, v in l2.basis.columns()]
-        return from_columns(*s1, *s2)
 
     def hnf(lat):
         return (lat.x, lat.y, lat.z)
@@ -231,7 +229,7 @@ def test_closed_forms_match_hermite_normal_form():
     for l1 in units:
         for l2 in units:
             if gcd(l1.index, l2.index) == 1:
-                assert _intersect_coprime(hnf(l1), hnf(l2)) == hnf(hermite_sum(l1, l2))
+                assert intersect_coprime_triples(hnf(l1), hnf(l2)) == hnf(hermite_sum(l1, l2))
     for _ in range(3000):
         parent, ell = triple(), rng.choice((2, 3, 5, 7))
         assert children(parent, IDENTITY, ell) == products(parent, sublattices_of_index(ell))
@@ -240,7 +238,37 @@ def test_closed_forms_match_hermite_normal_form():
         l1, l2 = parent, triple()
         while gcd(l1.index, l2.index) != 1:
             l2 = triple()
-        assert _intersect_coprime(hnf(l1), hnf(l2)) == hnf(hermite_sum(l1, l2))
+        assert intersect_coprime_triples(hnf(l1), hnf(l2)) == hnf(hermite_sum(l1, l2))
+
+
+def test_part_intersection_matches_hermite_sums():
+    # `_intersect_part` shares one inverse x1^-1 mod ell^e per lattice it
+    # combines with an ell-primary part, ell^e the part's largest x.  Against
+    # the Hermite reduction of m2 L1 + m1 L2, pair by pair: the degree-4
+    # parts of (2, 6, 2, 6), whose x run to 2^5 and 7^2, and the parts of
+    # [[1 + ell^2, ell], [ell, 1]] at degrees 3 and 4, with 3^2 and 3^3.
+    def expected(combos, part):
+        return sorted(hermite_sum(Lattice2(*m), Lattice2(*p)) for m in combos for p in part)
+
+    cusps = [(monodromy_of((2, 6, 2, 6)), 4)]
+    cusps += [(Mat2(1 + ell * ell, ell, ell, 1), n) for ell in (3, 5) for n in (3, 4)]
+    seen = set()
+    for a, n in cusps:
+        kernel = shifted(a, n).entries()
+        combos = [(1, 0, 1)]
+        for ell in _index_primes(kernel, a.trace, n):
+            part = _primary_part(a, kernel, ell)
+            seen |= {(ell, x) for x, _, _ in part}
+            joined = _intersect_part(combos, part)
+            assert sorted(joined) == expected(combos, part)
+            combos = joined
+        assert sorted(combos, key=lambda m: (m[0] * m[2], m)) == invariant_sublattices_between(a, n)
+    assert {(2, 4), (2, 8), (2, 32), (7, 49), (3, 9), (3, 27)} <= seen
+    # Z^2 alone, and a part whose x are all 1, where the shared inverse is
+    # pow(x1, -1, 1) = 0.
+    combos = [(1, 0, 1), (2, 1, 1), (4, 1, 2), (8, 5, 4)]
+    for part in ({(1, 0, 1)}, {(1, 0, 1), (1, 0, 3), (1, 0, 9)}, {(1, 0, 1), (3, 1, 3), (9, 4, 3)}):
+        assert sorted(_intersect_part(combos, part)) == expected(combos, part)
 
 
 def _walk_matches(a: Mat2) -> int:
