@@ -3,8 +3,7 @@
 The expansion x = a0 - 1/(a1 - 1/(a2 - ...)) with digits a_i = ceil(x_i) is
 eventually periodic exactly for quadratic irrationals.  By Zagier's
 reduction theory its period starts at the first reduced state,
-x > 1 > conj(x) > 0, which `_reduced` tests in integers (`expand` runs
-the same test inline).  All steps run in
+x > 1 > conj(x) > 0, which `expand` tests in integers.  All steps run in
 integer arithmetic on the (p, q) state of x = (p + sqrt(d)) / q, so
 discriminants of order 10**27 cost nothing in accuracy.
 
@@ -30,16 +29,6 @@ class ExpansionError(RuntimeError):
 
     Valid input meets the ceiling: the covers of (x) expand about x digits.
     """
-
-
-def _reduced(p: int, q: int, s: int) -> bool:
-    """Whether (p + sqrt(d)) / q is reduced, x > 1 > conj(x) > 0, for s = isqrt(d).
-
-    With sqrt(d) irrational, for q > 0 conj(x) > 0 iff p > s, conj(x) < 1 iff
-    p - q <= s, and x > 1 iff q - p <= s.  For q < 0 conj(x) = x + 2 sqrt(d)/|q|
-    exceeds x, so x is never reduced.
-    """
-    return q > 0 and s < p and abs(p - q) <= s
 
 
 def step(p: int, q: int, d: int, s: int) -> tuple[int, int, int]:
@@ -73,10 +62,13 @@ def expand(a: Mat2) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
     The cusp test runs on the unpacked entries (`require_cusp` only words
     the error), and the state steps as plain ints in two loops: one up to
-    the first reduced state, with `_reduced` written inline, and one until
-    that state returns.  s = isqrt(d) is taken once, as d never changes, and
-    `step` is read from the module once per call, so a wrapper bound in its
-    place sees every digit.
+    the first reduced state and one until that state returns.  With
+    s = isqrt(d) and sqrt(d) irrational, (p + sqrt(d)) / q is reduced iff
+    q > 0, s < p and |p - q| <= s: for q > 0 conj(x) > 0 iff p > s,
+    conj(x) < 1 iff p - q <= s, and x > 1 iff q - p <= s, while for q < 0
+    conj(x) = x + 2 sqrt(d)/|q| exceeds x, so x is never reduced.  s is
+    taken once, as d never changes, and `step` is read from the module once
+    per call, so a wrapper bound in its place sees every digit.
     """
     aa, ab, ac, ad = a
     t = aa + ad

@@ -10,11 +10,10 @@ indent=2) followed by a newline, without the json module: before 3.13
 CPython encodes indent=2 in pure Python, one call per list entry, so
 `certificate_to_json` lays out each array and object itself, one member per
 line, keys in sorted order.  Most covers of one cusp share a cycle object,
-so each, with its dual, is laid out once per document, as is each distinct
-induced matrix, and the document is joined once from a flat list of pieces.  Cycle arrays, and the
-cycles of the text certificate, are written from a `Cycle`'s blocks (a run
-of k 2s, then an entry >= 3), one string piece per block; no entries tuple
-is built.
+so each, with its dual, is laid out once per document, and the document is
+joined once from a flat list of pieces.  Cycle arrays, and the cycles of the
+text certificate, are written from a `Cycle`'s blocks (a run of k 2s, then
+an entry >= 3), one string piece per block; no entries tuple is built.
 """
 
 from __future__ import annotations
@@ -55,25 +54,23 @@ def certificate_to_json(cert: Certificate) -> str:
     equal cycles one object): its dual is read once, and its cycle, dual and
     lengths become strings that every record with that cycle refers to.
     Each cycle array is written from the cycle's blocks, one piece per
-    block.  Each distinct induced matrix's member is formatted once per
-    document, and a record's fiber members as one string.  The document is
-    one flat list of pieces, joined once.  The test suite keeps json.dumps
-    as the byte-for-byte oracle `certificate_to_json_oracle` in
+    block, and a record's fiber and induced members as one string.  The
+    document is one flat list of pieces, joined once.  The test suite keeps
+    json.dumps as the byte-for-byte oracle `certificate_to_json_oracle` in
     tests/helpers.py.
     """
     # A record sits at depth 2 (document, covers, record), its members at
     # depth 3, keys in sorted order: `degree` falls between the members that
-    # depend only on the cycle.  The dicts live for this call only, and the
+    # depend only on the cycle.  The dict lives for this call only, and the
     # records keep their cycles alive, so no id is reused while it runs.
     by_cycle: dict[int, tuple[str, str]] = {}
-    by_induced: dict[Mat2, str] = {}
     member = ",\n      "
     # Entry separator and closing bracket of a depth-3 array, as `_ints` writes them.
     entry, close = ",\n        ", "\n      ]"
     out = ['{\n  "covers": [']
     sep = "\n    {\n      "
     for rec in cert.covers:
-        degree, (x, y, z), ind, cycle = rec
+        degree, (x, y, z), (a, b, c, d), cycle = rec
         shared = by_cycle.get(id(cycle))
         if shared is None:
             dual = rec.dual
@@ -81,16 +78,11 @@ def certificate_to_json(cert: Certificate) -> str:
                 f'"cycle": {_ints(cycle, 3)}{member}"cycle_len": {len(cycle)}{member}"degree": ',
                 f'{member}"dual": {_ints(dual, 3)}{member}"dual_len": {len(dual)}{member}"fiber_hnf": ',
             )
-        induced = by_induced.get(ind)
-        if induced is None:
-            # Induced entries exceed 64-bit ranges at degree 4, hence decimal strings.
-            a, b, c, d = ind
-            induced = by_induced[ind] = (
-                f'{member}"induced": [\n        "{a}"{entry}"{b}"{entry}"{c}"{entry}"{d}"{close}'
-            )
+        # Induced entries exceed 64-bit ranges at degree 4, hence decimal strings.
         out += (
             sep, shared[0], str(degree), shared[1],
-            f'[\n        {x}{entry}{y}{entry}{z}{close}{member}"fiber_index": "{x * z}"', induced,
+            f'[\n        {x}{entry}{y}{entry}{z}{close}{member}"fiber_index": "{x * z}"'
+            f'{member}"induced": [\n        "{a}"{entry}"{b}"{entry}"{c}"{entry}"{d}"{close}',
         )
         sep = "\n    },\n    {\n      "
     witness = "null" if cert.witness is None else str(cert.witness)

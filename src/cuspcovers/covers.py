@@ -95,8 +95,9 @@ class CoverRecord(_CoverRecordFields):
 
     def __new__(cls, base_degree: int, fiber: Lattice2, induced: Mat2, cycle: Cycle) -> CoverRecord:
         a, b, c, d = induced
-        if a * d - b * c != 1:
-            raise ValueError(f"induced action {induced} has determinant {induced.det}, not 1")
+        det = a * d - b * c
+        if det != 1:
+            raise ValueError(f"induced action {induced} has determinant {det}, not 1")
         return tuple.__new__(cls, (base_degree, fiber, induced, cycle))
 
     @classmethod

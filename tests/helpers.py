@@ -173,6 +173,14 @@ def expand_by_state_table(p: int, d: int, q: int) -> tuple[tuple[int, ...], tupl
     return tuple(digits[:j]), tuple(digits[j:])
 
 
+def is_reduced_by_isqrt(p: int, d: int, q: int) -> bool:
+    """Whether (p + sqrt(d)) / q is reduced, x > 1 > conj(x) > 0, by the
+    integer test that `cfrac.expand` runs inline, with s = isqrt(d): q > 0,
+    s < p and |p - q| <= s."""
+    s = isqrt(d)
+    return q > 0 and s < p and abs(p - q) <= s
+
+
 def is_reduced_by_ceilings(p: int, d: int, q: int) -> bool:
     """x > 1 and 0 < conj(x) < 1 as ceil(x) >= 2 and ceil(conj(x)) == 1; the
     conjugate state is (-p, d, -q)."""
@@ -320,20 +328,12 @@ def hermite_sum(l1: Lattice2, l2: Lattice2) -> Lattice2:
     return from_columns(*s1, *s2)
 
 
-def intersect_coprime_triples(m1: Sequence[int], m2: Sequence[int]) -> tuple[int, int, int]:
-    """L1 cap L2 for coprime indices, on HNF triples: (x1 x2, y, z1 z2) with
-    y = z2 y1 (mod x1) and y = z1 y2 (mod x2), by CRT, one modular inverse
-    per pair; pow(x1, -1, 1) is 0, so index 1 needs no case.
-    `covers._intersect_part` shares one inverse across a primary part."""
-    x1, y1, z1 = m1
-    x2, y2, z2 = m2
-    x = x1 * x2
-    return x, (z2 * y1 + x1 * (z1 * y2 - z2 * y1) * pow(x1, -1, x2)) % x, z1 * z2
-
-
 def intersect_coprime(l1: Lattice2, l2: Lattice2) -> Lattice2:
-    """L1 cap L2 for coprime indices, as a Lattice2."""
-    return Lattice2(*intersect_coprime_triples(l1, l2))
+    """L1 cap L2 for coprime indices: (x1 x2, y, z1 z2) with y = z2 y1 (mod x1)
+    and y = z1 y2 (mod x2), by CRT."""
+    k = (l1.z * l2.y - l2.z * l1.y) * pow(l1.x, -1, l2.x)
+    x = l1.x * l2.x
+    return Lattice2(x, (l2.z * l1.y + l1.x * k) % x, l1.z * l2.z)
 
 
 def prime_index_lattices_by_roots(act: Mat2, ell: int) -> list[Lattice2]:

@@ -7,7 +7,7 @@ from math import isqrt
 import pytest
 
 import cuspcovers.cfrac
-from cuspcovers.cfrac import ExpansionError, _reduced, expand, step
+from cuspcovers.cfrac import ExpansionError, expand, step
 from cuspcovers.cli import main
 from cuspcovers.covers import enumerate_covers
 from cuspcovers.cycles import monodromy_of
@@ -19,6 +19,7 @@ from helpers import (
     expand_by_state_table,
     fixed_slope,
     is_reduced_by_ceilings,
+    is_reduced_by_isqrt,
     random_cycle,
     random_hyperbolic,
     random_state,
@@ -181,24 +182,20 @@ def test_expand_calls_step_once_per_digit(monkeypatch):
     assert preperiodic > 0
 
 
-def _is_reduced(p: int, d: int, q: int) -> bool:
-    return _reduced(p, q, isqrt(d))
-
-
 def test_pure_periodicity_examples():
     for state in [(1, 5, 2), (1, 5, 4), (7, 5, 2), (-5, 5, -2), (3, 5, 2)]:
-        assert _is_reduced(*state) == is_reduced_by_ceilings(*state)
-    assert _is_reduced(3, 5, 2)
-    assert not _is_reduced(1, 5, 2)  # conjugate is negative
-    assert not _is_reduced(1, 5, 4)  # x ~ 0.81 < 1
-    assert not _is_reduced(7, 5, 2)  # conjugate ~ 2.38 > 1
+        assert is_reduced_by_isqrt(*state) == is_reduced_by_ceilings(*state)
+    assert is_reduced_by_isqrt(3, 5, 2)
+    assert not is_reduced_by_isqrt(1, 5, 2)  # conjugate is negative
+    assert not is_reduced_by_isqrt(1, 5, 4)  # x ~ 0.81 < 1
+    assert not is_reduced_by_isqrt(7, 5, 2)  # conjugate ~ 2.38 > 1
     # q < 0 puts conj(x) = x + 2 sqrt(d)/|q| above x, so x > 1 forces conj(x) > 1
-    assert not _is_reduced(-5, 5, -2)
+    assert not is_reduced_by_isqrt(-5, 5, -2)
 
 
 def test_pure_periodicity_of_candidate_fixed_points():
     for m in candidate_matrices(50, 40) + candidate_matrices(1621, 40):
-        assert _is_reduced(*fixed_slope(m))
+        assert is_reduced_by_isqrt(*fixed_slope(m))
         preperiod, period = expand(m)
         assert preperiod == ()
         assert all(d >= 2 for d in period)
@@ -215,7 +212,7 @@ def test_pure_periodicity_iff_no_preperiod():
         assert q != 0 and (d - p * p) % q == 0 and isqrt(d) ** 2 != d
         split = expand_by_state_table(p, d, q)
         assert expand(a) == split
-        assert _is_reduced(p, d, q) == is_reduced_by_ceilings(p, d, q) == (split[0] == ())
+        assert is_reduced_by_isqrt(p, d, q) == is_reduced_by_ceilings(p, d, q) == (split[0] == ())
         negative_b += a.b < 0
         preperiodic += split[0] != ()
     assert negative_b > 0 and preperiodic > 0

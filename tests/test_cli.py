@@ -153,11 +153,11 @@ def test_certificate_json_matches_stdlib_encoder():
 
 
 def test_json_memos_keep_the_stdlib_bytes_for_shared_and_equal_values():
-    # The writer lays out each cycle object once and each distinct induced
-    # matrix once per document.  A hand-built certificate whose records hold
-    # equal but distinct cycles, one cycle object at several degrees, and one
-    # induced matrix at several fibers, as one object and as an equal copy,
-    # must still give the stdlib encoder's bytes.
+    # The writer lays out each cycle object once per document.  A hand-built
+    # certificate whose records hold equal but distinct cycles, one cycle
+    # object at several degrees, and one induced matrix at several fibers, as
+    # one object and as an equal copy, must still give the stdlib encoder's
+    # bytes.
     a = Mat2(1640, 221, -141, -19)
     cert = verify(a)
     first, second = cert.covers[:2]

@@ -33,7 +33,7 @@ from helpers import (
     from_columns,
     hermite_sum,
     index_formula,
-    intersect_coprime_triples,
+    intersect_coprime,
     invariant_sublattices_by_walk,
     lattice_contains,
     prime_index_lattices_by_roots,
@@ -206,10 +206,11 @@ def test_invariant_sublattices_against_brute_force():
 
 def test_closed_forms_match_hermite_normal_form():
     # Each child triple of `_prime_index_children` is the HNF of the product of
-    # the parent's basis and the child's basis in it, and the CRT oracle
-    # `intersect_coprime_triples` the HNF of m2 L1 + m1 L2 for coprime indices
-    # m1, m2.  The identity action is scalar mod every ell, so all ell + 1
-    # children appear, the c = 0 child among them, under parents with y != 0.
+    # the parent's basis and the child's basis in it, and the CRT of the oracle
+    # `intersect_coprime` and of `_intersect_part` on a one-lattice part the
+    # HNF of m2 L1 + m1 L2 for coprime indices m1, m2.  The identity action is
+    # scalar mod every ell, so all ell + 1 children appear, the c = 0 child
+    # among them, under parents with y != 0.
     rng = random.Random(83)
 
     def triple():
@@ -222,6 +223,9 @@ def test_closed_forms_match_hermite_normal_form():
     def children(parent, act, ell):
         return sorted(_prime_index_children(act.entries(), ell, *hnf(parent)))
 
+    def intersect(l1, l2):
+        return [hnf(intersect_coprime(l1, l2)), *_intersect_part([hnf(l1)], {hnf(l2)})]
+
     def products(parent, lats):
         return sorted(hnf(from_basis(mul(parent.basis, lat.basis))) for lat in lats)
 
@@ -229,7 +233,7 @@ def test_closed_forms_match_hermite_normal_form():
     for l1 in units:
         for l2 in units:
             if gcd(l1.index, l2.index) == 1:
-                assert intersect_coprime_triples(hnf(l1), hnf(l2)) == hnf(hermite_sum(l1, l2))
+                assert intersect(l1, l2) == [hnf(hermite_sum(l1, l2))] * 2
     for _ in range(3000):
         parent, ell = triple(), rng.choice((2, 3, 5, 7))
         assert children(parent, IDENTITY, ell) == products(parent, sublattices_of_index(ell))
@@ -238,7 +242,7 @@ def test_closed_forms_match_hermite_normal_form():
         l1, l2 = parent, triple()
         while gcd(l1.index, l2.index) != 1:
             l2 = triple()
-        assert intersect_coprime_triples(hnf(l1), hnf(l2)) == hnf(hermite_sum(l1, l2))
+        assert intersect(l1, l2) == [hnf(hermite_sum(l1, l2))] * 2
 
 
 def test_part_intersection_matches_hermite_sums():

@@ -100,6 +100,9 @@ def test_record_rejects_an_induced_action_of_determinant_other_than_one():
         CoverRecord(1, FIBER, INDUCED, cycle)._replace(induced=Mat2(2, 1, 1, 2))
     with pytest.raises(ValueError, match="has determinant -1, not 1"):
         CoverRecord._make((1, FIBER, Mat2(0, 1, 1, 0), cycle))
+    # Any 4-sequence is checked: the message computes its own determinant.
+    with pytest.raises(ValueError, match=r"induced action \(2, 1, 1, 2\) has determinant 3, not 1"):
+        CoverRecord(1, FIBER, (2, 1, 1, 2), cycle)
 
 
 def test_values_survive_pickle_and_copy():
