@@ -4,8 +4,10 @@ A quadratic irrational (p + sqrt(d))/q expands as a0 - 1/(a1 - 1/(a2 - ...))
 with digits a_i = ceil(x_i).  The expansion is eventually periodic, and the
 period of the expanding fixed slope (a - d + sqrt(t^2 - 4))/(2b) of a
 monodromy matrix [[a, b], [c, d]] of trace t is exactly its resolution
-cycle.  Everything below runs on integers; no floating point is involved
-even when d has 26 digits.
+cycle.  `expand` counts the preperiod digits and returns the period as the
+blocks of a `Cycle`: a run of k 2s, then a digit >= 3, per block.  The
+digits themselves come one at a time from `step`.  Everything below runs on
+integers; no floating point is involved even when d has 26 digits.
 """
 
 import sys
@@ -14,7 +16,24 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cuspcovers import Mat2, expand, power, step
+from cuspcovers import Cycle, Mat2, expand, power, step
+
+
+def digits(a: Mat2, count: int) -> list[int]:
+    """The first count digits of a's fixed slope, one `step` each."""
+    p, q, d = a.a - a.d, 2 * a.b, a.trace**2 - 4
+    s = isqrt(d)
+    out = []
+    for _ in range(count):
+        digit, p, q = step(p, q, d, s)
+        out.append(digit)
+    return out
+
+
+def length(blocks: tuple[int, ...]) -> int:
+    """The number of digits that flat blocks (k_1, e_1, ..., k_b, e_b) stand for."""
+    return sum(blocks[::2]) + len(blocks) // 2
+
 
 # The golden ratio (1 + sqrt 5)/2 is the fixed slope of [[2, 1], [1, 1]]:
 # p = 2 - 1, q = 2 * 1, d = 3^2 - 4.  One step runs on the integer state
@@ -26,27 +45,34 @@ digit, p2, q2 = step(p, q, d, isqrt(d))
 print(f"fixed slope of {g}: x = ({p} + sqrt({d}))/{q}, ceil(x) = {digit}")
 print(f"one step on (p, q) = ({p}, {q}): digit {digit}, next state ({p2}, {q2}),")
 print(f"  next value ({p2} + sqrt({d}))/{q2}")
-preperiod, period = expand(g)
-print(f"expansion: preperiod {preperiod}, period {period}")
-print(f"purely periodic? {preperiod == ()}")
+preperiod, blocks = expand(g)
+print(f"expansion: preperiod {tuple(digits(g, preperiod))}, period blocks {blocks}")
+print(f"purely periodic? {preperiod == 0}")
 
 # (3 + sqrt 5)/2, the fixed slope of [[3, 1], [-1, 0]], has its conjugate in
 # (0, 1), so its expansion has no preperiod at all: it is the fixed point of
 # its own step, and its period (3,) is the cycle of that monodromy.
 m3 = Mat2(3, 1, -1, 0)
-preperiod, period = expand(m3)
-print(f"\nfixed slope of {m3}: preperiod {preperiod}, period {period}")
-print(f"purely periodic? {preperiod == ()}")
+preperiod, blocks = expand(m3)
+print(f"\nfixed slope of {m3}: {preperiod} preperiod digits, period blocks {blocks}")
+print(f"purely periodic? {preperiod == 0}")
 
-# The fixed slope of the flagship monodromy.
+# The fixed slope of the flagship monodromy, and of a conjugate of it that
+# needs two digits before it reaches its period.  Stepping on from the
+# preperiod gives the period's digits; the blocks wrap the 2s after its last
+# digit >= 3 onto the first block, so they read the period from there.
 a = Mat2(1640, 221, -141, -19)
-preperiod, period = expand(a)
-print(f"\nfixed slope of {a}: ({a.a - a.d} + sqrt({a.trace**2 - 4}))/{2 * a.b}")
-print(f"  preperiod {preperiod}")
-print(f"  period {period}")
+for m in (a, Mat2(1781, 2021, -141, -160)):
+    preperiod, blocks = expand(m)
+    stepped = digits(m, preperiod + length(blocks))
+    print(f"\nfixed slope of {m}: ({m.a - m.d} + sqrt({m.trace**2 - 4}))/{2 * m.b}")
+    print(f"  preperiod {tuple(stepped[:preperiod])}")
+    print(f"  period {tuple(stepped[preperiod:])}")
+    print(f"  period blocks {blocks}, cycle {Cycle(stepped[preperiod:])}")
 
 # Discriminants grow fast under base covers; the arithmetic stays exact.
 a4 = power(a, 4)
 d4 = a4.trace**2 - 4
+blocks = expand(a4)[1]
 print(f"\nfixed slope of A^4 has discriminant t^2 - 4 = {d4} ({len(str(d4))} digits)")
-print(f"  period of the expansion has length {len(expand(a4)[1])}")
+print(f"  period of the expansion has length {length(blocks)}")

@@ -35,7 +35,7 @@ for m in candidate_matrices(13, 6):
 print()
 cands = candidate_matrices(1621, 40)
 print(f"first {len(cands)} trace-1621 candidates; all purely periodic (empty preperiod):",
-      all(expand(m)[0] == () for m in cands))
+      all(expand(m)[0] == 0 for m in cands))
 
 # The 38th candidate is the example with no CI Galois cover.
 star = [m for m in cands if (m.a, m.b) == (1640, 221)][0]

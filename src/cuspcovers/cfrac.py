@@ -5,7 +5,9 @@ eventually periodic exactly for quadratic irrationals.  By Zagier's
 reduction theory its period starts at the first reduced state,
 x > 1 > conj(x) > 0, which `expand` tests in integers.  All steps run in
 integer arithmetic on the (p, q) state of x = (p + sqrt(d)) / q, so
-discriminants of order 10**27 cost nothing in accuracy.
+discriminants of order 10**27 cost nothing in accuracy.  `expand` keeps no
+digits: it counts the preperiod and run-length-codes the period into the
+flat blocks of `cycles.Cycle` as it steps.
 
 The expanded value is the expanding fixed slope (a - d + sqrt(t^2 - 4)) / (2b)
 of a monodromy [[a, b], [c, d]] with det 1 and trace t >= 3.  That state needs
@@ -45,10 +47,10 @@ def step(p: int, q: int, d: int, s: int) -> tuple[int, int, int]:
     return digit, p2, (p2 * p2 - d) // q
 
 
-def expand(a: Mat2) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(preperiod, period) of the expanding fixed slope of the monodromy a:
-    the preperiod runs up to the first reduced state, the period from there
-    to that state's first return.  Non-cusps raise ValueError.
+def expand(a: Mat2) -> tuple[int, tuple[int, ...]]:
+    """(preperiod length, period blocks) of the expanding fixed slope of the
+    monodromy a: the preperiod runs up to the first reduced state, the period
+    from there to that state's first return.  Non-cusps raise ValueError.
 
     Every orbit of `step` reaches a reduced state and then stays among
     reduced states; step permutes the finitely many reduced (p, q) states of
@@ -57,8 +59,16 @@ def expand(a: Mat2) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return, a repeat of (p, q), closes the period.  That period is
     primitive: digits determine a purely periodic value, so a shorter
     repeating block would bring the state back sooner.  An expansion of
-    len(preperiod) + len(period) digits needs a `MAX_STEPS` above that sum;
-    otherwise it raises ExpansionError.
+    L = preperiod + period digits needs a `MAX_STEPS` above L; otherwise it
+    raises ExpansionError.
+
+    The preperiod digits are counted, not kept.  The period comes back as the
+    flat blocks (k_1, e_1, ..., k_b, e_b) of `cycles.Cycle`, read from the
+    reduced state: each digit >= 3 closes a block, whose run of 2s is the
+    distance in digits from the block before, and the 2s after the last one
+    wrap onto k_1.  So the expansion holds O(blocks) ints however long the
+    period.  A period digit < 2, or a
+    period of 2s only, is no cycle and raises ExpansionError.
 
     The cusp test runs on the unpacked entries (`require_cusp` only words
     the error), and the state steps as plain ints in two loops: one up to
@@ -77,21 +87,30 @@ def expand(a: Mat2) -> tuple[tuple[int, ...], tuple[int, ...]]:
     p, q, d = aa - ad, 2 * ab, t * t - 4
     s = isqrt(d)
     advance = step
-    preperiod: list[int] = []
-    for _ in range(MAX_STEPS):
+    for preperiod in range(MAX_STEPS):
         if q > 0 and s < p and abs(p - q) <= s:
             break
-        digit, p, q = advance(p, q, d, s)
-        preperiod.append(digit)
+        _, p, q = advance(p, q, d, s)
     else:
         raise ExpansionError(f"state failed to repeat within {MAX_STEPS} steps")
     p0, q0 = p, q
-    period: list[int] = []
-    # The two loops share MAX_STEPS passes: the first took len(preperiod) + 1,
-    # its last one finding the reduced state, and each period digit takes one.
-    for _ in range(MAX_STEPS - len(preperiod) - 1):
+    blocks: list[int] = []
+    # Period digit i closes a block when it is >= 3; the run of 2s before it
+    # is i - start, start being the index after the last block closed, so a
+    # 2 costs one comparison.
+    start = 0
+    # The two loops share MAX_STEPS passes: the first took preperiod + 1, its
+    # last one finding the reduced state, and each period digit takes one.
+    for i in range(MAX_STEPS - preperiod - 1):
         digit, p, q = advance(p, q, d, s)
-        period.append(digit)
+        if digit != 2:
+            if digit < 2:
+                raise ExpansionError(f"period digit {digit} < 2; expansion is inconsistent")
+            blocks += (i - start, digit)
+            start = i + 1
         if p == p0 and q == q0:
-            return tuple(preperiod), tuple(period)
+            if not blocks:
+                raise ExpansionError("period of 2s only; expansion is inconsistent")
+            blocks[0] += i + 1 - start
+            return preperiod, tuple(blocks)
     raise ExpansionError(f"state failed to repeat within {MAX_STEPS} steps")

@@ -13,7 +13,9 @@ line, keys in sorted order.  Most covers of one cusp share a cycle object,
 so each, with its dual, is laid out once per document, and the document is
 joined once from a flat list of pieces.  Cycle arrays, and the cycles of the
 text certificate, are written from a `Cycle`'s blocks (a run of k 2s, then
-an entry >= 3), one string piece per block; no entries tuple is built.
+an entry >= 3), one string piece per block; no entries tuple is built.  A
+degree-n record's cycle and dual are n copies of one block word, whose
+array text is written once and joined n times.
 """
 
 from __future__ import annotations
@@ -29,16 +31,17 @@ from .matrices import Mat2, require_cusp
 from .verifier import Certificate, admissible_traces, candidate_matrices, verify
 
 
-def _ints(values: Cycle | Sequence[int], depth: int) -> str:
+def _ints(values: Cycle | Sequence[int], depth: int, copies: int = 1) -> str:
     """A nonempty int array at `depth`, laid out as json.dumps(indent=2) does.
 
     A Cycle is written from its blocks (`Cycle.joined`), a run of k 2s as
     one repeated string, so a cycle that is nearly all 2s costs its number
-    of blocks, not its length; its entries tuple is never built.
+    of blocks, not its length; its entries tuple is never built.  When its
+    blocks are `copies` equal copies, the first copy's text is written once.
     """
     pad = "  " * depth
     sep = ",\n  " + pad
-    body = values.joined(sep) if isinstance(values, Cycle) else sep.join(map(str, values))
+    body = values.joined(sep, copies) if isinstance(values, Cycle) else sep.join(map(str, values))
     return "[\n  " + pad + body + "\n" + pad + "]"
 
 
@@ -54,10 +57,12 @@ def certificate_to_json(cert: Certificate) -> str:
     equal cycles one object): its dual is read once, and its cycle, dual and
     lengths become strings that every record with that cycle refers to.
     Each cycle array is written from the cycle's blocks, one piece per
-    block, and a record's fiber and induced members as one string.  The
-    document is one flat list of pieces, joined once.  The test suite keeps
-    json.dumps as the byte-for-byte oracle `certificate_to_json_oracle` in
-    tests/helpers.py.
+    block; the cycle and dual of a degree-n record are n copies of one block
+    word when their blocks split so, and that word's text is written once
+    and joined n times.  A record's fiber and induced members are one
+    string.  The document is one flat list of pieces, joined once.  The
+    test suite keeps json.dumps as the byte-for-byte oracle
+    `certificate_to_json_oracle` in tests/helpers.py.
     """
     # A record sits at depth 2 (document, covers, record), its members at
     # depth 3, keys in sorted order: `degree` falls between the members that
@@ -75,8 +80,8 @@ def certificate_to_json(cert: Certificate) -> str:
         if shared is None:
             dual = rec.dual
             shared = by_cycle[id(cycle)] = (
-                f'"cycle": {_ints(cycle, 3)}{member}"cycle_len": {len(cycle)}{member}"degree": ',
-                f'{member}"dual": {_ints(dual, 3)}{member}"dual_len": {len(dual)}{member}"fiber_hnf": ',
+                f'"cycle": {_ints(cycle, 3, degree)}{member}"cycle_len": {len(cycle)}{member}"degree": ',
+                f'{member}"dual": {_ints(dual, 3, degree)}{member}"dual_len": {len(dual)}{member}"fiber_hnf": ',
             )
         # Induced entries exceed 64-bit ranges at degree 4, hence decimal strings.
         out += (

@@ -11,7 +11,8 @@ The enumeration runs on plain (x, y, z) int triples, the HNF basis
 induced action P^-1 A P in closed form, CRT intersections combine the
 primes, and one validated `Lattice2` is built per fiber returned.  The
 public `induced_action` and `prime_index_invariant_lattices` take a
-`Lattice2` and call the same triple helpers.  Records with equal cycles
+`Lattice2` and call the same triple helpers.  Each fiber's expansion comes
+back as blocks and keys the shared cycles, and records with equal cycles
 share one `Cycle` object.
 
 `Lattice2` and `CoverRecord` are `typing.NamedTuple` value types: a lattice
@@ -285,14 +286,17 @@ def enumerate_covers(a: Mat2, max_degree: int = 4) -> list[CoverRecord]:
     of `cycle_of(power(X, n))`.
 
     X is expanded once per record, and its cycle is looked up in `cycles`, a
-    dict that lives for this call only, by (expanded period, n), so records
-    of one period and degree share one Cycle.  The cycle of X sits under
-    (period, 1).  Only a period's first record builds it, with `_base_cycle`
-    (one canonicalization, one product, the trace check).  On a miss, the new
-    cycle is also interned by value in the same dict, so periods that are
-    rotations of one another share one Cycle too; the hit path hashes no
-    cycle.  Every induced action is P^-1 A P, of trace t = trace(A), so that
-    check covers every later record with the period: their k is the same.
+    dict that lives for this call only, by (period blocks, n), so records of
+    one period and degree share one Cycle.  `expand` returns the period as
+    the flat blocks of `Cycle`, with the 2s after its last entry >= 3
+    wrapped to the front, so periods that differ only in where those 2s fall
+    share a key.  The cycle of X sits under (blocks, 1).  Only a period's
+    first record builds it, with `_base_cycle` (one canonicalization, one
+    product, the trace check).  On a miss, the new cycle is also interned by
+    value in the same dict, so periods that are rotations of one another
+    share one Cycle too; the hit path hashes no cycle.  Every induced action
+    is P^-1 A P, of trace t = trace(A), so that check covers every later
+    record with the period: their k is the same.
     For det 1 the trace of X**n is a fixed polynomial in trace(X), so it
     covers the repetition too.
     """
@@ -303,14 +307,14 @@ def enumerate_covers(a: Mat2, max_degree: int = 4) -> list[CoverRecord]:
     for n in range(1, max_degree + 1):
         for lat in invariant_sublattices_between(a, n):
             ind = induced_action(lat, a)
-            _, period = expand(ind)
-            cycle = cycles.get((period, n))
+            _, blocks = expand(ind)
+            cycle = cycles.get((blocks, n))
             if cycle is None:
-                base = cycles.get((period, 1))
+                base = cycles.get((blocks, 1))
                 if base is None:
-                    base = _base_cycle(period, ind.trace)
-                    base = cycles[period, 1] = cycles.setdefault(base, base)
+                    base = _base_cycle(blocks, ind.trace)
+                    base = cycles[blocks, 1] = cycles.setdefault(base, base)
                 cycle = _repeated(base, n)
-                cycle = cycles[period, n] = cycles.setdefault(cycle, cycle)
+                cycle = cycles[blocks, n] = cycles.setdefault(cycle, cycle)
             records.append(CoverRecord(n, lat, ind, cycle))
     return records

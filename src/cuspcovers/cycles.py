@@ -11,7 +11,9 @@ are one flat int tuple (k_1, e_1, ..., k_b, e_b) that starts at the least
 rotation.  Length, dual length, dual, monodromy, equality, hashing,
 repetition and the decimal text cost O(blocks).  Only `Cycle(entries)` and
 `monodromy_of` of a raw sequence read entries, in one pass that also checks
-them, and `Cycle.entries` builds the full tuple on demand.
+them, and `Cycle.entries` builds the full tuple on demand.  The cycle of a
+matrix never meets its entries: `cfrac.expand` returns its period as
+blocks, and `_base_cycle` canonicalizes those.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ class Cycle:
         self.__post_init__(entries)
 
     def __post_init__(self, entries: Iterable[int]) -> None:
-        # `dual_cycle` sets the blocks itself and passes _BLOCKS.
+        # `_from_blocks` sets the blocks itself and passes _BLOCKS.
         if entries is not _BLOCKS:
             blocks, tail = _blocks(entries)
             if tail:
@@ -121,11 +123,22 @@ class Cycle:
             out.append(e)
         return tuple(out)
 
-    def joined(self, sep: str) -> str:
+    def joined(self, sep: str, copies: int = 1) -> str:
         """The canonical entries in decimal, separated by sep: one piece per
-        block, its run of k 2s written as ("2" + sep) * k."""
-        runs = map(("2" + sep).__mul__, self.blocks[::2])
-        return sep.join(map(operator.add, runs, map(str, self.blocks[1::2])))
+        block, its run of k 2s written as ("2" + sep) * k.
+
+        When the blocks are `copies` equal copies of their first 1/copies
+        (one tuple comparison), as a repetition's are, that share is
+        written once and the text is `copies` copies of it, joined by sep.
+        """
+        blocks = self.blocks
+        share = len(blocks) // 2 // copies
+        if copies > 1 and blocks[: 2 * share] * copies == blocks:
+            blocks = blocks[: 2 * share]
+        else:
+            copies = 1
+        runs = map(("2" + sep).__mul__, blocks[::2])
+        return sep.join([sep.join(map(operator.add, runs, map(str, blocks[1::2])))] * copies)
 
     def __len__(self) -> int:
         return sum(self.blocks[::2]) + len(self.blocks) // 2
@@ -140,6 +153,18 @@ class Cycle:
         return f"Cycle({self.entries!r})"
 
 
+def _from_blocks(blocks: tuple[int, ...], rotate: bool) -> Cycle:
+    """A Cycle on flat blocks that are valid by construction, with no entry
+    scan: rotated to the least rotation by `Cycle.__post_init__`, the one
+    canonicalization entry, when rotate is set, and taken as canonical
+    otherwise."""
+    out = object.__new__(Cycle)
+    object.__setattr__(out, "blocks", blocks)
+    if rotate:
+        out.__post_init__(_BLOCKS)
+    return out
+
+
 def _repeated(c: Cycle, n: int) -> Cycle:
     """c repeated n times, built without `_blocks` or `_least_rotation`.
 
@@ -150,9 +175,7 @@ def _repeated(c: Cycle, n: int) -> Cycle:
     """
     if n == 1:
         return c
-    out = object.__new__(Cycle)
-    object.__setattr__(out, "blocks", c.blocks * n)
-    return out
+    return _from_blocks(c.blocks * n, rotate=False)
 
 
 def monodromy_of(c: Cycle | Sequence[int]) -> Mat2:
@@ -182,21 +205,23 @@ def monodromy_of(c: Cycle | Sequence[int]) -> Mat2:
     return Mat2(p, q, r, s)
 
 
-def _base_cycle(period: tuple[int, ...], t: int) -> Cycle:
-    """The cycle of a monodromy of trace t whose expansion has this primitive period.
+def _base_cycle(blocks: tuple[int, ...], t: int) -> Cycle:
+    """The cycle of a monodromy of trace t whose expansion has this primitive
+    period, given as the flat blocks that `cfrac.expand` returns.
 
     The monodromy is conjugate to m^n, m the monodromy of the period, so its
-    cycle is the period repeated n times: Cycle canonicalizes the period once,
-    its blocks give m, and `_repeated` repeats that canonical block.  n is
-    found by multiplying by m until the trace reaches t.  m has trace >= 3,
-    so the traces of its powers strictly increase and the search ends.
+    cycle is the period repeated n times: `Cycle.__post_init__` rotates the
+    blocks to their least rotation once, with no entry scan; the rotated
+    blocks give m, and `_repeated` repeats them.  n is found by multiplying
+    by m until the trace reaches t.  m has trace >= 3, so the traces of its
+    powers strictly increase and the search ends.
 
     m^n is the product over the result's blocks, and rotation keeps the
     trace, so m^n having trace t proves trace(monodromy_of(result)) == t.  A
-    mismatch raises ExpansionError.  The result depends only on (period, t),
+    mismatch raises ExpansionError.  The result depends only on (blocks, t),
     so callers that meet one period at one trace many times may share it.
     """
-    c = Cycle(period)
+    c = _from_blocks(blocks, rotate=True)
     m = mn = monodromy_of(c)
     n = 1
     while mn.trace < t:
@@ -211,9 +236,9 @@ def cycle_of(a: Mat2) -> Cycle:
     """Resolution cycle of a det-1 monodromy with trace >= 3.
 
     Expands the fixed slope of a (`expand` rejects non-cusps) and builds the
-    cycle from the primitive period with `_base_cycle`: one canonicalization,
-    one product, and the trace check against trace(a).  The preperiod
-    absorbs matrices outside the purely periodic region.
+    cycle from the primitive period's blocks with `_base_cycle`: one
+    canonicalization, one product, and the trace check against trace(a).
+    The preperiod absorbs matrices outside the purely periodic region.
     """
     return _base_cycle(expand(a)[1], a.trace)
 
@@ -226,10 +251,7 @@ def dual_cycle(c: Cycle) -> Cycle:
     of the result.  The blocks are valid by construction, so no entry is
     scanned or validated.
     """
-    out = object.__new__(Cycle)
-    object.__setattr__(out, "blocks", tuple(map(operator.add, c.blocks[::-1], itertools.cycle((-3, 3)))))
-    out.__post_init__(_BLOCKS)
-    return out
+    return _from_blocks(tuple(map(operator.add, c.blocks[::-1], itertools.cycle((-3, 3)))), rotate=True)
 
 
 def dual_length(c: Cycle) -> int:

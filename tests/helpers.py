@@ -162,7 +162,8 @@ def step_by_ceiling(p: int, d: int, q: int) -> tuple[int, int, int]:
 
 def expand_by_state_table(p: int, d: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(preperiod, period) split at the first (p, q) state to repeat, found by
-    recording every state: `cfrac.expand` must give the same split."""
+    recording every state: `cfrac.expand` must give the same split, as
+    len(preperiod) and `blocks_by_entries(period)`."""
     seen: dict[tuple[int, int], int] = {}
     digits: list[int] = []
     while (p, q) not in seen:

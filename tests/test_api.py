@@ -3,8 +3,9 @@
 Reference oracles (brute-force sublattice listing, trace-power and index
 formulas, Hermite-reduced lattice constructors, the exact ceiling and the
 expansion step on plain (p, d, q) ints) live in tests/helpers.py, not in
-the package.  `expand` takes the monodromy and returns (preperiod, period)
-as plain tuples, so no quadratic-irrational or expansion type is exported.
+the package.  `expand` takes the monodromy and returns the preperiod length
+and the period's flat blocks as a plain int and tuple, so no
+quadratic-irrational or expansion type is exported.
 Names that only tests and package internals use stay out of the root:
 `IDENTITY` and `is_prime` live in `cuspcovers.matrices` and
 `cuspcovers.intmath`, the lattice-membership test is the private

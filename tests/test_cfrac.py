@@ -14,6 +14,7 @@ from cuspcovers.cycles import monodromy_of
 from cuspcovers.matrices import Mat2, power
 from cuspcovers.verifier import candidate_matrices
 from helpers import (
+    blocks_by_entries,
     ceil_quad,
     conjugated,
     expand_by_state_table,
@@ -23,6 +24,7 @@ from helpers import (
     random_cycle,
     random_hyperbolic,
     random_state,
+    random_unimodular,
     step_by_ceiling,
 )
 
@@ -34,7 +36,8 @@ PREPERIODIC_A = Mat2(1781, 2021, -141, -160)  # PAPER_A conjugated by [[1, 1], [
 def test_fixed_point_examples():
     # The expanding fixed slope x = (p + sqrt d)/q of a, fixed by x -> (a x + c)/(b x + d),
     # solves b x^2 + (d - a) x - c = 0, whose rational and sqrt(d) parts vanish
-    # separately; expand starts from it.
+    # separately; expand starts from it and returns the oracle's digits as
+    # (preperiod length, period blocks).
     for a, state in [
         (PAPER_A, (1659, 2627637, 442)),
         (Mat2(3, 1, -1, 0), (3, 5, 2)),
@@ -44,7 +47,8 @@ def test_fixed_point_examples():
         assert (p, d, q) == state
         assert a.b * (p * p + d) + (a.d - a.a) * p * q - a.c * q * q == 0
         assert 2 * a.b * p + (a.d - a.a) * q == 0
-        assert expand(a) == expand_by_state_table(p, d, q)
+        pre, period = expand_by_state_table(p, d, q)
+        assert expand(a) == (len(pre), blocks_by_entries(period))
 
 
 def test_fixed_point_rejects_non_monodromy():
@@ -100,12 +104,18 @@ def test_step_matches_the_quadirr_step_for_both_signs_of_q():
 
 
 def test_expand_examples():
-    assert expand(GOLDEN_A) == ((2,), (3,))
-    assert expand(Mat2(3, 1, -1, 0)) == ((), (3,))
+    # Digits (2; 3, 3, ...) and (3, 3, ...): one preperiod digit or none, and
+    # the period (3,), one block of no 2s.
+    assert expand_by_state_table(*fixed_slope(GOLDEN_A)) == ((2,), (3,))
+    assert expand(GOLDEN_A) == (1, (0, 3))
+    assert expand_by_state_table(*fixed_slope(Mat2(3, 1, -1, 0))) == ((), (3,))
+    assert expand(Mat2(3, 1, -1, 0)) == (0, (0, 3))
 
 
 def test_expand_paper_monodromy():
-    assert expand(PAPER_A) == ((), (8, 2, 4, 3, 12))
+    # The period 8, 2, 4, 3, 12 as blocks: no 2s then 8, one 2 then 4, then 3 and 12.
+    assert expand_by_state_table(*fixed_slope(PAPER_A)) == ((), (8, 2, 4, 3, 12))
+    assert expand(PAPER_A) == (0, (0, 8, 1, 4, 0, 3, 0, 12))
 
 
 def _seeded_monodromies(rng) -> list[Mat2]:
@@ -125,11 +135,18 @@ def _seeded_monodromies(rng) -> list[Mat2]:
 
 def test_expand_reduces_period_to_primitive():
     # (3 + sqrt 5)/2 repeated state gives block [3]; a doubled block must not leak out
-    assert expand(Mat2(3, 1, -1, 0))[1] == (3,)
+    assert expand(Mat2(3, 1, -1, 0))[1] == (0, 3)
     # The first repeated state already ends a primitive period, for conjugates
-    # and for the fixed slopes of cycle powers alike.
+    # and for the fixed slopes of cycle powers alike.  The blocks are a
+    # rotation of the period's digits, so they repeat a shorter block word
+    # exactly when the digits repeat a shorter word.
     for a in _seeded_monodromies(random.Random(47)):
-        _, period = expand(a)
+        _, blocks = expand(a)
+        _, period = expand_by_state_table(*fixed_slope(a))
+        assert blocks == blocks_by_entries(period)
+        b = len(blocks) // 2
+        for w in range(1, b):
+            assert b % w or blocks != blocks[: 2 * w] * (b // w)
         k = len(period)
         for w in range(1, k):
             assert k % w or period != period[:w] * (k // w)
@@ -147,8 +164,9 @@ def test_expand_ceiling_is_an_internal_error(monkeypatch, capsys):
 def test_expand_ceiling_is_the_digit_count_plus_one(monkeypatch):
     # An expansion of L = len(preperiod) + len(period) digits raises at every
     # MAX_STEPS up to L and returns from L + 1 on, with or without a preperiod.
+    # L is the oracle's digit count.
     assert PREPERIODIC_A == conjugated(PAPER_A, Mat2(1, 1, 0, 1))
-    cases = [(a, *expand(a)) for a in (PAPER_A, GOLDEN_A, PREPERIODIC_A)]
+    cases = [(a, *expand_by_state_table(*fixed_slope(a))) for a in (PAPER_A, GOLDEN_A, PREPERIODIC_A)]
     assert [len(pre) for _, pre, _ in cases] == [0, 1, 2]
     for a, pre, period in cases:
         total = len(pre) + len(period)
@@ -157,15 +175,26 @@ def test_expand_ceiling_is_the_digit_count_plus_one(monkeypatch):
             with pytest.raises(ExpansionError, match=f"within {ceiling} steps"):
                 expand(a)
         monkeypatch.setattr(cuspcovers.cfrac, "MAX_STEPS", total + 1)
-        assert expand(a) == (pre, period)
+        assert expand(a) == (len(pre), blocks_by_entries(period))
 
 
 def test_expand_calls_step_once_per_digit(monkeypatch):
-    # expand reads `step` from its module on each call, so a wrapper bound
-    # there sees every digit: len(preperiod) + len(period) calls, no more,
-    # on seeded cusps and on every cover of (1621).
-    cusps = _seeded_monodromies(random.Random(59))
-    cusps += [r.induced for r in enumerate_covers(monodromy_of((1621,)), 4)]
+    # The oracle property: expand returns the state-table oracle's
+    # (preperiod, period) digits as (preperiod length, period blocks), the 2s
+    # after the last digit >= 3 wrapped onto k_1, and calls step once per
+    # oracle digit, no more: the count the benchmark's expansion-step counter
+    # reads; expand reads `step` from its module on each call, so a wrapper
+    # bound there sees every digit.  On seeded cusps; on random hyperbolic
+    # matrices, a random conjugate of each, and powers 1-4 of both; and on
+    # every cover of (1621) and (6661), whose periods run to thousands of
+    # digits.
+    rng = random.Random(59)
+    cusps = _seeded_monodromies(rng)
+    for _ in range(30):
+        m = random_hyperbolic(rng)
+        cusps += [power(b, n) for b in (m, conjugated(m, random_unimodular(rng))) for n in range(1, 5)]
+    for x in (1621, 6661):
+        cusps += [r.induced for r in enumerate_covers(monodromy_of((x,)), 4)]
     calls = []
 
     def counted(p, q, d, s, step=step):
@@ -176,10 +205,33 @@ def test_expand_calls_step_once_per_digit(monkeypatch):
     preperiodic = 0
     for a in cusps:
         calls.clear()
-        pre, period = expand(a)
+        got = expand(a)
+        pre, period = expand_by_state_table(*fixed_slope(a))
+        assert got == (len(pre), blocks_by_entries(period)), a
         assert len(calls) == len(pre) + len(period)
         preperiodic += pre != ()
     assert preperiodic > 0
+
+
+def test_expand_rejects_a_period_that_is_no_cycle(monkeypatch, capsys):
+    # A period is a cycle: every digit >= 2, one of them >= 3.  A step that
+    # emits digit 1, or 2 in place of every digit >= 3 (keeping the true next
+    # state), makes an inconsistent expansion, an internal error.
+    def faulty(p, q, d, s, step=step):
+        return 1, *step(p, q, d, s)[1:]
+
+    def flattened(p, q, d, s, step=step):
+        digit, p2, q2 = step(p, q, d, s)
+        return min(digit, 2), p2, q2
+
+    monkeypatch.setattr(cuspcovers.cfrac, "step", faulty)
+    with pytest.raises(ExpansionError, match="digit 1 < 2"):
+        expand(PAPER_A)
+    assert main(["verify", "-m", "1640", "221", "-141", "-19"]) == 1
+    assert "internal error" in capsys.readouterr().err
+    monkeypatch.setattr(cuspcovers.cfrac, "step", flattened)
+    with pytest.raises(ExpansionError, match="2s only"):
+        expand(PAPER_A)
 
 
 def test_pure_periodicity_examples():
@@ -196,8 +248,11 @@ def test_pure_periodicity_examples():
 def test_pure_periodicity_of_candidate_fixed_points():
     for m in candidate_matrices(50, 40) + candidate_matrices(1621, 40):
         assert is_reduced_by_isqrt(*fixed_slope(m))
-        preperiod, period = expand(m)
-        assert preperiod == ()
+        preperiod, blocks = expand(m)
+        assert preperiod == 0
+        assert blocks and all(k >= 0 for k in blocks[::2]) and all(e >= 3 for e in blocks[1::2])
+        pre, period = expand_by_state_table(*fixed_slope(m))
+        assert pre == () and blocks == blocks_by_entries(period)
         assert all(d >= 2 for d in period)
         assert any(d >= 3 for d in period)
 
@@ -211,25 +266,34 @@ def test_pure_periodicity_iff_no_preperiod():
         p, d, q = fixed_slope(a)
         assert q != 0 and (d - p * p) % q == 0 and isqrt(d) ** 2 != d
         split = expand_by_state_table(p, d, q)
-        assert expand(a) == split
+        assert expand(a) == (len(split[0]), blocks_by_entries(split[1]))
         assert is_reduced_by_isqrt(p, d, q) == is_reduced_by_ceilings(p, d, q) == (split[0] == ())
+        assert is_reduced_by_isqrt(p, d, q) == (expand(a)[0] == 0)
         negative_b += a.b < 0
         preperiodic += split[0] != ()
     assert negative_b > 0 and preperiodic > 0
 
 
-def test_expand_memory_keeps_no_state_table():
-    # A 20001-digit period: its digits take about 0.5 MB, a table of its
-    # (p, q) states about 3.9 MB more.
-    a = monodromy_of((3,) + (2,) * 20000)
+def _expand_peak(a: Mat2) -> tuple[tuple[int, tuple[int, ...]], int]:
     tracemalloc.start()
     try:
-        _, period = expand(a)
-        peak = tracemalloc.get_traced_memory()[1]
+        out = expand(a)
+        return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(period) == 20001
-    assert peak < 1.5 * 10**6
+
+
+def test_expand_memory_keeps_no_state_table():
+    # A 20001-digit period, one block: expand keeps neither a table of its
+    # (p, q) states nor a list of its digits.  Measured with Python 3.11.7:
+    # a peak of 444 B, the same as for 2001 digits; keeping the digits (a
+    # list, then a tuple) peaked at 333308 B.
+    out, peak = _expand_peak(monodromy_of((3,) + (2,) * 20000))
+    assert out == (0, (20000, 3))
+    assert peak < 4096
+    out, small_peak = _expand_peak(monodromy_of((3,) + (2,) * 2000))
+    assert out == (0, (2000, 3))
+    assert peak - small_peak < 1024
 
 
 def test_expansion_reassembles_to_the_value():
@@ -240,8 +304,17 @@ def test_expansion_reassembles_to_the_value():
         k = rng.randint(1, 5)
         entries = tuple(rng.randint(3, 9) for _ in range(k))
         a = monodromy_of(entries)
-        preperiod, period = expand(a)
-        digits = list(preperiod) + list(period) * (60 // len(period) + 1)
+        preperiod, blocks = expand(a)
+        # No 2s: every block is one digit, and the blocks read the period in order.
+        assert not any(blocks[::2])
+        p, d, q = fixed_slope(a)
+        s = isqrt(d)
+        digits = []
+        for _ in range(preperiod):
+            digit, p, q = step(p, q, d, s)
+            digits.append(digit)
+        period = blocks[1::2]
+        digits += list(period) * (60 // len(period) + 1)
         acc = Fraction(digits[-1])
         for b in reversed(digits[:-1]):
             acc = b - Fraction(1) / acc

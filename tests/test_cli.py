@@ -13,6 +13,7 @@ import cuspcovers.covers
 import cuspcovers.verifier
 from cuspcovers import Certificate, CoverRecord, Cycle, Lattice2, monodromy_of, verify
 from cuspcovers.cli import _ints, certificate_to_json, certificate_to_text, main
+from cuspcovers.cycles import _repeated
 from cuspcovers.matrices import Mat2
 from helpers import (
     certificate_to_json_oracle,
@@ -193,6 +194,15 @@ def test_int_arrays_match_the_stdlib_layout_at_depths_1_to_3():
     for entries in cases:
         for depth in (1, 2, 3):
             assert _ints(entries, depth) == json.dumps(list(entries), indent=2).replace("\n", "\n" + "  " * depth)
+    # A Cycle of n equal block copies may be written as one copy's text joined
+    # n times; blocks that do not split into n copies are written in full.
+    # (2, 2, 2, 3)^2 has the blocks (3, 3, 3, 3): two copies, not four.
+    cycles = [c for c in cases if isinstance(c, Cycle)]
+    cycles += [_repeated(c, n) for c in cycles[:60] for n in (2, 3, 4)]
+    cycles += [Cycle((2, 2, 2, 3) * 2), Cycle((3,) * 4), Cycle((3, 4, 3, 5))]
+    for c in cycles:
+        for copies in (2, 3, 4):
+            assert _ints(c, 3, copies) == _ints(c, 3)
 
 
 def test_text_certificate_of_a_long_cycle_is_pinned(capsys):

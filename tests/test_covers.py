@@ -29,6 +29,8 @@ from helpers import (
     FULL_LATTICE,
     blocks_by_entries,
     conjugated,
+    expand_by_state_table,
+    fixed_slope,
     from_basis,
     from_columns,
     hermite_sum,
@@ -455,13 +457,14 @@ def test_index_primes_factor_each_distinct_piece_once(monkeypatch):
 def test_enumeration_canonicalizes_only_primitive_periods(monkeypatch):
     # Each distinct expanded period is canonicalized once per enumerate_covers
     # call, and its cycle repeated in canonical form; no n-fold repetition
-    # reaches Duval's pass.  The flagship's 58 records expand to 28 distinct
-    # periods.  Every record is still expanded, and a second call
-    # canonicalizes the 28 again: no state outlives one call.  Duval's pass
-    # runs on blocks, so the probe sees each period as the blocks
-    # `Cycle(period)` reads from it (two of the 28 are rotations of one
-    # another that differ only in where the 2s after the last entry >= 3
-    # fall, and read as equal blocks).
+    # reaches Duval's pass.  `expand` returns each period as blocks, and
+    # those blocks key the canonicalizations and reach Duval's pass as they
+    # are.  The flagship's 58 records expand to 28 distinct digit periods but
+    # 27 distinct block periods: two of the 28 are rotations of one another
+    # that differ only in where the 2s after the last entry >= 3 fall, and
+    # those 2s wrap onto the first block.  So 27 canonicalizations, where
+    # keying by digit periods took 28.  Every record is still expanded, and a
+    # second call canonicalizes the 27 again: no state outlives one call.
     seen = []
     least_rotation = cuspcovers.cycles._least_rotation
 
@@ -482,14 +485,16 @@ def test_enumeration_canonicalizes_only_primitive_periods(monkeypatch):
     records = enumerate_covers(PAPER_A, 4)
     assert any(r.base_degree > 1 for r in records)
     assert len(records) == len(periods) == 58
-    assert len(seen) == len(set(periods)) == 28
-    assert sorted(seen) == sorted(map(blocks_by_entries, set(periods)))
-    assert len(set(seen)) == 27
-    for seq in set(periods):
-        k = len(seq)
-        assert all(k % w or seq != seq[:w] * (k // w) for w in range(1, k)), seq
+    assert len(seen) == len(set(periods)) == 27
+    assert sorted(seen) == sorted(set(periods))
+    digit_periods = {expand_by_state_table(*fixed_slope(r.induced))[1] for r in records}
+    assert len(digit_periods) == 28
+    assert set(map(blocks_by_entries, digit_periods)) == set(periods)
+    for blocks in set(periods):
+        b = len(blocks) // 2
+        assert all(b % w or blocks != blocks[: 2 * w] * (b // w) for w in range(1, b)), blocks
     assert enumerate_covers(PAPER_A, 4) == records
-    assert len(seen) == 2 * 28 and len(periods) == 2 * 58
+    assert len(seen) == 2 * 27 and len(periods) == 2 * 58
 
 
 def test_trace_check_guards_the_shared_period_path(monkeypatch, capsys):
@@ -497,7 +502,7 @@ def test_trace_check_guards_the_shared_period_path(monkeypatch, capsys):
     # later records with that period share its cycle.  An expansion that gives
     # every fiber the period (4,), whose power traces 4, 14, 52, 194, 724, 2702
     # skip 1621, must still be caught on the record path.
-    monkeypatch.setattr(cuspcovers.covers, "expand", lambda a: ((), (4,)))
+    monkeypatch.setattr(cuspcovers.covers, "expand", lambda a: (0, (0, 4)))
     with pytest.raises(ExpansionError):
         enumerate_covers(PAPER_A)
     assert main(["verify", "-m", "1640", "221", "-141", "-19"]) == 1

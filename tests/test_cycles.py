@@ -241,7 +241,7 @@ def test_cycle_of_rejects_bad_matrices():
 
 def test_cycle_of_inconsistent_expansion_is_an_internal_error(monkeypatch, capsys):
     # The traces of the powers of M(4) are 4, 14, 52, 194, 724, 2702: none is 1621.
-    monkeypatch.setattr(cuspcovers.cycles, "expand", lambda a: ((), (4,)))
+    monkeypatch.setattr(cuspcovers.cycles, "expand", lambda a: (0, (0, 4)))
     with pytest.raises(ExpansionError):
         cycle_of(PAPER_A)
     assert main(["cycle", "-m", "1640", "221", "-141", "-19"]) == 1

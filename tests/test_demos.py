@@ -28,4 +28,8 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     if demo.name == "02_minus_continued_fractions.py":
-        assert "  period (8, 2, 4, 3, 12)\n" in proc.stdout
+        # The flagship's digits by `step`, its period blocks from `expand`
+        # and its cycle; the conjugate's two preperiod digits.
+        assert "  preperiod ()\n  period (8, 2, 4, 3, 12)\n" in proc.stdout
+        assert "  period blocks (0, 8, 1, 4, 0, 3, 0, 12), cycle (2, 4, 3, 12, 8)\n" in proc.stdout
+        assert "  preperiod (1, 9)\n" in proc.stdout

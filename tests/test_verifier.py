@@ -190,7 +190,7 @@ def test_candidate_matrices_order_and_pure_periodicity():
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
     for m in cands:
-        assert expand(m)[0] == ()
+        assert expand(m)[0] == 0
     with pytest.raises(ValueError):
         candidate_matrices(2, 5)
 
