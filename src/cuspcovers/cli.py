@@ -2,8 +2,12 @@
 
 Exit codes: 0 for a completed computation (whatever the verdict), 2 for
 invalid input (bad matrix, bad cycle, malformed arguments), 1 for an
-internal failure or an expansion past the `cfrac.MAX_STEPS` = 10**6 step
-ceiling of `cfrac.expand`, which valid cusps such as (x) near trace 10**6 meet.
+internal failure: any `RuntimeError`, printed as one `internal error:` line.
+That covers a failed self-check (a factorization whose primes do not
+multiply back, a congruence root that is no root, a sieve that disagrees
+with trial division) and a `cfrac.ExpansionError`, such as an expansion past
+the `cfrac.MAX_STEPS` = 10**6 step ceiling of `cfrac.expand`, which valid
+cusps such as (x) near trace 10**6 meet.
 
 `verify --format json` writes the bytes of json.dumps(doc, sort_keys=True,
 indent=2) followed by a newline, without the json module: before 3.13
@@ -12,10 +16,9 @@ CPython encodes indent=2 in pure Python, one call per list entry, so
 line, keys in sorted order.  Most covers of one cusp share a cycle object,
 so each, with its dual, is laid out once per document, and the document is
 joined once from a flat list of pieces.  Cycle arrays, and the cycles of the
-text certificate, are written from a `Cycle`'s blocks (a run of k 2s, then
-an entry >= 3), one string piece per block; no entries tuple is built.  A
-degree-n record's cycle and dual are n copies of one block word, whose
-array text is written once and joined n times.
+text certificate, are written by `Cycle.joined`: the text of the cycle's
+word (a run of k 2s, then an entry >= 3, one string piece per block) joined
+`copies` times; no entries tuple is built.
 """
 
 from __future__ import annotations
@@ -24,24 +27,23 @@ import argparse
 import sys
 from typing import Sequence
 
-from .cfrac import ExpansionError
 from .covers import CoverRecord, enumerate_covers
 from .cycles import Cycle, cycle_of, dual_cycle, dual_length, monodromy_of
 from .matrices import Mat2, require_cusp
 from .verifier import Certificate, admissible_traces, candidate_matrices, verify
 
 
-def _ints(values: Cycle | Sequence[int], depth: int, copies: int = 1) -> str:
+def _ints(values: Cycle | Sequence[int], depth: int) -> str:
     """A nonempty int array at `depth`, laid out as json.dumps(indent=2) does.
 
-    A Cycle is written from its blocks (`Cycle.joined`), a run of k 2s as
-    one repeated string, so a cycle that is nearly all 2s costs its number
-    of blocks, not its length; its entries tuple is never built.  When its
-    blocks are `copies` equal copies, the first copy's text is written once.
+    A Cycle is written by `Cycle.joined`, a run of k 2s as one repeated
+    string and its word's text once, so a cycle that is nearly all 2s costs
+    the blocks of its primitive root, not its length; its entries tuple is
+    never built.
     """
     pad = "  " * depth
     sep = ",\n  " + pad
-    body = values.joined(sep, copies) if isinstance(values, Cycle) else sep.join(map(str, values))
+    body = values.joined(sep) if isinstance(values, Cycle) else sep.join(map(str, values))
     return "[\n  " + pad + body + "\n" + pad + "]"
 
 
@@ -56,10 +58,8 @@ def certificate_to_json(cert: Certificate) -> str:
     laid out once per document, keyed by identity (`enumerate_covers` gives
     equal cycles one object): its dual is read once, and its cycle, dual and
     lengths become strings that every record with that cycle refers to.
-    Each cycle array is written from the cycle's blocks, one piece per
-    block; the cycle and dual of a degree-n record are n copies of one block
-    word when their blocks split so, and that word's text is written once
-    and joined n times.  A record's fiber and induced members are one
+    Each cycle array is written by `Cycle.joined`, its word's text joined
+    `copies` times.  A record's fiber and induced members are one
     string.  The document is one flat list of pieces, joined once.  The
     test suite keeps json.dumps as the byte-for-byte oracle
     `certificate_to_json_oracle` in tests/helpers.py.
@@ -80,8 +80,8 @@ def certificate_to_json(cert: Certificate) -> str:
         if shared is None:
             dual = rec.dual
             shared = by_cycle[id(cycle)] = (
-                f'"cycle": {_ints(cycle, 3, degree)}{member}"cycle_len": {len(cycle)}{member}"degree": ',
-                f'{member}"dual": {_ints(dual, 3, degree)}{member}"dual_len": {len(dual)}{member}"fiber_hnf": ',
+                f'"cycle": {_ints(cycle, 3)}{member}"cycle_len": {len(cycle)}{member}"degree": ',
+                f'{member}"dual": {_ints(dual, 3)}{member}"dual_len": {len(dual)}{member}"fiber_hnf": ',
             )
         # Induced entries exceed 64-bit ranges at degree 4, hence decimal strings.
         out += (
@@ -245,7 +245,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ExpansionError as exc:
+    except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

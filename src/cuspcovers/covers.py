@@ -13,7 +13,9 @@ primes, and one validated `Lattice2` is built per fiber returned.  The
 public `induced_action` and `prime_index_invariant_lattices` take a
 `Lattice2` and call the same triple helpers.  Each fiber's expansion comes
 back as blocks and keys the shared cycles, and records with equal cycles
-share one `Cycle` object.
+share one `Cycle` object.  A degree-n record's cycle is its fiber's cycle
+with n times the copies of the same primitive word; no n-fold block tuple
+is built.
 
 `Lattice2` and `CoverRecord` are `typing.NamedTuple` value types: a lattice
 is the tuple (x, y, z) and a record the tuple (base_degree, fiber, induced,
@@ -280,10 +282,9 @@ def enumerate_covers(a: Mat2, max_degree: int = 4) -> list[CoverRecord]:
     X**n fixes the same expanding slope as X, so both expand to one primitive
     period, with period matrix m.  X is conjugate to m**k and its cycle is the
     period repeated k times; X**n is conjugate to m**(k n), so its cycle is
-    X's cycle repeated n times.  A least rotation repeated n times is the
-    least rotation of the repetition, so `_repeated` keeps X's canonical
-    rotation without a second least-rotation pass, and the entries are those
-    of `cycle_of(power(X, n))`.
+    X's cycle repeated n times.  `_repeated` keeps X's canonical primitive
+    word and multiplies its copies by n, without a second least-rotation
+    pass, and the entries are those of `cycle_of(power(X, n))`.
 
     X is expanded once per record, and its cycle is looked up in `cycles`, a
     dict that lives for this call only, by (period blocks, n), so records of

@@ -5,15 +5,18 @@ the negated self-intersection weights around the resolution graph.  This
 module converts between cycles and monodromy matrices, computes dual cycles
 by the block-swap rule, and decides the complete-intersection link test.
 
-Cover cycles are long and nearly all 2s, so a `Cycle` stores its blocks, not
-its entries.  A block is a run of k 2s and then an entry e >= 3; the blocks
-are one flat int tuple (k_1, e_1, ..., k_b, e_b) that starts at the least
-rotation.  Length, dual length, dual, monodromy, equality, hashing,
-repetition and the decimal text cost O(blocks).  Only `Cycle(entries)` and
-`monodromy_of` of a raw sequence read entries, in one pass that also checks
-them, and `Cycle.entries` builds the full tuple on demand.  The cycle of a
-matrix never meets its entries: `cfrac.expand` returns its period as
-blocks, and `_base_cycle` canonicalizes those.
+Cover cycles are long and nearly all 2s, and a degree-n cover's cycle is
+its fiber's cycle repeated n times.  So a `Cycle` stores its primitive root
+as blocks, not entries, and a repeat count.  A block is a run of k 2s and
+then an entry e >= 3; the root's blocks are one flat int tuple, the `word`
+(k_1, e_1, ..., k_b, e_b), that starts at its least rotation, and `copies`
+says how often the word repeats.  Length, dual length, dual, monodromy,
+equality, hashing, repetition and the decimal text cost O(word).  Only
+`Cycle(entries)` and `monodromy_of` of a raw sequence read entries, in one
+pass that also checks them, and `Cycle.blocks` and `Cycle.entries` build
+the full tuples on demand.  The cycle of a matrix never meets its entries:
+`cfrac.expand` returns its period as blocks, and `_base_cycle`
+canonicalizes those.
 """
 
 from __future__ import annotations
@@ -56,9 +59,10 @@ def _blocks(entries: Iterable[int]) -> tuple[tuple[int, ...], int]:
     return tuple(out), run
 
 
-def _least_rotation(blocks: tuple[int, ...]) -> int:
-    """Offset in the flat blocks of the least rotation of their cycle: 2i for
-    block i, after O(blocks) steps.
+def _least_rotation(blocks: tuple[int, ...]) -> tuple[int, int]:
+    """(offset, period) of the least rotation of the cycle of the flat blocks:
+    the offset is 2i for block i, the period the flat length of the cycle's
+    primitive root, after O(blocks) steps.
 
     The least rotation of the entries starts right after an entry >= 3 (a 2
     before the start would make the rotation one place earlier smaller), so
@@ -66,12 +70,14 @@ def _least_rotation(blocks: tuple[int, ...]) -> int:
     another, and 2^k e < 2^k' e' iff (-k, e) < (-k', e'): the int
     e - k * (max e + 1) orders them the same way.  Duval's Lyndon
     factorization (1983) runs over these keys doubled; the last Lyndon
-    factor starting before the first copy's end begins the least rotation.
+    factor starting before the first copy's end begins the least rotation,
+    and the keys from there to the end are that factor repeated, so its
+    length j - m is the primitive period.
     """
     es = blocks[1::2]
     b = len(es)
     if b == 1:
-        return 0
+        return 0, 2
     w = max(es) + 1
     keys = [e - k * w for k, e in zip(blocks[::2], es)]
     keys += keys
@@ -84,64 +90,66 @@ def _least_rotation(blocks: tuple[int, ...]) -> int:
             j += 1
         while i <= m:
             i += j - m
-    return 2 * start
+    return 2 * start, 2 * (j - m)
 
 
 @dataclass(frozen=True, init=False, repr=False)
 class Cycle:
-    """A resolution cycle, stored as the flat blocks (k_1, e_1, ..., k_b, e_b)
-    of its lexicographically smallest rotation: k_i 2s, then e_i >= 3.
+    """A resolution cycle w**copies, stored as `word`, the flat blocks
+    (k_1, e_1, ..., k_b, e_b) of the least rotation of its primitive root w
+    (k_i 2s, then e_i >= 3), and `copies`.
 
     `Cycle(entries)` checks the entries and reads their blocks in one pass
     (`_blocks`; the 2s after the last entry >= 3 wrap to the front), then
-    rotates the blocks to the least rotation (`_least_rotation`).  Equality
-    and hashing compare blocks, which is comparing canonical entries.
+    rotates them to the least rotation and cuts them to the primitive root
+    (`_least_rotation`).  The primitive root and its least rotation are
+    unique, so equality and hashing compare (word, copies), which is
+    comparing canonical entries.
     """
 
-    blocks: tuple[int, ...]
+    word: tuple[int, ...]
+    copies: int
 
     def __init__(self, entries: Iterable[int]) -> None:
         self.__post_init__(entries)
 
     def __post_init__(self, entries: Iterable[int]) -> None:
-        # `_from_blocks` sets the blocks itself and passes _BLOCKS.
-        if entries is not _BLOCKS:
-            blocks, tail = _blocks(entries)
+        # `_from_blocks` sets the word and copies itself and passes _BLOCKS.
+        if entries is _BLOCKS:
+            word, copies = self.word, self.copies
+        else:
+            (word, tail), copies = _blocks(entries), 1
             if tail:
-                blocks = (blocks[0] + tail, *blocks[1:])
-            object.__setattr__(self, "blocks", blocks)
-        i = _least_rotation(self.blocks)
-        if i:
-            object.__setattr__(self, "blocks", self.blocks[i:] + self.blocks[:i])
+                word = (word[0] + tail, *word[1:])
+        # Rotated to its least rotation, the word is its root repeated len // period times.
+        i, period = _least_rotation(word)
+        object.__setattr__(self, "word", (word[i:] + word[:i])[:period])
+        object.__setattr__(self, "copies", copies * (len(word) // period))
+
+    @property
+    def blocks(self) -> tuple[int, ...]:
+        """The flat blocks of the canonical entries, word * copies, built on each access."""
+        return self.word * self.copies
 
     @property
     def entries(self) -> tuple[int, ...]:
         """The canonical entry tuple, built on each access."""
         out: list[int] = []
-        for k, e in zip(self.blocks[::2], self.blocks[1::2]):
+        for k, e in zip(self.word[::2], self.word[1::2]):
             out += itertools.repeat(2, k)
             out.append(e)
-        return tuple(out)
+        return tuple(out) * self.copies
 
-    def joined(self, sep: str, copies: int = 1) -> str:
-        """The canonical entries in decimal, separated by sep: one piece per
-        block, its run of k 2s written as ("2" + sep) * k.
-
-        When the blocks are `copies` equal copies of their first 1/copies
-        (one tuple comparison), as a repetition's are, that share is
-        written once and the text is `copies` copies of it, joined by sep.
-        """
-        blocks = self.blocks
-        share = len(blocks) // 2 // copies
-        if copies > 1 and blocks[: 2 * share] * copies == blocks:
-            blocks = blocks[: 2 * share]
-        else:
-            copies = 1
-        runs = map(("2" + sep).__mul__, blocks[::2])
-        return sep.join([sep.join(map(operator.add, runs, map(str, blocks[1::2])))] * copies)
+    def joined(self, sep: str) -> str:
+        """The canonical entries in decimal, separated by sep: the word's text,
+        one piece per block with its run of k 2s written as ("2" + sep) * k,
+        joined `copies` times."""
+        word = self.word
+        runs = map(("2" + sep).__mul__, word[::2])
+        return sep.join([sep.join(map(operator.add, runs, map(str, word[1::2])))] * self.copies)
 
     def __len__(self) -> int:
-        return sum(self.blocks[::2]) + len(self.blocks) // 2
+        return (sum(self.word[::2]) + len(self.word) // 2) * self.copies
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.entries)
@@ -153,29 +161,25 @@ class Cycle:
         return f"Cycle({self.entries!r})"
 
 
-def _from_blocks(blocks: tuple[int, ...], rotate: bool) -> Cycle:
-    """A Cycle on flat blocks that are valid by construction, with no entry
-    scan: rotated to the least rotation by `Cycle.__post_init__`, the one
-    canonicalization entry, when rotate is set, and taken as canonical
-    otherwise."""
+def _from_blocks(word: tuple[int, ...], copies: int, rotate: bool) -> Cycle:
+    """The Cycle word**copies on flat blocks that are valid by construction,
+    with no entry scan: rotated to the least rotation and cut to its
+    primitive root by `Cycle.__post_init__`, the one canonicalization entry,
+    when rotate is set, and taken as canonical otherwise."""
     out = object.__new__(Cycle)
-    object.__setattr__(out, "blocks", blocks)
+    object.__setattr__(out, "word", word)
+    object.__setattr__(out, "copies", copies)
     if rotate:
         out.__post_init__(_BLOCKS)
     return out
 
 
 def _repeated(c: Cycle, n: int) -> Cycle:
-    """c repeated n times, built without `_blocks` or `_least_rotation`.
-
-    A repetition of a valid cycle is valid, and the least rotation of w**n
-    is (least rotation of w)**n: rotating w**n by i gives (w rotated by i)**n,
-    and n-th powers of words of one length compare as the words do.  So
-    c.blocks * n is already canonical.
-    """
+    """c repeated n times: c's word with n times its copies, with no
+    canonicalization; (w**k)**n is w**(k n), and w stays the primitive root."""
     if n == 1:
         return c
-    return _from_blocks(c.blocks * n, rotate=False)
+    return _from_blocks(c.word, c.copies * n, rotate=False)
 
 
 def monodromy_of(c: Cycle | Sequence[int]) -> Mat2:
@@ -212,7 +216,7 @@ def _base_cycle(blocks: tuple[int, ...], t: int) -> Cycle:
     The monodromy is conjugate to m^n, m the monodromy of the period, so its
     cycle is the period repeated n times: `Cycle.__post_init__` rotates the
     blocks to their least rotation once, with no entry scan; the rotated
-    blocks give m, and `_repeated` repeats them.  n is found by multiplying
+    blocks give m, and `_repeated` sets n copies.  n is found by multiplying
     by m until the trace reaches t.  m has trace >= 3, so the traces of its
     powers strictly increase and the search ends.
 
@@ -221,7 +225,7 @@ def _base_cycle(blocks: tuple[int, ...], t: int) -> Cycle:
     mismatch raises ExpansionError.  The result depends only on (blocks, t),
     so callers that meet one period at one trace many times may share it.
     """
-    c = _from_blocks(blocks, rotate=True)
+    c = _from_blocks(blocks, 1, rotate=True)
     m = mn = monodromy_of(c)
     n = 1
     while mn.trace < t:
@@ -247,16 +251,17 @@ def dual_cycle(c: Cycle) -> Cycle:
     """Cycle of the dual cusp, by swapping the block structure.
 
     The dual reverses the blocks and takes each block (k, e) to (e - 3, k + 3):
-    one C-level pass over the reversed flat blocks, then the least rotation
-    of the result.  The blocks are valid by construction, so no entry is
-    scanned or validated.
+    one C-level pass over the reversed word, then the least rotation of the
+    result.  The dual of w**n is dual(w)**n, so only the word is mapped and
+    the copies are kept.  The blocks are valid by construction, so no entry
+    is scanned or validated.
     """
-    return _from_blocks(tuple(map(operator.add, c.blocks[::-1], itertools.cycle((-3, 3)))), rotate=True)
+    return _from_blocks(tuple(map(operator.add, c.word[::-1], itertools.cycle((-3, 3)))), c.copies, rotate=True)
 
 
 def dual_length(c: Cycle) -> int:
     """Length of the dual cycle: the sum of (entry - 2), that is, of e - 2 over the blocks."""
-    return sum(c.blocks[1::2]) - len(c.blocks)
+    return (sum(c.word[1::2]) - len(c.word)) * c.copies
 
 
 def is_ci_link(c: Cycle) -> bool:

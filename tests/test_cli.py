@@ -10,10 +10,12 @@ from pathlib import Path
 import pytest
 
 import cuspcovers.covers
+import cuspcovers.intmath
 import cuspcovers.verifier
 from cuspcovers import Certificate, CoverRecord, Cycle, Lattice2, monodromy_of, verify
 from cuspcovers.cli import _ints, certificate_to_json, certificate_to_text, main
 from cuspcovers.cycles import _repeated
+from cuspcovers.intmath import factorize
 from cuspcovers.matrices import Mat2
 from helpers import (
     certificate_to_json_oracle,
@@ -194,15 +196,14 @@ def test_int_arrays_match_the_stdlib_layout_at_depths_1_to_3():
     for entries in cases:
         for depth in (1, 2, 3):
             assert _ints(entries, depth) == json.dumps(list(entries), indent=2).replace("\n", "\n" + "  " * depth)
-    # A Cycle of n equal block copies may be written as one copy's text joined
-    # n times; blocks that do not split into n copies are written in full.
-    # (2, 2, 2, 3)^2 has the blocks (3, 3, 3, 3): two copies, not four.
+    # A Cycle writes its word's text once and joins it `copies` times, so
+    # repeated and non-primitive cycles must still give every entry.
+    # (2, 2, 2, 3)^2 has the blocks (3, 3, 3, 3): its word is (3, 3), two copies.
     cycles = [c for c in cases if isinstance(c, Cycle)]
     cycles += [_repeated(c, n) for c in cycles[:60] for n in (2, 3, 4)]
-    cycles += [Cycle((2, 2, 2, 3) * 2), Cycle((3,) * 4), Cycle((3, 4, 3, 5))]
+    cycles += [Cycle((2, 2, 2, 3) * 2), Cycle((3,) * 4), Cycle((3, 4, 3, 5)), _repeated(Cycle((2, 2, 2, 3) * 2), 3)]
     for c in cycles:
-        for copies in (2, 3, 4):
-            assert _ints(c, 3, copies) == _ints(c, 3)
+        assert _ints(c, 3) == json.dumps(list(c.entries), indent=2).replace("\n", "\n      ")
 
 
 def test_text_certificate_of_a_long_cycle_is_pinned(capsys):
@@ -323,6 +324,37 @@ def test_invalid_input_exits_2(capsys, argv):
     if argv[1] == "-m":
         m = Mat2(*map(int, argv[2:]))
         assert f"determinant {m.det} and trace {m.trace};" in captured.err
+
+
+@pytest.mark.parametrize(
+    "module, name, fake, argv, message",
+    [
+        # a square root modulo a prime that is no root
+        (
+            "intmath", "_sqrt_mod", lambda n, p: 0, ("verify", "-c", "8,2,4,3,12"),
+            "93 is not a root of 590 t^2 + 556 t + 609 modulo 811",
+        ),
+        # a factorization that drops the prime 541
+        (
+            "covers", "factorize", lambda n: {p: k for p, k in factorize(n).items() if p != 541},
+            ("verify", "-m", "1640", "221", "-141", "-19"),
+            "the factors of [1619, 1623] do not multiply to |det(A**2 - I)|",
+        ),
+        # a prime sieve that passes every odd number
+        (
+            "verifier", "_odd_prime_table", lambda limit: b"\1" * (limit // 2 + 1), ("search-traces", "100"),
+            "the prime table passes 25, which trial division rejects",
+        ),
+    ],
+)
+def test_failed_self_checks_exit_1(capsys, monkeypatch, module, name, fake, argv, message):
+    # Every internal self-check raises RuntimeError, and the CLI reports each
+    # as one "internal error:" line with exit code 1, never a traceback.
+    monkeypatch.setattr(getattr(cuspcovers, module), name, fake)
+    assert main(list(argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"internal error: {message}\n"
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_missing_input_is_usage_error(capsys):

@@ -534,8 +534,9 @@ def test_records_share_one_cycle_per_period_and_degree():
 
 
 def test_records_hold_their_cycles_as_blocks():
-    # (6661)'s 58 records hold 24 cycles with 80660 entries in 224 blocks.
-    # Stored as blocks and shared by value, they keep about 40 kB alive
+    # (6661)'s 58 records hold 24 cycles with 80660 entries in 224 blocks,
+    # stored as 68 blocks of primitive words with their repeat counts.
+    # Stored so and shared by value, they keep about 34 kB alive
     # (tracemalloc, Python 3.11); held as entry tuples, one per (expanded
     # period, degree), they kept 1.12 MB.  The bound leaves room for other
     # Python versions' object sizes.
@@ -551,6 +552,7 @@ def test_records_hold_their_cycles_as_blocks():
     assert len(records) == 58 and len(cycles) == 24
     assert sum(map(len, cycles.values())) == 80660
     assert sum(len(c.blocks) // 2 for c in cycles.values()) == 224
+    assert sum(len(c.word) // 2 for c in cycles.values()) == 68
 
 
 def test_self_checks_hold_under_python_optimize():

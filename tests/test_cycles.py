@@ -100,17 +100,23 @@ def rotations(seq, rng, count=3):
 
 def test_block_least_rotation_matches_brute_force_at_the_edges():
     # `_least_rotation` takes flat blocks (k_1, e_1, ..., k_b, e_b) and returns
-    # the offset 2i of the block that starts the least rotation.
+    # the offset 2i of the block that starts the least rotation and the
+    # period p, the flat length of the primitive root: the smallest shift
+    # that fixes the blocks.
     rng = random.Random(83)
     for _ in range(3000):
         for seq in rotations(block_shaped_entries(rng), rng, 1):
             blocks = blocks_by_entries(seq)
-            i = _least_rotation(blocks)
+            i, p = _least_rotation(blocks)
             assert 0 <= i < len(blocks) and i % 2 == 0
             assert blocks[i:] + blocks[:i] == blocks_by_entries(least_rotation_brute(seq)), seq
-    assert _least_rotation((0, 7)) == 0
-    assert _least_rotation((0, 3, 0, 4, 0, 5)) == 0
-    assert _least_rotation((1, 3, 2, 4)) == 2
+            shifts = [s for s in range(2, len(blocks) + 1, 2) if blocks[s:] + blocks[:s] == blocks]
+            assert p == shifts[0], seq
+    assert _least_rotation((0, 7)) == (0, 2)
+    assert _least_rotation((0, 3, 0, 4, 0, 5)) == (0, 6)
+    assert _least_rotation((1, 3, 2, 4)) == (2, 4)
+    assert _least_rotation((3, 3, 3, 3)) == (0, 2)
+    assert _least_rotation((0, 4, 1, 3, 0, 4, 1, 3, 0, 4, 1, 3))[1] == 4
     assert blocks_by_entries((2, 2, 4, 2, 3, 2)) == (3, 4, 1, 3)  # the run of three 2s wraps
     assert Cycle((2, 2, 4, 2, 3, 2)).blocks == (3, 4, 1, 3)
     assert Cycle((2, 2, 3, 2, 2, 2, 4)).entries == (2, 2, 2, 4, 2, 2, 3)
@@ -305,8 +311,9 @@ def test_base_power_concatenation():
 
 
 def test_repetition_equals_full_canonicalization():
-    # _repeated skips validation and the least rotation; the block it repeats
-    # is canonical, so the result is the Cycle of the n-fold repetition.
+    # _repeated skips validation and the least rotation; it keeps the
+    # canonical word and multiplies the copies, so the result is the Cycle
+    # of the n-fold repetition.
     rng = random.Random(79)
     for _ in range(400):
         seq = random_cycle_entries(rng)
@@ -318,6 +325,31 @@ def test_repetition_equals_full_canonicalization():
             assert rep == full and hash(rep) == hash(full)
             assert isinstance(rep.entries, tuple) and len(rep) == n * len(c)
     assert _repeated(PAPER_CYCLE, 1) is PAPER_CYCLE
+
+
+def test_a_cycle_is_its_primitive_word_and_a_repeat_count():
+    # Cycle(w * n) cuts its blocks to the primitive root's least rotation and
+    # counts the copies, also when w itself is a repetition, such as
+    # (2, 2, 2, 3) * 2, whose blocks (3, 3, 3, 3) are two copies of (3, 3).
+    # _repeated(c, n) shares c's word and multiplies its copies, and the dual
+    # of a repetition is the repetition of the dual.
+    rng = random.Random(109)
+    words = [(2, 2, 2, 3) * 2, (3,) * 3, (3, 4) * 2, (2, 3, 2, 2, 3) * 3, (1621,)]
+    words += [tuple(oracle_shaped_entries(rng)) for _ in range(400)]
+    for w in words:
+        c = Cycle(w)
+        root = c.word
+        assert all(root[s:] + root[:s] != root for s in range(2, len(root), 2)), w
+        d = dual_cycle(c)
+        for n in (1, 2, 3, 5):
+            rep = _repeated(c, n)
+            full = Cycle(w * n)
+            assert rep.word is root and rep.copies == n * c.copies
+            assert full == rep and full.word == rep.word and full.copies == rep.copies
+            assert hash(full) == hash(rep)
+            assert dual_cycle(rep) == _repeated(d, n) == dual_by_entries(full)
+    assert Cycle((2, 2, 2, 3) * 2).word == (3, 3) and Cycle((2, 2, 2, 3) * 2).copies == 2
+    assert _repeated(Cycle((2, 2, 2, 3) * 2), 3) == Cycle((2, 2, 2, 3) * 6)
 
 
 def test_dual_of_reversal_is_reversal_of_dual():
