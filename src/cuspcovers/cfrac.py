@@ -74,11 +74,13 @@ def expand(a: Mat2) -> tuple[int, tuple[int, ...]]:
     the error), and the state steps as plain ints in two loops: one up to
     the first reduced state and one until that state returns.  With
     s = isqrt(d) and sqrt(d) irrational, (p + sqrt(d)) / q is reduced iff
-    q > 0, s < p and |p - q| <= s: for q > 0 conj(x) > 0 iff p > s,
+    q > 0, s < p and -s <= p - q <= s: for q > 0 conj(x) > 0 iff p > s,
     conj(x) < 1 iff p - q <= s, and x > 1 iff q - p <= s, while for q < 0
-    conj(x) = x + 2 sqrt(d)/|q| exceeds x, so x is never reduced.  s is
-    taken once, as d never changes, and `step` is read from the module once
-    per call, so a wrapper bound in its place sees every digit.
+    conj(x) = x + 2 sqrt(d)/|q| exceeds x, so x is never reduced.  The
+    chained comparison tests |p - q| <= s without a call per preperiod
+    digit.  s is taken once, as d never changes, and `step` is read from
+    the module once per call, so a wrapper bound in its place sees every
+    digit.
     """
     aa, ab, ac, ad = a
     t = aa + ad
@@ -88,7 +90,7 @@ def expand(a: Mat2) -> tuple[int, tuple[int, ...]]:
     s = isqrt(d)
     advance = step
     for preperiod in range(MAX_STEPS):
-        if q > 0 and s < p and abs(p - q) <= s:
+        if q > 0 and s < p and -s <= p - q <= s:
             break
         _, p, q = advance(p, q, d, s)
     else:

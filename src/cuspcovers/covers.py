@@ -8,20 +8,23 @@ degrees 1 through 4.
 
 The enumeration runs on plain (x, y, z) int triples, the HNF basis
 [[x, y], [0, z]]: each prime-primary walk takes its children and the
-induced action P^-1 A P in closed form, CRT intersections combine the
-primes, and one validated `Lattice2` is built per fiber returned.  The
-public `induced_action` and `prime_index_invariant_lattices` take a
-`Lattice2` and call the same triple helpers.  Each fiber's expansion comes
-back as blocks and keys the shared cycles, and records with equal cycles
-share one `Cycle` object.  A degree-n record's cycle is its fiber's cycle
-with n times the copies of the same primitive word; no n-fold block tuple
-is built.
+induced action P^-1 A P in closed form, and CRT intersections combine the
+primes, carrying each fiber as (index, x, y, z), its sort key in front.
+One validated `Lattice2` is built per fiber returned.  The public
+`induced_action` and `prime_index_invariant_lattices` take a `Lattice2`
+and call the same triple helpers.  Each fiber's expansion comes back as
+blocks and keys the shared cycles, and records with equal cycles share one
+`Cycle` object, interned by value in a dict apart from the period keys.  A
+degree-n record's cycle is its fiber's cycle with n times the copies of the
+same primitive word; no n-fold block tuple is built.
 
 `Lattice2` and `CoverRecord` are `typing.NamedTuple` value types: a lattice
 is the tuple (x, y, z) and a record the tuple (base_degree, fiber, induced,
 cycle), so they equal plain tuples, unpack, have a length and order
 lexicographically.  Each subclasses a private field base so that its
-`__new__` can run its check.
+`__new__` can run its check.  The census calls that `__new__` directly:
+the class call reaches the same function, but packs its arguments twice on
+the way.
 """
 
 from __future__ import annotations
@@ -166,7 +169,8 @@ def _prime_index_children(
 
 def induced_action(lat: Lattice2, a: Mat2) -> Mat2:
     """A rewritten in the lattice basis: P^-1 A P for P the HNF basis."""
-    return Mat2(*_induced(a, *lat))
+    # Mat2 checks nothing, so its tuple is built without the field-by-field __new__.
+    return tuple.__new__(Mat2, _induced(a, *lat))
 
 
 def prime_index_invariant_lattices(a: Mat2, ell: int) -> list[Lattice2]:
@@ -207,24 +211,27 @@ def _primary_part(a: Mat2, shifted: tuple[int, int, int, int], ell: int) -> set[
 
 
 def _intersect_part(
-    combos: list[tuple[int, int, int]], part: set[tuple[int, int, int]]
-) -> list[tuple[int, int, int]]:
-    """HNF triples of M cap P for every M in combos and P in part, where the
-    indices of part are powers of one prime ell and those of combos prime to it.
+    combos: list[tuple[int, int, int, int]], part: set[tuple[int, int, int]]
+) -> list[tuple[int, int, int, int]]:
+    """(index, x, y, z) of M cap P for every M in combos, given as
+    (index, x, y, z), and every HNF triple P in part, where the indices of
+    part are powers of one prime ell and those of combos prime to it.
 
     For coprime indices, L1 cap L2 is (x1 x2, y, z1 z2) with y = z2 y1
     (mod x1) and y = z1 y2 (mod x2), by CRT:
     y = z2 y1 + x1 (z1 y2 - z2 y1) u mod x1 x2, for any u = x1^-1 (mod x2).
     Every x2 of the part divides its largest x, ell^e, so one
     u = x1^-1 mod ell^e per M serves the whole part; pow(x1, -1, 1) is 0,
-    so a part with x = 1 throughout needs no case.
+    so a part with x = 1 throughout needs no case.  The index of M cap P is
+    the product of theirs, so each tuple carries its fiber's sort key in
+    front, and sorting the tuples sorts the fibers.
     """
     top = max(x for x, _, _ in part)
-    out: list[tuple[int, int, int]] = []
-    for x1, y1, z1 in combos:
+    out: list[tuple[int, int, int, int]] = []
+    for i1, x1, y1, z1 in combos:
         u = pow(x1, -1, top)
         out += [
-            (x1 * x2, (z2 * y1 + x1 * (z1 * y2 - z2 * y1) * u) % (x1 * x2), z1 * z2)
+            (i1 * x2 * z2, x1 * x2, (z2 * y1 + x1 * (z1 * y2 - z2 * y1) * u) % (x1 * x2), z1 * z2)
             for x2, y2, z2 in part
         ]
     return out
@@ -255,20 +262,23 @@ def invariant_sublattices_between(a: Mat2, n: int) -> list[Lattice2]:
     The quotient is split into prime-primary parts; invariant lattices are
     enumerated within each part and recombined by intersection, which keeps
     the search polynomial in the number of prime factors rather than in the
-    total index.  Walk, intersections and sort run on HNF int triples, sorted
-    by the tuple (index, x, y, z); the CRT intersection is injective on
-    tuples of primary parts, so none repeats.  One Lattice2 is built per
-    fiber returned.
+    total index.  Walk and intersections run on HNF int triples; the
+    intersections carry each fiber as (index, x, y, z), and that list is
+    sorted in place.  The CRT intersection is injective on tuples of
+    primary parts, so none repeats.  One Lattice2 is built per fiber
+    returned, through its checking `__new__` called directly.
     """
     require_cusp(a)
     if not 1 <= n <= 4:
         raise ValueError("base degree must lie in 1..4")
     an = power(a, n)
     shifted = (an.a - 1, an.b, an.c, an.d - 1)
-    combos = [(1, 0, 1)]
+    combos = [(1, 1, 0, 1)]
     for ell in _index_primes(shifted, a.trace, n):
         combos = _intersect_part(combos, _primary_part(a, shifted, ell))
-    return [Lattice2(x, y, z) for _, x, y, z in sorted((x * z, x, y, z) for x, y, z in combos)]
+    combos.sort()
+    new = Lattice2.__new__
+    return [new(Lattice2, x, y, z) for _, x, y, z in combos]
 
 
 def enumerate_covers(a: Mat2, max_degree: int = 4) -> list[CoverRecord]:
@@ -294,17 +304,24 @@ def enumerate_covers(a: Mat2, max_degree: int = 4) -> list[CoverRecord]:
     share a key.  The cycle of X sits under (blocks, 1).  Only a period's
     first record builds it, with `_base_cycle` (one canonicalization, one
     product, the trace check).  On a miss, the new cycle is also interned by
-    value in the same dict, so periods that are rotations of one another
-    share one Cycle too; the hit path hashes no cycle.  Every induced action
+    value in `interned`, a second dict, so periods that are rotations of one
+    another share one Cycle too; the hit path hashes no cycle.  The two
+    kinds of key live apart because a Cycle hashes as its (word, copies)
+    tuple, which is the (blocks, n) key of its own canonical period at
+    n == copies: in one dict the two collide, and each collision costs a
+    Python-level `Cycle.__eq__` against the tuple.  Every induced action
     is P^-1 A P, of trace t = trace(A), so that check covers every later
     record with the period: their k is the same.
     For det 1 the trace of X**n is a fixed polynomial in trace(X), so it
-    covers the repetition too.
+    covers the repetition too.  Each record is built through
+    `CoverRecord`'s checking `__new__`, called directly.
     """
     if not 1 <= max_degree <= 4:
         raise ValueError("base degree must lie in 1..4")
-    cycles: dict[tuple[tuple[int, ...], int] | Cycle, Cycle] = {}
+    cycles: dict[tuple[tuple[int, ...], int], Cycle] = {}
+    interned: dict[Cycle, Cycle] = {}
     records: list[CoverRecord] = []
+    new = CoverRecord.__new__
     for n in range(1, max_degree + 1):
         for lat in invariant_sublattices_between(a, n):
             ind = induced_action(lat, a)
@@ -314,8 +331,8 @@ def enumerate_covers(a: Mat2, max_degree: int = 4) -> list[CoverRecord]:
                 base = cycles.get((blocks, 1))
                 if base is None:
                     base = _base_cycle(blocks, ind.trace)
-                    base = cycles[blocks, 1] = cycles.setdefault(base, base)
+                    base = cycles[blocks, 1] = interned.setdefault(base, base)
                 cycle = _repeated(base, n)
-                cycle = cycles[blocks, n] = cycles.setdefault(cycle, cycle)
-            records.append(CoverRecord(n, lat, ind, cycle))
+                cycle = cycles[blocks, n] = interned.setdefault(cycle, cycle)
+            records.append(new(CoverRecord, n, lat, ind, cycle))
     return records

@@ -210,7 +210,8 @@ def test_closed_forms_match_hermite_normal_form():
     # Each child triple of `_prime_index_children` is the HNF of the product of
     # the parent's basis and the child's basis in it, and the CRT of the oracle
     # `intersect_coprime` and of `_intersect_part` on a one-lattice part the
-    # HNF of m2 L1 + m1 L2 for coprime indices m1, m2.  The identity action is
+    # HNF of m2 L1 + m1 L2 for coprime indices m1, m2; `_intersect_part` takes
+    # and gives (index, x, y, z), the sort key.  The identity action is
     # scalar mod every ell, so all ell + 1 children appear, the c = 0 child
     # among them, under parents with y != 0.
     rng = random.Random(83)
@@ -226,7 +227,7 @@ def test_closed_forms_match_hermite_normal_form():
         return sorted(_prime_index_children(act.entries(), ell, *hnf(parent)))
 
     def intersect(l1, l2):
-        return [hnf(intersect_coprime(l1, l2)), *_intersect_part([hnf(l1)], {hnf(l2)})]
+        return [intersect_coprime(l1, l2).sort_key(), *_intersect_part([l1.sort_key()], {hnf(l2)})]
 
     def products(parent, lats):
         return sorted(hnf(from_basis(mul(parent.basis, lat.basis))) for lat in lats)
@@ -235,7 +236,7 @@ def test_closed_forms_match_hermite_normal_form():
     for l1 in units:
         for l2 in units:
             if gcd(l1.index, l2.index) == 1:
-                assert intersect(l1, l2) == [hnf(hermite_sum(l1, l2))] * 2
+                assert intersect(l1, l2) == [hermite_sum(l1, l2).sort_key()] * 2
     for _ in range(3000):
         parent, ell = triple(), rng.choice((2, 3, 5, 7))
         assert children(parent, IDENTITY, ell) == products(parent, sublattices_of_index(ell))
@@ -244,37 +245,43 @@ def test_closed_forms_match_hermite_normal_form():
         l1, l2 = parent, triple()
         while gcd(l1.index, l2.index) != 1:
             l2 = triple()
-        assert intersect(l1, l2) == [hnf(hermite_sum(l1, l2))] * 2
+        assert intersect(l1, l2) == [hermite_sum(l1, l2).sort_key()] * 2
 
 
 def test_part_intersection_matches_hermite_sums():
     # `_intersect_part` shares one inverse x1^-1 mod ell^e per lattice it
-    # combines with an ell-primary part, ell^e the part's largest x.  Against
+    # combines with an ell-primary part, ell^e the part's largest x, and
+    # carries each lattice as (index, x, y, z), index = x z in front.  Against
     # the Hermite reduction of m2 L1 + m1 L2, pair by pair: the degree-4
     # parts of (2, 6, 2, 6), whose x run to 2^5 and 7^2, and the parts of
     # [[1 + ell^2, ell], [ell, 1]] at degrees 3 and 4, with 3^2 and 3^3.
     def expected(combos, part):
-        return sorted(hermite_sum(Lattice2(*m), Lattice2(*p)) for m in combos for p in part)
+        return sorted(hermite_sum(Lattice2(*m[1:]), Lattice2(*p)).sort_key() for m in combos for p in part)
+
+    def intersect(combos, part):
+        out = _intersect_part(combos, part)
+        assert all(i == x * z for i, x, _, z in out)
+        return out
 
     cusps = [(monodromy_of((2, 6, 2, 6)), 4)]
     cusps += [(Mat2(1 + ell * ell, ell, ell, 1), n) for ell in (3, 5) for n in (3, 4)]
     seen = set()
     for a, n in cusps:
         kernel = shifted(a, n).entries()
-        combos = [(1, 0, 1)]
+        combos = [(1, 1, 0, 1)]
         for ell in _index_primes(kernel, a.trace, n):
             part = _primary_part(a, kernel, ell)
             seen |= {(ell, x) for x, _, _ in part}
-            joined = _intersect_part(combos, part)
+            joined = intersect(combos, part)
             assert sorted(joined) == expected(combos, part)
             combos = joined
-        assert sorted(combos, key=lambda m: (m[0] * m[2], m)) == invariant_sublattices_between(a, n)
+        assert [Lattice2(*m[1:]) for m in sorted(combos)] == invariant_sublattices_between(a, n)
     assert {(2, 4), (2, 8), (2, 32), (7, 49), (3, 9), (3, 27)} <= seen
     # Z^2 alone, and a part whose x are all 1, where the shared inverse is
     # pow(x1, -1, 1) = 0.
-    combos = [(1, 0, 1), (2, 1, 1), (4, 1, 2), (8, 5, 4)]
+    combos = [(1, 1, 0, 1), (2, 2, 1, 1), (8, 4, 1, 2), (32, 8, 5, 4)]
     for part in ({(1, 0, 1)}, {(1, 0, 1), (1, 0, 3), (1, 0, 9)}, {(1, 0, 1), (3, 1, 3), (9, 4, 3)}):
-        assert sorted(_intersect_part(combos, part)) == expected(combos, part)
+        assert sorted(intersect(combos, part)) == expected(combos, part)
 
 
 def _walk_matches(a: Mat2) -> int:
@@ -509,6 +516,30 @@ def test_trace_check_guards_the_shared_period_path(monkeypatch, capsys):
     assert "internal error" in capsys.readouterr().err
 
 
+def test_fiber_and_record_checks_run_on_the_census_path(monkeypatch):
+    # Fibers and records are built through the checking __new__ of Lattice2
+    # and CoverRecord, called directly.  A CRT that yields a triple with
+    # y == x, and an induced action of determinant 2, must still raise there.
+    # `expand` rejects a determinant-2 matrix itself, so it is patched to a
+    # period, (3,), that fits the trace 3 of [[2, 0], [0, 1]] and lets the
+    # record check speak.
+    intersect = cuspcovers.covers._intersect_part
+
+    def with_y_equal_x(combos, part):
+        out = intersect(combos, part)
+        i, x, _, z = out[-1]
+        return [*out, (i, x, x, z)]
+
+    monkeypatch.setattr(cuspcovers.covers, "_intersect_part", with_y_equal_x)
+    with pytest.raises(ValueError, match="not a Hermite normal form triple"):
+        invariant_sublattices_between(PAPER_A, 1)
+    monkeypatch.setattr(cuspcovers.covers, "_intersect_part", intersect)
+    monkeypatch.setattr(cuspcovers.covers, "induced_action", lambda lat, a: Mat2(2, 0, 0, 1))
+    monkeypatch.setattr(cuspcovers.covers, "expand", lambda a: (0, (0, 3)))
+    with pytest.raises(ValueError, match=r"induced action \[\[2, 0\], \[0, 1\]\] has determinant 2, not 1"):
+        enumerate_covers(PAPER_A)
+
+
 def test_records_share_one_cycle_per_period_and_degree():
     # Records with equal cycles share one Cycle: the flagship's 58 records
     # hold 24 cycle objects, one per distinct cycle (40 when periods that are
@@ -531,6 +562,27 @@ def test_records_share_one_cycle_per_period_and_degree():
         second = enumerate_covers(monodromy_of(cycle), 4)
         assert second == first
         assert shared.keys().isdisjoint(id(r.cycle) for r in second)
+
+
+def test_cycle_table_never_compares_a_cycle_with_a_key(monkeypatch):
+    # `enumerate_covers` looks periods up by (blocks, n) tuples and interns
+    # cycles by value in a dict of its own.  A Cycle hashes as its
+    # (word, copies) tuple, which is the key of its own canonical period at
+    # n == copies, so while one dict held both, each such lookup called
+    # Cycle.__eq__ against the tuple: 51 times for the flagship, 2533 for
+    # (2, 6, 2, 6) and 68 for (1621).
+    eq = Cycle.__eq__
+    foreign = []
+
+    def counting_eq(self, other):
+        if not isinstance(other, Cycle):
+            foreign.append(other)
+        return eq(self, other)
+
+    monkeypatch.setattr(Cycle, "__eq__", counting_eq)
+    for cycle in ((8, 2, 4, 3, 12), (2, 6, 2, 6), (1621,)):
+        enumerate_covers(monodromy_of(cycle), 4)
+        assert foreign == [], cycle
 
 
 def test_records_hold_their_cycles_as_blocks():
