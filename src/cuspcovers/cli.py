@@ -13,12 +13,18 @@ cusps such as (x) near trace 10**6 meet.
 indent=2) followed by a newline, without the json module: before 3.13
 CPython encodes indent=2 in pure Python, one call per list entry, so
 `certificate_to_json` lays out each array and object itself, one member per
-line, keys in sorted order.  Most covers of one cusp share a cycle object,
-so each, with its dual, is laid out once per document, and the document is
-joined once from a flat list of pieces.  Cycle arrays, and the cycles of the
-text certificate, are written by `Cycle.joined`: the text of the cycle's
-word (a run of k 2s, then an entry >= 3, one string piece per block) joined
-`copies` times; no entries tuple is built.
+line, keys in sorted order.  Its work follows what differs between records:
+- a word's decimal text (`cycles._word_text`: a run of k 2s, then an entry
+  >= 3, one string piece per block) is written once per document, and every
+  cover cycle and dual with that word joins it `copies` times;
+- each distinct cover cycle object, with its dual, built once, is laid out
+  once per document;
+- records of one degree that share a cycle share one head string, and each
+  record adds one body with its fiber and induced action.
+The document is joined once from a flat list of pieces.  The certificate's
+own cycle and dual, and the cycles of the text certificate, are written by
+`Cycle.joined`, the word's text joined `copies` times; no entries tuple is
+built.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import sys
 from typing import Sequence
 
 from .covers import CoverRecord, enumerate_covers
-from .cycles import Cycle, cycle_of, dual_cycle, dual_length, monodromy_of
+from .cycles import Cycle, _word_text, cycle_of, dual_cycle, dual_length, monodromy_of
 from .matrices import Mat2, require_cusp
 from .verifier import Certificate, admissible_traces, candidate_matrices, verify
 
@@ -54,46 +60,71 @@ def certificate_to_json(cert: Certificate) -> str:
     member per line at a two-space indent (none of them is ever empty).
     `trace`, `fiber_index` and the `induced` entries are quoted decimal
     strings, and `witness` is null or an int.  Records are unpacked as
-    tuples, and `fiber_index` is written as x z.  Each cover cycle object is
-    laid out once per document, keyed by identity (`enumerate_covers` gives
-    equal cycles one object): its dual is read once, and its cycle, dual and
-    lengths become strings that every record with that cycle refers to.
-    Each cycle array is written by `Cycle.joined`, its word's text joined
-    `copies` times.  A record's fiber and induced members are one
-    string.  The document is one flat list of pieces, joined once.  The
-    test suite keeps json.dumps as the byte-for-byte oracle
-    `certificate_to_json_oracle` in tests/helpers.py.
+    tuples, and `fiber_index` is written as x z.  Three memos live for one
+    call:
+    - word texts, keyed by the word's value, since `dual_cycle` returns a
+      new word tuple on every build: each depth-3 cycle or dual array is
+      its word's text joined `copies` times;
+    - cycle layouts, keyed by identity (`enumerate_covers` gives equal
+      cycles one object): each distinct cover cycle's dual is read once,
+      and its cycle, dual and lengths become two strings around `degree`;
+    - heads, keyed by identity for one run of equal degrees and reset
+      when the degree changes, so hand-built certificates whose degrees
+      interleave get their own bytes too: the record's opening, its
+      cycle's members, `degree`, its dual's members and the opening of
+      `fiber_hnf`, as one string.
+    A record is then its head and one body string with its fiber and
+    induced members; each body closes its record with a comma, and the
+    last one's is dropped.  The document is one flat list of pieces,
+    joined once.  The test suite keeps json.dumps as the byte-for-byte
+    oracle `certificate_to_json_oracle` in tests/helpers.py.
     """
     # A record sits at depth 2 (document, covers, record), its members at
     # depth 3, keys in sorted order: `degree` falls between the members that
-    # depend only on the cycle.  The dict lives for this call only, and the
+    # depend only on the cycle.  The dicts live for this call only, and the
     # records keep their cycles alive, so no id is reused while it runs.
+    texts: dict[tuple[int, ...], str] = {}
     by_cycle: dict[int, tuple[str, str]] = {}
+    heads: dict[int, str] = {}
     member = ",\n      "
     # Entry separator and closing bracket of a depth-3 array, as `_ints` writes them.
     entry, close = ",\n        ", "\n      ]"
+
+    def array(c: Cycle) -> str:
+        # Keyed by the word's value: a dual is a new tuple on every build.
+        text = texts.get(c.word)
+        if text is None:
+            text = texts[c.word] = _word_text(c.word, entry)
+        return "[\n        " + entry.join([text] * c.copies) + close
+
     out = ['{\n  "covers": [']
-    sep = "\n    {\n      "
+    last = None
     for rec in cert.covers:
         degree, (x, y, z), (a, b, c, d), cycle = rec
-        shared = by_cycle.get(id(cycle))
-        if shared is None:
-            dual = rec.dual
-            shared = by_cycle[id(cycle)] = (
-                f'"cycle": {_ints(cycle, 3)}{member}"cycle_len": {len(cycle)}{member}"degree": ',
-                f'{member}"dual": {_ints(dual, 3)}{member}"dual_len": {len(dual)}{member}"fiber_hnf": ',
-            )
+        if degree != last:
+            heads, last = {}, degree
+        head = heads.get(id(cycle))
+        if head is None:
+            shared = by_cycle.get(id(cycle))
+            if shared is None:
+                dual = rec.dual
+                shared = by_cycle[id(cycle)] = (
+                    f'\n    {{\n      "cycle": {array(cycle)}{member}"cycle_len": {len(cycle)}{member}"degree": ',
+                    f'{member}"dual": {array(dual)}{member}"dual_len": {len(dual)}{member}"fiber_hnf": [\n        ',
+                )
+            head = heads[id(cycle)] = shared[0] + str(degree) + shared[1]
         # Induced entries exceed 64-bit ranges at degree 4, hence decimal strings.
         out += (
-            sep, shared[0], str(degree), shared[1],
-            f'[\n        {x}{entry}{y}{entry}{z}{close}{member}"fiber_index": "{x * z}"'
-            f'{member}"induced": [\n        "{a}"{entry}"{b}"{entry}"{c}"{entry}"{d}"{close}',
+            head,
+            f'{x},\n        {y},\n        {z}\n      ],\n      "fiber_index": "{x * z}",\n      "induced": [\n'
+            f'        "{a}",\n        "{b}",\n        "{c}",\n        "{d}"\n      ]\n    }},',
         )
-        sep = "\n    },\n    {\n      "
+    # Every record closes with a comma; the last one takes none.
+    out[-1] = out[-1][:-1]
     witness = "null" if cert.witness is None else str(cert.witness)
     top = ",\n  "
     out += (
-        f'\n    }}\n  ]{top}"cycle": ', _ints(cert.cycle, 1),
+        f'\n  ]{top}"cycle": ', _ints(cert.cycle, 1),
         f'{top}"dual_cycle": ', _ints(cert.dual, 1),
         f'{top}"input": {{\n    "matrix": ', _ints(cert.monodromy.entries(), 2), "\n  }",
         f'{top}"trace": "{cert.monodromy.trace}"{top}"verdict": "{cert.verdict}"{top}"witness": {witness}\n}}\n',

@@ -12,11 +12,13 @@ induced action P^-1 A P in closed form, and CRT intersections combine the
 primes, carrying each fiber as (index, x, y, z), its sort key in front.
 One validated `Lattice2` is built per fiber returned.  The public
 `induced_action` and `prime_index_invariant_lattices` take a `Lattice2`
-and call the same triple helpers.  Each fiber's expansion comes back as
-blocks and keys the shared cycles, and records with equal cycles share one
-`Cycle` object, interned by value in a dict apart from the period keys.  A
-degree-n record's cycle is its fiber's cycle with n times the copies of the
-same primitive word; no n-fold block tuple is built.
+and call the same triple helpers: `induced_action` unpacks the lattice and
+returns `_induced`'s `Mat2`, which the walk uses as it comes.  Each fiber's
+expansion comes back as blocks and keys the shared cycles, and records with
+equal cycles share one `Cycle` object, interned by value in a dict apart
+from the period keys.  A degree-n record's cycle is its fiber's cycle with
+n times the copies of the same primitive word; no n-fold block tuple is
+built.
 
 `Lattice2` and `CoverRecord` are `typing.NamedTuple` value types: a lattice
 is the tuple (x, y, z) and a record the tuple (base_degree, fiber, induced,
@@ -122,8 +124,8 @@ def _contains(x: int, y: int, z: int, m: tuple[int, int, int, int]) -> bool:
     return not (c % z or d % z or (a - c // z * y) % x or (b - d // z * y) % x)
 
 
-def _induced(a: Mat2, x: int, y: int, z: int) -> tuple[int, int, int, int]:
-    """P^-1 A P for P = [[x, y], [0, z]], row-major, in closed form.
+def _induced(m: Mat2, x: int, y: int, z: int) -> Mat2:
+    """P^-1 A P for A = m = [[a, b], [c, d]] and P = [[x, y], [0, z]], in closed form.
 
     With u = c y / z and N = (a - d) y z + b z^2 - c y^2, P^-1 A P is
     [[a - u, N / (x z)], [c x / z, d + u]].  It is integral, that is, the
@@ -131,15 +133,16 @@ def _induced(a: Mat2, x: int, y: int, z: int) -> tuple[int, int, int, int]:
     ValueError otherwise.  z | c y needs no test: det(P^-1 A P) = det A is an
     integer, so once the off-diagonal entries are, (a - u)(d + u) =
     ad + (a - d) u - u^2 is one too, and for u = r / s in lowest terms that
-    forces s | r^2, so s = 1.
+    forces s | r^2, so s = 1.  m is unpacked once, and Mat2 checks nothing,
+    so the result is built without its field-by-field __new__.
     """
-    c = a.c
+    a, b, c, d = m
     cx, xz = c * x, x * z
-    n = (a.a - a.d) * y * z + a.b * z * z - c * y * y
+    n = (a - d) * y * z + b * z * z - c * y * y
     if cx % z or n % xz:
         raise ValueError(f"lattice {Lattice2(x, y, z)} is not invariant under the monodromy")
     u = c * y // z
-    return a.a - u, n // xz, cx // z, a.d + u
+    return tuple.__new__(Mat2, (a - u, n // xz, cx // z, d + u))
 
 
 def _prime_index_children(
@@ -169,8 +172,8 @@ def _prime_index_children(
 
 def induced_action(lat: Lattice2, a: Mat2) -> Mat2:
     """A rewritten in the lattice basis: P^-1 A P for P the HNF basis."""
-    # Mat2 checks nothing, so its tuple is built without the field-by-field __new__.
-    return tuple.__new__(Mat2, _induced(a, *lat))
+    x, y, z = lat
+    return _induced(a, x, y, z)
 
 
 def prime_index_invariant_lattices(a: Mat2, ell: int) -> list[Lattice2]:

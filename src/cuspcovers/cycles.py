@@ -93,6 +93,15 @@ def _least_rotation(blocks: tuple[int, ...]) -> tuple[int, int]:
     return 2 * start, 2 * (j - m)
 
 
+def _word_text(word: tuple[int, ...], sep: str) -> str:
+    """The entries of the flat blocks `word` in decimal, separated by sep:
+    one piece per block, its run of k 2s written as ("2" + sep) * k.  It
+    depends on the word's value alone, so a writer may share it between
+    equal words."""
+    runs = map(("2" + sep).__mul__, word[::2])
+    return sep.join(map(operator.add, runs, map(str, word[1::2])))
+
+
 @dataclass(frozen=True, init=False, repr=False)
 class Cycle:
     """A resolution cycle w**copies, stored as `word`, the flat blocks
@@ -141,12 +150,9 @@ class Cycle:
         return tuple(out) * self.copies
 
     def joined(self, sep: str) -> str:
-        """The canonical entries in decimal, separated by sep: the word's text,
-        one piece per block with its run of k 2s written as ("2" + sep) * k,
-        joined `copies` times."""
-        word = self.word
-        runs = map(("2" + sep).__mul__, word[::2])
-        return sep.join([sep.join(map(operator.add, runs, map(str, word[1::2])))] * self.copies)
+        """The canonical entries in decimal, separated by sep: the word's text
+        (`_word_text`) joined `copies` times."""
+        return sep.join([_word_text(self.word, sep)] * self.copies)
 
     def __len__(self) -> int:
         return (sum(self.word[::2]) + len(self.word) // 2) * self.copies

@@ -9,10 +9,11 @@ from pathlib import Path
 
 import pytest
 
+import cuspcovers.cli
 import cuspcovers.covers
 import cuspcovers.intmath
 import cuspcovers.verifier
-from cuspcovers import Certificate, CoverRecord, Cycle, Lattice2, monodromy_of, verify
+from cuspcovers import Certificate, CoverRecord, Cycle, Lattice2, dual_cycle, monodromy_of, verify
 from cuspcovers.cli import _ints, certificate_to_json, certificate_to_text, main
 from cuspcovers.cycles import _repeated
 from cuspcovers.intmath import factorize
@@ -155,8 +156,10 @@ def test_certificate_json_matches_stdlib_encoder():
     assert any(r.base_degree == 4 and min(r.induced.entries()) <= -10 for r in cert.covers)
 
 
-def test_json_memos_keep_the_stdlib_bytes_for_shared_and_equal_values():
-    # The writer lays out each cycle object once per document.  A hand-built
+def test_json_memos_keep_the_stdlib_bytes_for_shared_and_equal_values(monkeypatch):
+    # The writer lays out each cycle object once per document, keeps one
+    # record head per (cycle, degree) for a run of equal degrees, and writes
+    # each word's text once, keyed by the word's value.  A hand-built
     # certificate whose records hold equal but distinct cycles, one cycle
     # object at several degrees, and one induced matrix at several fibers, as
     # one object and as an equal copy, must still give the stdlib encoder's
@@ -181,6 +184,42 @@ def test_json_memos_keep_the_stdlib_bytes_for_shared_and_equal_values():
     # The census gives equal cycles one object, so the writer, keyed by
     # identity, lays out each distinct cycle of the flagship once.
     assert len({id(r.cycle) for r in cert.covers}) == len({r.cycle for r in cert.covers}) == 24
+
+    c = second.cycle
+    lat = iter(Lattice2(x, y, z) for x in (1, 2, 3) for z in (1, 2, 3, 4) for y in range(x))
+    # Degrees that run 1, 2, 1 over one cycle object: a head written at degree
+    # 1 must not serve the degree-2 record, nor the degree-2 head the last one.
+    runs = [CoverRecord(n, next(lat), ind, c) for n in (1, 1, 2, 1)]
+    # One word at copies 1, 2 and 3: one word text, joined 1, 2 and 3 times.
+    runs += [CoverRecord(n, next(lat), ind, _repeated(c, n)) for n in (1, 2, 3)]
+    # Distinct cycles whose duals have equal words, in distinct tuples: each
+    # dual is built once per cycle object and freed after its layout, so a
+    # text keyed by the tuple's identity could be read for another word that
+    # reuses the address.  The short cycles' duals are words of equal length.
+    assert dual_cycle(c).word == dual_cycle(twin).word
+    assert dual_cycle(c).word is not dual_cycle(twin).word
+    runs += [CoverRecord(3, next(lat), ind, twin)]
+    short = [Cycle((p, q)) for p in (3, 4, 5) for q in (3, 4, 5, 6) if p < q]
+    runs += [CoverRecord(1, next(lat), ind, s) for s in short]
+    runs += [CoverRecord(1, next(lat), ind, Cycle(s.entries)) for s in short]
+    hand = Certificate(a, cert.cycle, tuple(runs), None)
+    assert certificate_to_json(hand) == certificate_to_json_oracle(hand)
+
+    # Word texts at depth 3 are written once per distinct word of the cover
+    # cycles and their duals.
+    texts = []
+    word_text = cuspcovers.cli._word_text
+
+    def counting(word, sep):
+        texts.append(word)
+        return word_text(word, sep)
+
+    monkeypatch.setattr(cuspcovers.cli, "_word_text", counting)
+    for doc in (cert, hand):
+        texts.clear()
+        certificate_to_json(doc)
+        words = {r.cycle.word for r in doc.covers} | {r.dual.word for r in doc.covers}
+        assert len(texts) == len(words) == len(set(texts))
 
 
 def test_int_arrays_match_the_stdlib_layout_at_depths_1_to_3():

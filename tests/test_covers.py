@@ -15,6 +15,7 @@ from cuspcovers.covers import (
     Lattice2,
     _contains,
     _index_primes,
+    _induced,
     _intersect_part,
     _primary_part,
     _prime_index_children,
@@ -313,7 +314,8 @@ def test_induced_action_matches_conjugation():
     # The closed form P^-1 A P against `conjugate` on the walk's invariant
     # lattices (on the flagship's degree-4 fibers N passes 10**20) and
     # on random HNF triples, nearly all of them not invariant.  A triple that
-    # fails only z | c x, or only x z | N, must raise as well.
+    # fails only z | c x, or only x z | N, must raise as well.  The walk's
+    # `_induced` on the raw triple gives the same Mat2 and the same error.
     rng = random.Random(97)
     pairs = [(PAPER_A, lat) for n in (1, 2, 3, 4) for lat in invariant_sublattices_between(PAPER_A, n)]
     for _ in range(40):
@@ -331,14 +333,18 @@ def test_induced_action_matches_conjugation():
         largest = max(largest, abs(n))
         expected = conjugate(a, lat.basis)
         if expected is None:
-            with pytest.raises(ValueError) as err:
-                induced_action(lat, a)
-            assert str(err.value) == f"lattice {lat} is not invariant under the monodromy"
+            for call in (lambda: induced_action(lat, a), lambda: _induced(a, x, y, z)):
+                with pytest.raises(ValueError) as err:
+                    call()
+                assert str(err.value) == f"lattice {lat} is not invariant under the monodromy"
             cx_divides, n_divides = a.c * x % z == 0, n % (x * z) == 0
             if cx_divides != n_divides:
                 only["N" if cx_divides else "c x"] += 1
         else:
-            assert induced_action(lat, a) == expected
+            ind = induced_action(lat, a)
+            assert ind == expected and type(ind) is Mat2
+            raw = _induced(a, x, y, z)
+            assert raw.entries() == expected.entries() and type(raw) is Mat2
     assert len(pairs) >= 600
     assert largest > 10**20
     assert min(only.values()) > 10, only
