@@ -13,18 +13,15 @@ cusps such as (x) near trace 10**6 meet.
 indent=2) followed by a newline, without the json module: before 3.13
 CPython encodes indent=2 in pure Python, one call per list entry, so
 `certificate_to_json` lays out each array and object itself, one member per
-line, keys in sorted order.  Its work follows what differs between records:
+line, keys in sorted order, in one loop over the records with two memos:
 - a word's decimal text (`cycles._word_text`: a run of k 2s, then an entry
   >= 3, one string piece per block) is written once per document, and every
   cover cycle and dual with that word joins it `copies` times;
-- each distinct cover cycle object, with its dual, built once, is laid out
-  once per document;
-- records of one degree that share a cycle share one head string, and each
-  record adds one body with its fiber and induced action.
+- one head string per (cycle, degree), with the cycle's dual built once for
+  it; each record adds one body with its fiber and induced action.
 The document is joined once from a flat list of pieces.  The certificate's
 own cycle and dual, and the cycles of the text certificate, are written by
-`Cycle.joined`, the word's text joined `copies` times; no entries tuple is
-built.
+`Cycle.joined`; no entries tuple is built.
 """
 
 from __future__ import annotations
@@ -39,40 +36,25 @@ from .matrices import Mat2, require_cusp
 from .verifier import Certificate, admissible_traces, candidate_matrices, verify
 
 
-def _ints(values: Cycle | Sequence[int], depth: int) -> str:
-    """A nonempty int array at `depth`, laid out as json.dumps(indent=2) does.
-
-    A Cycle is written by `Cycle.joined`, a run of k 2s as one repeated
-    string and its word's text once, so a cycle that is nearly all 2s costs
-    the blocks of its primitive root, not its length; its entries tuple is
-    never built.
-    """
-    pad = "  " * depth
-    sep = ",\n  " + pad
-    body = values.joined(sep) if isinstance(values, Cycle) else sep.join(map(str, values))
-    return "[\n  " + pad + body + "\n" + pad + "]"
-
-
 def certificate_to_json(cert: Certificate) -> str:
     """The certificate as JSON: the bytes of json.dumps(doc, sort_keys=True, indent=2), plus a newline.
 
     Written directly, keys in sorted order, every array and object with one
-    member per line at a two-space indent (none of them is ever empty).
-    `trace`, `fiber_index` and the `induced` entries are quoted decimal
-    strings, and `witness` is null or an int.  Records are unpacked as
-    tuples, and `fiber_index` is written as x z.  Three memos live for one
-    call:
+    member per line at a two-space indent; `covers` is `[]` when there are
+    no records, and no other array is ever empty.  `trace`, `fiber_index`
+    and the `induced` entries are quoted decimal strings, and `witness` is
+    null or an int.  Records and the input matrix are unpacked as tuples,
+    and `fiber_index` is written as x z.  Two memos live for one call:
     - word texts, keyed by the word's value, since `dual_cycle` returns a
       new word tuple on every build: each depth-3 cycle or dual array is
       its word's text joined `copies` times;
-    - cycle layouts, keyed by identity (`enumerate_covers` gives equal
-      cycles one object): each distinct cover cycle's dual is read once,
-      and its cycle, dual and lengths become two strings around `degree`;
-    - heads, keyed by identity for one run of equal degrees and reset
-      when the degree changes, so hand-built certificates whose degrees
-      interleave get their own bytes too: the record's opening, its
+    - record heads, keyed by (id(cycle), degree): the record's opening, its
       cycle's members, `degree`, its dual's members and the opening of
-      `fiber_hnf`, as one string.
+      `fiber_hnf`, as one string, with the dual built once per head.  A
+      degree-n cover cycle has the trace of A**n, so no cycle object of a
+      `verify` certificate appears at two degrees, and its duals are built
+      once per distinct cover cycle; hand-built certificates whose degrees
+      interleave still get their own bytes, since the degree is in the key.
     A record is then its head and one body string with its fiber and
     induced members; each body closes its record with a comma, and the
     last one's is dropped.  The document is one flat list of pieces,
@@ -84,10 +66,9 @@ def certificate_to_json(cert: Certificate) -> str:
     # depend only on the cycle.  The dicts live for this call only, and the
     # records keep their cycles alive, so no id is reused while it runs.
     texts: dict[tuple[int, ...], str] = {}
-    by_cycle: dict[int, tuple[str, str]] = {}
-    heads: dict[int, str] = {}
+    heads: dict[tuple[int, int], str] = {}
     member = ",\n      "
-    # Entry separator and closing bracket of a depth-3 array, as `_ints` writes them.
+    # Entry separator and closing bracket of a depth-3 array.
     entry, close = ",\n        ", "\n      ]"
 
     def array(c: Cycle) -> str:
@@ -98,36 +79,31 @@ def certificate_to_json(cert: Certificate) -> str:
         return "[\n        " + entry.join([text] * c.copies) + close
 
     out = ['{\n  "covers": [']
-    last = None
     for rec in cert.covers:
         degree, (x, y, z), (a, b, c, d), cycle = rec
-        if degree != last:
-            heads, last = {}, degree
-        head = heads.get(id(cycle))
+        head = heads.get((id(cycle), degree))
         if head is None:
-            shared = by_cycle.get(id(cycle))
-            if shared is None:
-                dual = rec.dual
-                shared = by_cycle[id(cycle)] = (
-                    f'\n    {{\n      "cycle": {array(cycle)}{member}"cycle_len": {len(cycle)}{member}"degree": ',
-                    f'{member}"dual": {array(dual)}{member}"dual_len": {len(dual)}{member}"fiber_hnf": [\n        ',
-                )
-            head = heads[id(cycle)] = shared[0] + str(degree) + shared[1]
+            dual = rec.dual
+            head = heads[id(cycle), degree] = (
+                f'\n    {{\n      "cycle": {array(cycle)}{member}"cycle_len": {len(cycle)}{member}"degree": {degree}'
+                f'{member}"dual": {array(dual)}{member}"dual_len": {len(dual)}{member}"fiber_hnf": [\n        '
+            )
         # Induced entries exceed 64-bit ranges at degree 4, hence decimal strings.
         out += (
             head,
             f'{x},\n        {y},\n        {z}\n      ],\n      "fiber_index": "{x * z}",\n      "induced": [\n'
             f'        "{a}",\n        "{b}",\n        "{c}",\n        "{d}"\n      ]\n    }},',
         )
-    # Every record closes with a comma; the last one takes none.
-    out[-1] = out[-1][:-1]
-    witness = "null" if cert.witness is None else str(cert.witness)
-    top = ",\n  "
+    # Every record closes with a comma; the last one takes none.  With no
+    # records, the opening bracket is the last piece and becomes `[]`.
+    out[-1] = out[-1][:-1] + ("\n  ]" if cert.covers else "[]")
+    a, b, c, d = cert.monodromy
+    witness = "null" if cert.witness is None else cert.witness
+    top, sep = ",\n  ", ",\n    "
     out += (
-        f'\n  ]{top}"cycle": ', _ints(cert.cycle, 1),
-        f'{top}"dual_cycle": ', _ints(cert.dual, 1),
-        f'{top}"input": {{\n    "matrix": ', _ints(cert.monodromy.entries(), 2), "\n  }",
-        f'{top}"trace": "{cert.monodromy.trace}"{top}"verdict": "{cert.verdict}"{top}"witness": {witness}\n}}\n',
+        f'{top}"cycle": [\n    ', cert.cycle.joined(sep), f'\n  ]{top}"dual_cycle": [\n    ', cert.dual.joined(sep),
+        f'\n  ]{top}"input": {{\n    "matrix": [\n      {a},\n      {b},\n      {c},\n      {d}\n    ]\n  }}'
+        f'{top}"trace": "{a + d}"{top}"verdict": "{cert.verdict}"{top}"witness": {witness}\n}}\n',
     )
     return "".join(out)
 

@@ -13,8 +13,8 @@ import cuspcovers.cli
 import cuspcovers.covers
 import cuspcovers.intmath
 import cuspcovers.verifier
-from cuspcovers import Certificate, CoverRecord, Cycle, Lattice2, dual_cycle, monodromy_of, verify
-from cuspcovers.cli import _ints, certificate_to_json, certificate_to_text, main
+from cuspcovers import Certificate, CoverRecord, Cycle, Lattice2, cycle_of, dual_cycle, monodromy_of, verify
+from cuspcovers.cli import certificate_to_json, certificate_to_text, main
 from cuspcovers.cycles import _repeated
 from cuspcovers.intmath import factorize
 from cuspcovers.matrices import Mat2
@@ -106,9 +106,9 @@ def test_verify_json_deterministic_and_key_sorted(capsys):
 
 def test_certificate_json_matches_stdlib_encoder():
     # The direct writer must give the bytes of json.dumps(sort_keys=True, indent=2).
-    # It lays out each distinct cover cycle once; `shares` counts the inputs
-    # with a repeated cycle, whose later records take the laid-out cycle and
-    # write their own fiber and induced action.
+    # It writes one head per (cycle, degree); `shares` counts the inputs with
+    # a repeated cycle, whose later records take that head and write their
+    # own fiber and induced action.
     shares = 0
 
     def same(cert):
@@ -116,7 +116,8 @@ def test_certificate_json_matches_stdlib_encoder():
         assert certificate_to_json(cert) == certificate_to_json_oracle(cert)
         cycles = {r.cycle for r in cert.covers}
         # A degree-n record's cycle has the trace of A**n, so a cycle repeats
-        # only within one degree, at another fiber.
+        # only within one degree, at another fiber: the (cycle, degree) head
+        # key is then the cycle alone, and each dual is built once.
         assert len(cycles) == len({(r.cycle, r.base_degree) for r in cert.covers})
         shares += len(cycles) < len(cert.covers)
         return cert
@@ -157,8 +158,7 @@ def test_certificate_json_matches_stdlib_encoder():
 
 
 def test_json_memos_keep_the_stdlib_bytes_for_shared_and_equal_values(monkeypatch):
-    # The writer lays out each cycle object once per document, keeps one
-    # record head per (cycle, degree) for a run of equal degrees, and writes
+    # The writer keeps one record head per (cycle object, degree) and writes
     # each word's text once, keyed by the word's value.  A hand-built
     # certificate whose records hold equal but distinct cycles, one cycle
     # object at several degrees, and one induced matrix at several fibers, as
@@ -182,7 +182,7 @@ def test_json_memos_keep_the_stdlib_bytes_for_shared_and_equal_values(monkeypatc
         hand = Certificate(a, cert.cycle, records, witness)
         assert certificate_to_json(hand) == certificate_to_json_oracle(hand)
     # The census gives equal cycles one object, so the writer, keyed by
-    # identity, lays out each distinct cycle of the flagship once.
+    # identity and degree, writes one head per distinct cycle of the flagship.
     assert len({id(r.cycle) for r in cert.covers}) == len({r.cycle for r in cert.covers}) == 24
 
     c = second.cycle
@@ -223,26 +223,39 @@ def test_json_memos_keep_the_stdlib_bytes_for_shared_and_equal_values(monkeypatc
 
 
 def test_int_arrays_match_the_stdlib_layout_at_depths_1_to_3():
-    # `_ints` writes a Cycle from its blocks, each run of k 2s in one step,
-    # and any other int sequence one entry at a time; json.dumps writes one
-    # entry at a time, its nested lines indented by two spaces per depth.
+    # A Cycle is written from its blocks, each run of k 2s in one step, as
+    # the certificate's own cycle and dual (depth 1) and as a record's cycle
+    # and dual (depth 3); the input matrix is four ints at depth 2.
+    # json.dumps writes one entry at a time, its nested lines indented by two
+    # spaces per depth.
     rng = random.Random(103)
-    cases = [(2,), (7,), (2, 2, 2), (3, 4, 5), (2, 2, 3, 2), (3, 2, 2), (-2, 2, 22, -1, 2), (12, -2, 2, 2, 0)]
-    for _ in range(400):
-        cases.append(tuple(rng.choice((2, 2, 2, 3, -2, 0, 12, -7, 10**30)) for _ in range(rng.randint(1, 25))))
-    cases += [Cycle((3,)), Cycle((2,) * 40 + (7,)), Cycle((3, 4, 5)), Cycle((2, 2, 3, 2, 2, 2, 4))]
-    cases += [random_cycle(rng, max_len=rng.randint(1, 30), max_entry=rng.choice((3, 4, 40))) for _ in range(300)]
-    for entries in cases:
-        for depth in (1, 2, 3):
-            assert _ints(entries, depth) == json.dumps(list(entries), indent=2).replace("\n", "\n" + "  " * depth)
+    values = (2, 2, 2, 3, -2, 0, 12, -7, 10**30)
+    matrices = [Mat2(0, 0, 0, 0), Mat2(-2, -7, -1, -12), Mat2(*[10**30] * 4), Mat2(10**30, -2, 0, 12)]
+    matrices += [Mat2(*(rng.choice(values) for _ in range(4))) for _ in range(100)]
+    cycles = [Cycle((3,)), Cycle((2,) * 40 + (7,)), Cycle((3, 4, 5)), Cycle((2, 2, 3, 2, 2, 2, 4))]
+    cycles += [random_cycle(rng, max_len=rng.randint(1, 30), max_entry=rng.choice((3, 4, 40))) for _ in range(300)]
     # A Cycle writes its word's text once and joins it `copies` times, so
     # repeated and non-primitive cycles must still give every entry.
     # (2, 2, 2, 3)^2 has the blocks (3, 3, 3, 3): its word is (3, 3), two copies.
-    cycles = [c for c in cases if isinstance(c, Cycle)]
     cycles += [_repeated(c, n) for c in cycles[:60] for n in (2, 3, 4)]
     cycles += [Cycle((2, 2, 2, 3) * 2), Cycle((3,) * 4), Cycle((3, 4, 3, 5)), _repeated(Cycle((2, 2, 2, 3) * 2), 3)]
-    for c in cycles:
-        assert _ints(c, 3) == json.dumps(list(c.entries), indent=2).replace("\n", "\n      ")
+    ind = Mat2(1640, 221, -141, -19)
+    # 488 cycles, so every matrix is the input of some certificate.
+    for i, c in enumerate(cycles):
+        m = matrices[i % len(matrices)]
+        for witness in (None, 0):
+            cert = Certificate(m, c, (CoverRecord(1, Lattice2(1, 0, 1), ind, c),), witness)
+            assert certificate_to_json(cert) == certificate_to_json_oracle(cert)
+
+
+def test_certificate_with_no_covers_is_valid_json():
+    # `verify` always yields the degree-1 record with fiber Z^2, but a
+    # hand-built Certificate may hold no records: `covers` is then `[]`.
+    for m in (Mat2(3, 1, -1, 0), Mat2(1640, 221, -141, -19)):
+        cert = Certificate(m, cycle_of(m), (), None)
+        text = certificate_to_json(cert)
+        assert text == certificate_to_json_oracle(cert)
+        assert json.loads(text)["covers"] == []
 
 
 def test_text_certificate_of_a_long_cycle_is_pinned(capsys):
@@ -300,8 +313,10 @@ def test_duals_are_built_only_on_demand(capsys, monkeypatch):
     assert len(built) == 0
     certificate_to_text(cert)
     assert len(built) == 1
-    # JSON reads each distinct cover cycle's dual once, and the certificate's;
-    # its cycle memo lives for one call, so a second call builds them again.
+    # JSON builds one dual per record head, keyed by (cycle, degree), and the
+    # certificate's.  No cycle spans two degrees (its trace is that of A**n),
+    # so that is one dual per distinct cover cycle; the heads live for one
+    # call, so a second call builds them again.
     distinct = len({r.cycle for r in cert.covers})
     for _ in range(2):
         built.clear()
