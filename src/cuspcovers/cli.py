@@ -2,26 +2,18 @@
 
 Exit codes: 0 for a completed computation (whatever the verdict), 2 for
 invalid input (bad matrix, bad cycle, malformed arguments), 1 for an
-internal failure: any `RuntimeError`, printed as one `internal error:` line.
-That covers a failed self-check (a factorization whose primes do not
+internal failure: any `RuntimeError`, printed as one `internal error:` line,
+and a `MemoryError`, printed as `internal error: out of memory`.  The
+`RuntimeError`s are a failed self-check (a factorization whose primes do not
 multiply back, a congruence root that is no root, a sieve that disagrees
 with trial division) and a `cfrac.ExpansionError`, such as an expansion past
 the `cfrac.MAX_STEPS` = 10**6 step ceiling of `cfrac.expand`, which valid
-cusps such as (x) near trace 10**6 meet.
+cusps such as (x) near trace 10**6 meet.  A closed output pipe ends the run
+with exit 0.
 
 `verify --format json` writes the bytes of json.dumps(doc, sort_keys=True,
-indent=2) followed by a newline, without the json module: before 3.13
-CPython encodes indent=2 in pure Python, one call per list entry, so
-`certificate_to_json` lays out each array and object itself, one member per
-line, keys in sorted order, in one loop over the records with two memos:
-- a word's decimal text (`cycles._word_text`: a run of k 2s, then an entry
-  >= 3, one string piece per block) is written once per document, and every
-  cover cycle and dual with that word joins it `copies` times;
-- one head string per (cycle, degree), with the cycle's dual built once for
-  it; each record adds one body with its fiber and induced action.
-The document is joined once from a flat list of pieces.  The certificate's
-own cycle and dual, and the cycles of the text certificate, are written by
-`Cycle.joined`; no entries tuple is built.
+indent=2) followed by a newline, without the json module; see
+`certificate_to_json` for how.
 """
 
 from __future__ import annotations
@@ -254,6 +246,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("internal error: out of memory", file=sys.stderr)
         return 1
     except BrokenPipeError:
         return 0

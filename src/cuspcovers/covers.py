@@ -14,11 +14,11 @@ One validated `Lattice2` is built per fiber returned.  The public
 `induced_action` and `prime_index_invariant_lattices` take a `Lattice2`
 and call the same triple helpers: `induced_action` unpacks the lattice and
 returns `_induced`'s `Mat2`, which the walk uses as it comes.  Each fiber's
-expansion comes back as blocks and keys the shared cycles, and records with
-equal cycles share one `Cycle` object, interned by value in a dict apart
-from the period keys.  A degree-n record's cycle is its fiber's cycle with
-n times the copies of the same primitive word; no n-fold block tuple is
-built.
+expansion comes back as blocks, and a record's cycle is looked up by
+(period blocks, base degree) in a `cycles._CoverCycles` table, which builds
+each cycle once and shares one `Cycle` object between records with equal
+cycles.  A degree-n record's cycle is its fiber's cycle with n times the
+copies of the same primitive word; no n-fold block tuple is built.
 
 `Lattice2` and `CoverRecord` are `typing.NamedTuple` value types: a lattice
 is the tuple (x, y, z) and a record the tuple (base_degree, fiber, induced,
@@ -36,9 +36,9 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .cfrac import expand
 # cycle_of is not called here (records build their cycles through
-# `_base_cycle`), but stays bound as covers.cycle_of for code that reaches
+# `_CoverCycles`), but stays bound as covers.cycle_of for code that reaches
 # the cycle names through this module.
-from .cycles import Cycle, _base_cycle, _repeated, cycle_of, dual_cycle  # noqa: F401
+from .cycles import Cycle, _CoverCycles, cycle_of, dual_cycle  # noqa: F401
 from .intmath import factorize, is_prime, solve_quadratic_congruence
 from .matrices import Mat2, power, require_cusp
 
@@ -295,47 +295,28 @@ def enumerate_covers(a: Mat2, max_degree: int = 4) -> list[CoverRecord]:
     X**n fixes the same expanding slope as X, so both expand to one primitive
     period, with period matrix m.  X is conjugate to m**k and its cycle is the
     period repeated k times; X**n is conjugate to m**(k n), so its cycle is
-    X's cycle repeated n times.  `_repeated` keeps X's canonical primitive
-    word and multiplies its copies by n, without a second least-rotation
-    pass, and the entries are those of `cycle_of(power(X, n))`.
+    X's cycle repeated n times.  The table below builds it with
+    `cycles._repeated`, which keeps X's canonical primitive word and
+    multiplies its copies by n, without a second least-rotation pass, and
+    the entries are those of `cycle_of(power(X, n))`.
 
-    X is expanded once per record, and its cycle is looked up in `cycles`, a
-    dict that lives for this call only, by (period blocks, n), so records of
-    one period and degree share one Cycle.  `expand` returns the period as
-    the flat blocks of `Cycle`, with the 2s after its last entry >= 3
-    wrapped to the front, so periods that differ only in where those 2s fall
-    share a key.  The cycle of X sits under (blocks, 1).  Only a period's
-    first record builds it, with `_base_cycle` (one canonicalization, one
-    product, the trace check).  On a miss, the new cycle is also interned by
-    value in `interned`, a second dict, so periods that are rotations of one
-    another share one Cycle too; the hit path hashes no cycle.  The two
-    kinds of key live apart because a Cycle hashes as its (word, copies)
-    tuple, which is the (blocks, n) key of its own canonical period at
-    n == copies: in one dict the two collide, and each collision costs a
-    Python-level `Cycle.__eq__` against the tuple.  Every induced action
-    is P^-1 A P, of trace t = trace(A), so that check covers every later
-    record with the period: their k is the same.
-    For det 1 the trace of X**n is a fixed polynomial in trace(X), so it
-    covers the repetition too.  Each record is built through
+    X is expanded once per record, and its cycle is looked up by
+    (period blocks, n) in the table `cycles`, a `_CoverCycles` that lives
+    for this call only: each period's first record builds its cycle there,
+    with one canonicalization and the trace check against trace(A), and
+    records of one period and degree, or with equal cycles, share one Cycle.
+    `expand` returns the period as the flat blocks of `Cycle`, with the 2s
+    after its last entry >= 3 wrapped to the front, so periods that differ
+    only in where those 2s fall share a key.  Each record is built through
     `CoverRecord`'s checking `__new__`, called directly.
     """
     if not 1 <= max_degree <= 4:
         raise ValueError("base degree must lie in 1..4")
-    cycles: dict[tuple[tuple[int, ...], int], Cycle] = {}
-    interned: dict[Cycle, Cycle] = {}
+    cycles = _CoverCycles(a.trace)
     records: list[CoverRecord] = []
     new = CoverRecord.__new__
     for n in range(1, max_degree + 1):
         for lat in invariant_sublattices_between(a, n):
             ind = induced_action(lat, a)
-            _, blocks = expand(ind)
-            cycle = cycles.get((blocks, n))
-            if cycle is None:
-                base = cycles.get((blocks, 1))
-                if base is None:
-                    base = _base_cycle(blocks, ind.trace)
-                    base = cycles[blocks, 1] = interned.setdefault(base, base)
-                cycle = _repeated(base, n)
-                cycle = cycles[blocks, n] = interned.setdefault(cycle, cycle)
-            records.append(new(CoverRecord, n, lat, ind, cycle))
+            records.append(new(CoverRecord, n, lat, ind, cycles[expand(ind)[1], n]))
     return records

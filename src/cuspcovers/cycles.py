@@ -17,6 +17,13 @@ pass that also checks them, and `Cycle.blocks` and `Cycle.entries` build
 the full tuples on demand.  The cycle of a matrix never meets its entries:
 `cfrac.expand` returns its period as blocks, and `_base_cycle`
 canonicalizes those.
+
+`Cycle.__post_init__(word, copies)` is the one canonicalizer, and it takes
+flat blocks only: `Cycle(entries)` calls it on the blocks it reads, and
+`_canonical` on blocks that are valid by construction (a dual, a period).
+`_repeated` is the one builder that skips it.  `_CoverCycles` is the table
+of one certificate's cover cycles, keyed by (period blocks, base degree),
+that `covers.enumerate_covers` looks each record's cycle up in.
 """
 
 from __future__ import annotations
@@ -28,9 +35,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .cfrac import ExpansionError, expand
 from .matrices import Mat2, mul
-
-# Passed to Cycle.__post_init__ in place of entries when the blocks are set already.
-_BLOCKS = object()
 
 
 def _blocks(entries: Iterable[int]) -> tuple[tuple[int, ...], int]:
@@ -109,27 +113,22 @@ class Cycle:
     (k_i 2s, then e_i >= 3), and `copies`.
 
     `Cycle(entries)` checks the entries and reads their blocks in one pass
-    (`_blocks`; the 2s after the last entry >= 3 wrap to the front), then
-    rotates them to the least rotation and cuts them to the primitive root
-    (`_least_rotation`).  The primitive root and its least rotation are
-    unique, so equality and hashing compare (word, copies), which is
-    comparing canonical entries.
+    (`_blocks`), wraps the 2s after the last entry >= 3 onto k_1 and hands
+    the blocks to `__post_init__`.  That is the one canonicalizer: it takes
+    flat blocks only, turns them to their least rotation and cuts them to
+    the primitive root (`_least_rotation`).  The primitive root and its
+    least rotation are unique, so equality and hashing compare
+    (word, copies), which is comparing canonical entries.
     """
 
     word: tuple[int, ...]
     copies: int
 
     def __init__(self, entries: Iterable[int]) -> None:
-        self.__post_init__(entries)
+        word, tail = _blocks(entries)
+        self.__post_init__((word[0] + tail, *word[1:]), 1)
 
-    def __post_init__(self, entries: Iterable[int]) -> None:
-        # `_from_blocks` sets the word and copies itself and passes _BLOCKS.
-        if entries is _BLOCKS:
-            word, copies = self.word, self.copies
-        else:
-            (word, tail), copies = _blocks(entries), 1
-            if tail:
-                word = (word[0] + tail, *word[1:])
+    def __post_init__(self, word: tuple[int, ...], copies: int) -> None:
         # Rotated to its least rotation, the word is its root repeated len // period times.
         i, period = _least_rotation(word)
         object.__setattr__(self, "word", (word[i:] + word[:i])[:period])
@@ -167,25 +166,24 @@ class Cycle:
         return f"Cycle({self.entries!r})"
 
 
-def _from_blocks(word: tuple[int, ...], copies: int, rotate: bool) -> Cycle:
-    """The Cycle word**copies on flat blocks that are valid by construction,
-    with no entry scan: rotated to the least rotation and cut to its
-    primitive root by `Cycle.__post_init__`, the one canonicalization entry,
-    when rotate is set, and taken as canonical otherwise."""
+def _canonical(word: tuple[int, ...], copies: int) -> Cycle:
+    """The Cycle word**copies of flat blocks that are valid by construction,
+    with no entry scan, canonicalized by `Cycle.__post_init__`."""
     out = object.__new__(Cycle)
-    object.__setattr__(out, "word", word)
-    object.__setattr__(out, "copies", copies)
-    if rotate:
-        out.__post_init__(_BLOCKS)
+    out.__post_init__(word, copies)
     return out
 
 
 def _repeated(c: Cycle, n: int) -> Cycle:
     """c repeated n times: c's word with n times its copies, with no
-    canonicalization; (w**k)**n is w**(k n), and w stays the primitive root."""
+    canonicalization; (w**k)**n is w**(k n), and w stays the primitive root.
+    The one builder that skips `Cycle.__post_init__`."""
     if n == 1:
         return c
-    return _from_blocks(c.word, c.copies * n, rotate=False)
+    out = object.__new__(Cycle)
+    object.__setattr__(out, "word", c.word)
+    object.__setattr__(out, "copies", c.copies * n)
+    return out
 
 
 def monodromy_of(c: Cycle | Sequence[int]) -> Mat2:
@@ -201,10 +199,7 @@ def monodromy_of(c: Cycle | Sequence[int]) -> Mat2:
     validated, read as blocks once and multiplied in the rotation given.
     Rotations have equal trace.
     """
-    if isinstance(c, Cycle):
-        blocks, tail = c.blocks, 0
-    else:
-        blocks, tail = _blocks(c)
+    blocks, tail = (c.blocks, 0) if isinstance(c, Cycle) else _blocks(c)
     k = blocks[0]
     p, q, r, s = k + 1, k, -k, 1 - k
     for e, j in zip(blocks[1::2], (*blocks[2::2], tail)):
@@ -220,18 +215,18 @@ def _base_cycle(blocks: tuple[int, ...], t: int) -> Cycle:
     period, given as the flat blocks that `cfrac.expand` returns.
 
     The monodromy is conjugate to m^n, m the monodromy of the period, so its
-    cycle is the period repeated n times: `Cycle.__post_init__` rotates the
-    blocks to their least rotation once, with no entry scan; the rotated
-    blocks give m, and `_repeated` sets n copies.  n is found by multiplying
-    by m until the trace reaches t.  m has trace >= 3, so the traces of its
-    powers strictly increase and the search ends.
+    cycle is the period repeated n times: `_canonical` takes the blocks to
+    their least rotation once, with no entry scan; those blocks give m, and
+    `_repeated` sets n copies.  n is found by multiplying by m until the
+    trace reaches t.  m has trace >= 3, so the traces of its powers strictly
+    increase and the search ends.
 
     m^n is the product over the result's blocks, and rotation keeps the
     trace, so m^n having trace t proves trace(monodromy_of(result)) == t.  A
     mismatch raises ExpansionError.  The result depends only on (blocks, t),
     so callers that meet one period at one trace many times may share it.
     """
-    c = _from_blocks(blocks, 1, rotate=True)
+    c = _canonical(blocks, 1)
     m = mn = monodromy_of(c)
     n = 1
     while mn.trace < t:
@@ -253,6 +248,35 @@ def cycle_of(a: Mat2) -> Cycle:
     return _base_cycle(expand(a)[1], a.trace)
 
 
+class _CoverCycles(dict):
+    """The cover cycles of one monodromy A of trace t, keyed by
+    (period blocks, n): the cycle of X**n for each induced action X whose
+    expansion has that primitive period, given as `cfrac.expand` returns it.
+
+    A miss at n == 1 builds X's cycle with `_base_cycle(blocks, t)` (one
+    canonicalization, one product, the trace check).  Every induced action
+    is P^-1 A P, of trace t, so that check covers every record with the
+    period; for det 1 the trace of X**n is a fixed polynomial in trace(X),
+    so it covers the repetition too.  A miss at n > 1 is `_repeated` of the
+    n == 1 cycle.  Each new cycle is interned by value in `interned`, a
+    second dict, so periods that are rotations of one another share one
+    Cycle too, and a hit hashes no cycle.  The two kinds of key live apart
+    because a Cycle hashes as its (word, copies) tuple, which is the key of
+    its own canonical period at n == copies: in one dict they collide, and
+    each collision costs a Python-level `Cycle.__eq__` against the tuple.
+    """
+
+    def __init__(self, t: int) -> None:
+        self.t = t
+        self.interned: dict[Cycle, Cycle] = {}
+
+    def __missing__(self, key: tuple[tuple[int, ...], int]) -> Cycle:
+        blocks, n = key
+        c = _base_cycle(blocks, self.t) if n == 1 else _repeated(self[blocks, 1], n)
+        c = self[key] = self.interned.setdefault(c, c)
+        return c
+
+
 def dual_cycle(c: Cycle) -> Cycle:
     """Cycle of the dual cusp, by swapping the block structure.
 
@@ -262,7 +286,7 @@ def dual_cycle(c: Cycle) -> Cycle:
     the copies are kept.  The blocks are valid by construction, so no entry
     is scanned or validated.
     """
-    return _from_blocks(tuple(map(operator.add, c.word[::-1], itertools.cycle((-3, 3)))), c.copies, rotate=True)
+    return _canonical(tuple(map(operator.add, c.word[::-1], itertools.cycle((-3, 3)))), c.copies)
 
 
 def dual_length(c: Cycle) -> int:

@@ -411,6 +411,21 @@ def test_failed_self_checks_exit_1(capsys, monkeypatch, module, name, fake, argv
     assert "Traceback" not in captured.out + captured.err
 
 
+def test_out_of_memory_exits_1_with_one_line(capsys, monkeypatch):
+    # `search-traces 10000000000` asks for a 5 GB prime table; under a memory
+    # limit that ends in MemoryError, which the CLI reports as one line with
+    # exit code 1.  The patched filter raises it without allocating anything.
+    def out_of_memory(limit):
+        raise MemoryError
+
+    monkeypatch.setattr(cuspcovers.cli, "admissible_traces", out_of_memory)
+    assert main(["search-traces", "10000000000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: out of memory\n"
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
 def test_missing_input_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify"])
@@ -449,3 +464,22 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "cycle: (3)  dual: (3)\n"
+
+
+def test_closed_output_pipe_exits_0_quietly():
+    # A reader that stops after 10 bytes of the (6661) JSON document, 5.9 MB,
+    # closes the pipe mid-write; the run ends with exit 0 and no message.
+    repo = Path(__file__).resolve().parent.parent
+    with subprocess.Popen(
+        [sys.executable, "-m", "cuspcovers", "verify", "-c", "6661", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=repo,
+        env=subprocess_env(repo / "src"),
+    ) as proc:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert head == b'{\n  "cover'
+    assert proc.returncode == 0
+    assert err == b""

@@ -525,10 +525,11 @@ def test_trace_check_guards_the_shared_period_path(monkeypatch, capsys):
 def test_fiber_and_record_checks_run_on_the_census_path(monkeypatch):
     # Fibers and records are built through the checking __new__ of Lattice2
     # and CoverRecord, called directly.  A CRT that yields a triple with
-    # y == x, and an induced action of determinant 2, must still raise there.
-    # `expand` rejects a determinant-2 matrix itself, so it is patched to a
-    # period, (3,), that fits the trace 3 of [[2, 0], [0, 1]] and lets the
-    # record check speak.
+    # y == x, and an induced action of determinant != 1, must still raise
+    # there.  `expand` rejects such a matrix itself, so it is patched to the
+    # flagship's own period, which passes the cycle table's trace check
+    # against trace(A) = 1621, and the record check speaks.  The induced
+    # action [[1620, 0], [0, 1]] has that trace and determinant 1620.
     intersect = cuspcovers.covers._intersect_part
 
     def with_y_equal_x(combos, part):
@@ -540,9 +541,17 @@ def test_fiber_and_record_checks_run_on_the_census_path(monkeypatch):
     with pytest.raises(ValueError, match="not a Hermite normal form triple"):
         invariant_sublattices_between(PAPER_A, 1)
     monkeypatch.setattr(cuspcovers.covers, "_intersect_part", intersect)
+    period = cuspcovers.covers.expand(PAPER_A)[1]
+    monkeypatch.setattr(cuspcovers.covers, "induced_action", lambda lat, a: Mat2(1620, 0, 0, 1))
+    monkeypatch.setattr(cuspcovers.covers, "expand", lambda a: (0, period))
+    with pytest.raises(ValueError, match=r"induced action \[\[1620, 0\], \[0, 1\]\] has determinant 1620, not 1"):
+        enumerate_covers(PAPER_A)
+    # An induced action of another trace, here [[2, 0], [0, 1]] with the
+    # period (3,) of its trace 3, stops at the trace check first: no power
+    # of the period's matrix has trace 1621.
     monkeypatch.setattr(cuspcovers.covers, "induced_action", lambda lat, a: Mat2(2, 0, 0, 1))
     monkeypatch.setattr(cuspcovers.covers, "expand", lambda a: (0, (0, 3)))
-    with pytest.raises(ValueError, match=r"induced action \[\[2, 0\], \[0, 1\]\] has determinant 2, not 1"):
+    with pytest.raises(ExpansionError, match="trace 1621"):
         enumerate_covers(PAPER_A)
 
 
@@ -571,8 +580,9 @@ def test_records_share_one_cycle_per_period_and_degree():
 
 
 def test_cycle_table_never_compares_a_cycle_with_a_key(monkeypatch):
-    # `enumerate_covers` looks periods up by (blocks, n) tuples and interns
-    # cycles by value in a dict of its own.  A Cycle hashes as its
+    # `enumerate_covers` looks periods up by (blocks, n) tuples in a
+    # `cycles._CoverCycles`, which interns cycles by value in a second dict
+    # of its own.  A Cycle hashes as its
     # (word, copies) tuple, which is the key of its own canonical period at
     # n == copies, so while one dict held both, each such lookup called
     # Cycle.__eq__ against the tuple: 51 times for the flagship, 2533 for

@@ -4,7 +4,7 @@ import pytest
 
 import cuspcovers.cycles
 from cuspcovers.cfrac import ExpansionError
-from cuspcovers.cli import main
+from cuspcovers.cli import certificate_to_json, main
 from cuspcovers.cycles import (
     Cycle,
     _least_rotation,
@@ -16,6 +16,7 @@ from cuspcovers.cycles import (
     monodromy_of,
 )
 from cuspcovers.matrices import Mat2, inverse, power
+from cuspcovers.verifier import verify
 from helpers import (
     blocks_by_entries,
     conjugated,
@@ -350,6 +351,48 @@ def test_a_cycle_is_its_primitive_word_and_a_repeat_count():
             assert dual_cycle(rep) == _repeated(d, n) == dual_by_entries(full)
     assert Cycle((2, 2, 2, 3) * 2).word == (3, 3) and Cycle((2, 2, 2, 3) * 2).copies == 2
     assert _repeated(Cycle((2, 2, 2, 3) * 2), 3) == Cycle((2, 2, 2, 3) * 6)
+
+
+def test_post_init_is_the_one_canonicalizer(monkeypatch):
+    # Every least rotation runs inside Cycle.__post_init__, which takes flat
+    # blocks only: Cycle(entries), the dual and a cover period's cycle each
+    # call it once, and a repetition never.  A tracer that wraps
+    # __post_init__ (and reads the longest cycle there) so sees every
+    # canonicalization, and a certificate's count stays fixed: 53 for the
+    # flagship, 163 for (2, 6, 2, 6) and 50 for (1621), JSON included.
+    post_init = Cycle.__post_init__
+    least_rotation = cuspcovers.cycles._least_rotation
+    depth, calls, outside = [0], [0], []
+
+    def counted(self, word, copies):
+        calls[0] += 1
+        depth[0] += 1
+        try:
+            post_init(self, word, copies)
+        finally:
+            depth[0] -= 1
+
+    def checked(blocks):
+        if not depth[0]:
+            outside.append(blocks)
+        return least_rotation(blocks)
+
+    monkeypatch.setattr(Cycle, "__post_init__", counted)
+    monkeypatch.setattr(cuspcovers.cycles, "_least_rotation", checked)
+    c = Cycle((2, 2, 3, 2, 2, 2, 4))
+    assert calls[0] == 1 and c.word == (3, 4, 2, 3)
+    d = dual_cycle(c)
+    assert calls[0] == 2 and d.word == (1, 6, 0, 5)
+    assert _repeated(c, 3).copies == 3 and calls[0] == 2
+    for a, canonicalized in (
+        (PAPER_A, 53),
+        (monodromy_of((2, 6, 2, 6)), 163),
+        (monodromy_of((1621,)), 50),
+    ):
+        calls[0] = 0
+        certificate_to_json(verify(a))
+        assert calls[0] == canonicalized
+    assert not outside
 
 
 def test_dual_of_reversal_is_reversal_of_dual():
