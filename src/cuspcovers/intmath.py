@@ -51,21 +51,6 @@ def is_prime(n: int) -> bool:
     return n >= 2 and _least_factor(n, 2) == n
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended gcd: returns (g, s, t) with g = gcd(a, b) >= 0 and s*a + t*b = g."""
-    s, ns = 1, 0
-    t, nt = 0, 1
-    g, ng = a, b
-    while ng:
-        q = g // ng
-        s, ns = ns, s - q * ns
-        t, nt = nt, t - q * nt
-        g, ng = ng, g - q * ng
-    if g < 0:
-        g, s, t = -g, -s, -t
-    return g, s, t
-
-
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}, by trial division.
 

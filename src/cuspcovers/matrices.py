@@ -3,8 +3,9 @@
 Products, powers, inverses, the cusp-monodromy check, conjugation with an
 integrality verdict, and the Hermite normal form that gives each sublattice
 of Z^2 a unique basis.  The cover census builds its lattices as HNF triples
-in closed form (`covers`) and never reduces a basis; `hermite_normal_form`
-is the general reduction the tests check those closed forms against.
+in closed form (`covers`) and never reduces a basis; `hermite_normal_form`,
+Euclid's algorithm on columns with the standard library's `gcd`, is the
+general reduction the tests check those closed forms against.
 `covers` also conjugates onto those triangular bases in closed form, and
 `conjugate` is the general form the tests check it against.
 
@@ -16,9 +17,8 @@ lexicographically.  Building one costs one tuple.
 from __future__ import annotations
 
 import operator
+from math import gcd
 from typing import Iterable, NamedTuple, Sequence
-
-from .intmath import xgcd
 
 
 class Mat2(NamedTuple):
@@ -115,26 +115,24 @@ def hermite_normal_form(columns: Iterable[Sequence[int]]) -> Mat2:
     The result's columns (x, 0) and (y, z) generate the same sublattice of
     Z^2, with x > 0, z > 0 and 0 <= y < x; the index is x*z.  Accepts any
     number of columns (at least two) and rejects rank-deficient input;
-    non-integer entries raise TypeError.
+    non-integer entries raise TypeError.  One pass of Euclid's algorithm by
+    column operations: each further column u is reduced against a running
+    column v until u's second coordinate is 0, so v ends with the gcd of the
+    second coordinates and x is the gcd of the reduced first coordinates.
+    Only the tests and the benchmark tracer's `PLAN` reach this function.
     """
     cols = [(operator.index(c[0]), operator.index(c[1])) for c in columns]
     if len(cols) < 2:
         raise ValueError("need at least two columns")
-    # Combine columns until one vector carries gcd of all second coordinates.
     v0, v1 = cols[0]
+    x = 0
     for u0, u1 in cols[1:]:
-        if u1 == 0:
-            continue
-        g, s, t = xgcd(v1, u1)
-        v0, v1 = s * v0 + t * u0, g
-    if v1 == 0:
+        while u1:
+            q = v1 // u1
+            v0, v1, u0, u1 = u0, u1, v0 - q * u0, v1 - q * u1
+        x = gcd(x, u0)
+    if v1 == 0 or x == 0:
         raise ValueError("columns do not span a finite-index sublattice")
     if v1 < 0:
         v0, v1 = -v0, -v1
-    z = v1
-    x = 0
-    for u0, u1 in cols:
-        x = xgcd(x, u0 - (u1 // z) * v0)[0]
-    if x == 0:
-        raise ValueError("columns do not span a finite-index sublattice")
-    return Mat2(x, v0 % x, 0, z)
+    return Mat2(x, v0 % x, 0, v1)

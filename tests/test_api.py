@@ -87,6 +87,7 @@ def test_oracles_and_wrappers_are_not_in_the_package_root():
         assert not hasattr(cuspcovers.cfrac, name), name
     for name in ("FULL_LATTICE", "contains", "_build_record"):
         assert not hasattr(cuspcovers.covers, name), name
+    assert not hasattr(cuspcovers.intmath, "xgcd")
 
 
 def test_lattice_has_no_hermite_constructors():

@@ -8,7 +8,6 @@ from cuspcovers.intmath import (
     factorize,
     is_prime,
     solve_quadratic_congruence,
-    xgcd,
 )
 from helpers import divisors
 
@@ -43,18 +42,6 @@ def test_is_prime_large():
     assert is_prime(10**9 + 7)
     assert not is_prime(10**9 + 11)  # 3 * 333333337
     assert not is_prime(1621 * 1619)
-
-
-def test_xgcd_bezout():
-    rng = random.Random(7)
-    for _ in range(300):
-        a = rng.randint(-10**9, 10**9)
-        b = rng.randint(-10**9, 10**9)
-        g, s, t = xgcd(a, b)
-        assert g >= 0
-        assert s * a + t * b == g
-        if a or b:
-            assert a % g == 0 and b % g == 0
 
 
 def test_divisors():

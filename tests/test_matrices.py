@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -179,7 +180,43 @@ def test_hnf_rejects_non_integer_entries():
 
 
 def test_hnf_rejects_dependent_columns():
-    with pytest.raises(ValueError):
+    span = "columns do not span a finite-index sublattice"
+    with pytest.raises(ValueError, match=span):
         hermite_normal_form([(2, 4), (3, 6)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=span):
         hermite_normal_form([(0, 0), (5, 3)])
+    with pytest.raises(ValueError, match=span):
+        hermite_normal_form([(2, 0), (3, 0), (-7, 0)])
+    for columns in ([], [(1, 0)]):
+        with pytest.raises(ValueError, match="need at least two columns"):
+            hermite_normal_form(columns)
+
+
+def test_hnf_matches_the_minor_oracle():
+    # Without any column reduction: the result's lattice contains every input
+    # column, and its index x*z is the gcd of the input's 2x2 minors, which is
+    # the index of the input's lattice, so the two lattices are equal.  Inputs
+    # whose minors all vanish are rank-deficient and must raise; every tenth
+    # input is built from multiples of one column, so there are many of them.
+    rng = random.Random(37)
+    deficient = 0
+    for i in range(20000):
+        k = rng.randint(2, 5)
+        if i % 10:
+            cols = [(rng.randint(-12, 12), rng.randint(-12, 12)) for _ in range(k)]
+        else:
+            u0, u1 = rng.randint(-4, 4), rng.randint(-4, 4)
+            cols = [(m * u0, m * u1) for m in (rng.randint(-3, 3) for _ in range(k))]
+        minors = [u0 * v1 - u1 * v0 for j, (u0, u1) in enumerate(cols) for v0, v1 in cols[j + 1 :]]
+        index = math.gcd(*minors)
+        if index == 0:
+            deficient += 1
+            with pytest.raises(ValueError, match="do not span"):
+                hermite_normal_form(cols)
+            continue
+        x, y, zero, z = hermite_normal_form(cols)
+        assert zero == 0 and x > 0 and z > 0 and 0 <= y < x
+        assert x * z == index
+        for u0, u1 in cols:
+            assert u1 % z == 0 and (u0 - (u1 // z) * y) % x == 0
+    assert deficient >= 2000

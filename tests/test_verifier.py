@@ -191,8 +191,10 @@ def test_candidate_matrices_order_and_pure_periodicity():
     assert len(set(keys)) == len(keys)
     for m in cands:
         assert expand(m)[0] == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="trace must be >= 3"):
         candidate_matrices(2, 5)
+    with pytest.raises(ValueError, match="limit must be >= 0"):
+        candidate_matrices(5, -1)
 
 
 def test_candidate_matrices_complete_below_the_proven_bound():
