@@ -6,14 +6,16 @@ internal failure: any `RuntimeError`, printed as one `internal error:` line,
 and a `MemoryError`, printed as `internal error: out of memory`.  The
 `RuntimeError`s are a failed self-check (a factorization whose primes do not
 multiply back, a congruence root that is no root, a sieve that disagrees
-with trial division) and a `cfrac.ExpansionError`, such as an expansion past
-the `cfrac.MAX_STEPS` = 10**6 step ceiling of `cfrac.expand`, which valid
-cusps such as (x) near trace 10**6 meet.  A closed output pipe ends the run
-with exit 0.
+with trial division) and a `cfrac.ExpansionError`: a period whose powers
+miss the trace in `cycles._CoverCycles`, or an expansion past the
+`cfrac.MAX_STEPS` = 10**6 step ceiling of `cfrac.expand`, which valid cusps
+such as (x) near trace 10**6 meet.  A closed output pipe ends the run with
+exit 0.
 
 `verify --format json` writes the bytes of json.dumps(doc, sort_keys=True,
-indent=2) followed by a newline, without the json module; see
-`certificate_to_json` for how.
+indent=2) followed by a newline, without the json module, with its memos
+keyed by value: equal cycles share one record head whether or not they are
+one object; see `certificate_to_json` for how.
 """
 
 from __future__ import annotations
@@ -40,13 +42,15 @@ def certificate_to_json(cert: Certificate) -> str:
     - word texts, keyed by the word's value, since `dual_cycle` returns a
       new word tuple on every build: each depth-3 cycle or dual array is
       its word's text joined `copies` times;
-    - record heads, keyed by (id(cycle), degree): the record's opening, its
-      cycle's members, `degree`, its dual's members and the opening of
-      `fiber_hnf`, as one string, with the dual built once per head.  A
-      degree-n cover cycle has the trace of A**n, so no cycle object of a
-      `verify` certificate appears at two degrees, and its duals are built
-      once per distinct cover cycle; hand-built certificates whose degrees
-      interleave still get their own bytes, since the degree is in the key.
+    - record heads, keyed by the cycle's value and the degree,
+      (word, copies, degree): the record's opening, its cycle's members,
+      `degree`, its dual's members and the opening of `fiber_hnf`, as one
+      string, with the dual built once per head.  Equal cycles share one
+      head whether or not they are one object.  A degree-n cover cycle has
+      the trace of A**n, so no cycle of a `verify` certificate appears at
+      two degrees, and its duals are built once per distinct cover cycle;
+      hand-built certificates whose degrees interleave still get their own
+      bytes, since the degree is in the key.
     A record is then its head and one body string with its fiber and
     induced members; each body closes its record with a comma, and the
     last one's is dropped.  The document is one flat list of pieces,
@@ -55,10 +59,10 @@ def certificate_to_json(cert: Certificate) -> str:
     """
     # A record sits at depth 2 (document, covers, record), its members at
     # depth 3, keys in sorted order: `degree` falls between the members that
-    # depend only on the cycle.  The dicts live for this call only, and the
-    # records keep their cycles alive, so no id is reused while it runs.
+    # depend only on the cycle.  Both memos are keyed by value and live for
+    # this call only.
     texts: dict[tuple[int, ...], str] = {}
-    heads: dict[tuple[int, int], str] = {}
+    heads: dict[tuple[tuple[int, ...], int, int], str] = {}
     member = ",\n      "
     # Entry separator and closing bracket of a depth-3 array.
     entry, close = ",\n        ", "\n      ]"
@@ -73,10 +77,11 @@ def certificate_to_json(cert: Certificate) -> str:
     out = ['{\n  "covers": [']
     for rec in cert.covers:
         degree, (x, y, z), (a, b, c, d), cycle = rec
-        head = heads.get((id(cycle), degree))
+        key = cycle.word, cycle.copies, degree
+        head = heads.get(key)
         if head is None:
             dual = rec.dual
-            head = heads[id(cycle), degree] = (
+            head = heads[key] = (
                 f'\n    {{\n      "cycle": {array(cycle)}{member}"cycle_len": {len(cycle)}{member}"degree": {degree}'
                 f'{member}"dual": {array(dual)}{member}"dual_len": {len(dual)}{member}"fiber_hnf": [\n        '
             )

@@ -13,12 +13,11 @@ primes, carrying each fiber as (index, x, y, z), its sort key in front.
 One validated `Lattice2` is built per fiber returned.  The public
 `induced_action` and `prime_index_invariant_lattices` take a `Lattice2`
 and call the same triple helpers: `induced_action` unpacks the lattice and
-returns `_induced`'s `Mat2`, which the walk uses as it comes.  Each fiber's
-expansion comes back as blocks, and a record's cycle is looked up by
-(period blocks, base degree) in a `cycles._CoverCycles` table, which builds
-each cycle once and shares one `Cycle` object between records with equal
-cycles.  A degree-n record's cycle is its fiber's cycle with n times the
-copies of the same primitive word; no n-fold block tuple is built.
+returns `_induced`'s `Mat2`, which the walk uses as it comes.  A record's
+cycle comes from one call `cycles(X, n)` on a `cycles._CoverCycles` table:
+this module neither expands nor canonicalizes.  A degree-n record's cycle
+is its fiber's cycle with n times the copies of the same primitive word; no
+n-fold block tuple is built.
 
 `Lattice2` and `CoverRecord` are `typing.NamedTuple` value types: a lattice
 is the tuple (x, y, z) and a record the tuple (base_degree, fiber, induced,
@@ -34,7 +33,6 @@ from __future__ import annotations
 from math import prod
 from typing import Iterable, NamedTuple, Sequence
 
-from .cfrac import expand
 # cycle_of is not called here (records build their cycles through
 # `_CoverCycles`), but stays bound as covers.cycle_of for code that reaches
 # the cycle names through this module.
@@ -295,20 +293,16 @@ def enumerate_covers(a: Mat2, max_degree: int = 4) -> list[CoverRecord]:
     X**n fixes the same expanding slope as X, so both expand to one primitive
     period, with period matrix m.  X is conjugate to m**k and its cycle is the
     period repeated k times; X**n is conjugate to m**(k n), so its cycle is
-    X's cycle repeated n times.  The table below builds it with
-    `cycles._repeated`, which keeps X's canonical primitive word and
-    multiplies its copies by n, without a second least-rotation pass, and
-    the entries are those of `cycle_of(power(X, n))`.
+    X's cycle repeated n times, which keeps X's canonical primitive word and
+    multiplies its copies by n, without a second least-rotation pass; the
+    entries are those of `cycle_of(power(X, n))`.
 
-    X is expanded once per record, and its cycle is looked up by
-    (period blocks, n) in the table `cycles`, a `_CoverCycles` that lives
-    for this call only: each period's first record builds its cycle there,
-    with one canonicalization and the trace check against trace(A), and
-    records of one period and degree, or with equal cycles, share one Cycle.
-    `expand` returns the period as the flat blocks of `Cycle`, with the 2s
-    after its last entry >= 3 wrapped to the front, so periods that differ
-    only in where those 2s fall share a key.  Each record is built through
-    `CoverRecord`'s checking `__new__`, called directly.
+    Each record's cycle is `cycles(X, n)`, on a `cycles._CoverCycles` table
+    of trace(A) that lives for this call only: it expands X once per record,
+    builds each expanded period's cycle once, with one canonicalization and
+    the trace check against trace(A), and records of one period and degree
+    share one Cycle.  Each record is built through `CoverRecord`'s checking
+    `__new__`, called directly.
     """
     if not 1 <= max_degree <= 4:
         raise ValueError("base degree must lie in 1..4")
@@ -318,5 +312,5 @@ def enumerate_covers(a: Mat2, max_degree: int = 4) -> list[CoverRecord]:
     for n in range(1, max_degree + 1):
         for lat in invariant_sublattices_between(a, n):
             ind = induced_action(lat, a)
-            records.append(new(CoverRecord, n, lat, ind, cycles[expand(ind)[1], n]))
+            records.append(new(CoverRecord, n, lat, ind, cycles(ind, n)))
     return records

@@ -15,15 +15,17 @@ equality, hashing, repetition and the decimal text cost O(word).  Only
 `Cycle(entries)` and `monodromy_of` of a raw sequence read entries, in one
 pass that also checks them, and `Cycle.blocks` and `Cycle.entries` build
 the full tuples on demand.  The cycle of a matrix never meets its entries:
-`cfrac.expand` returns its period as blocks, and `_base_cycle`
+`cfrac.expand` returns its period as blocks, and `_CoverCycles`
 canonicalizes those.
 
 `Cycle.__post_init__(word, copies)` is the one canonicalizer, and it takes
 flat blocks only: `Cycle(entries)` calls it on the blocks it reads, and
 `_canonical` on blocks that are valid by construction (a dual, a period).
-`_repeated` is the one builder that skips it.  `_CoverCycles` is the table
-of one certificate's cover cycles, keyed by (period blocks, base degree),
-that `covers.enumerate_covers` looks each record's cycle up in.
+`_repeated` is the one builder that skips it.  `_CoverCycles` is the one
+path from a det-1 matrix to its cycle: `table(x, n)` expands x and returns
+the cycle of x**n from a dict keyed by (period blocks, n), which builds
+each key's cycle once.  `cycle_of(a)` is a one-call table of a's trace,
+and `covers.enumerate_covers` keeps one table per certificate.
 """
 
 from __future__ import annotations
@@ -210,70 +212,61 @@ def monodromy_of(c: Cycle | Sequence[int]) -> Mat2:
     return Mat2(p, q, r, s)
 
 
-def _base_cycle(blocks: tuple[int, ...], t: int) -> Cycle:
-    """The cycle of a monodromy of trace t whose expansion has this primitive
-    period, given as the flat blocks that `cfrac.expand` returns.
-
-    The monodromy is conjugate to m^n, m the monodromy of the period, so its
-    cycle is the period repeated n times: `_canonical` takes the blocks to
-    their least rotation once, with no entry scan; those blocks give m, and
-    `_repeated` sets n copies.  n is found by multiplying by m until the
-    trace reaches t.  m has trace >= 3, so the traces of its powers strictly
-    increase and the search ends.
-
-    m^n is the product over the result's blocks, and rotation keeps the
-    trace, so m^n having trace t proves trace(monodromy_of(result)) == t.  A
-    mismatch raises ExpansionError.  The result depends only on (blocks, t),
-    so callers that meet one period at one trace many times may share it.
-    """
-    c = _canonical(blocks, 1)
-    m = mn = monodromy_of(c)
-    n = 1
-    while mn.trace < t:
-        mn = mul(mn, m)
-        n += 1
-    if mn.trace == t:
-        return _repeated(c, n)
-    raise ExpansionError(f"no power of the period matrix has trace {t}; expansion is inconsistent")
-
-
 def cycle_of(a: Mat2) -> Cycle:
-    """Resolution cycle of a det-1 monodromy with trace >= 3.
-
-    Expands the fixed slope of a (`expand` rejects non-cusps) and builds the
-    cycle from the primitive period's blocks with `_base_cycle`: one
-    canonicalization, one product, and the trace check against trace(a).
-    The preperiod absorbs matrices outside the purely periodic region.
+    """Resolution cycle of a det-1 monodromy with trace >= 3: the cycle of
+    a**1 in a `_CoverCycles` table of a's trace, which expands the fixed
+    slope of a (`expand` rejects non-cusps) and builds the cycle from the
+    primitive period's blocks with one canonicalization, one product and
+    the trace check against trace(a).  The preperiod absorbs matrices
+    outside the purely periodic region.
     """
-    return _base_cycle(expand(a)[1], a.trace)
+    return _CoverCycles(a.trace)(a, 1)
 
 
 class _CoverCycles(dict):
-    """The cover cycles of one monodromy A of trace t, keyed by
-    (period blocks, n): the cycle of X**n for each induced action X whose
-    expansion has that primitive period, given as `cfrac.expand` returns it.
+    """The cover cycles of one monodromy A of trace t: the one path from a
+    det-1 matrix of trace t to its `Cycle`.
 
-    A miss at n == 1 builds X's cycle with `_base_cycle(blocks, t)` (one
-    canonicalization, one product, the trace check).  Every induced action
-    is P^-1 A P, of trace t, so that check covers every record with the
-    period; for det 1 the trace of X**n is a fixed polynomial in trace(X),
-    so it covers the repetition too.  A miss at n > 1 is `_repeated` of the
-    n == 1 cycle.  Each new cycle is interned by value in `interned`, a
-    second dict, so periods that are rotations of one another share one
-    Cycle too, and a hit hashes no cycle.  The two kinds of key live apart
-    because a Cycle hashes as its (word, copies) tuple, which is the key of
-    its own canonical period at n == copies: in one dict they collide, and
-    each collision costs a Python-level `Cycle.__eq__` against the tuple.
+    `table(x, n)` expands x (`cfrac.expand`) and returns the cycle of x**n.
+    The table is a dict keyed by (period blocks, n), the blocks as `expand`
+    returns them, its trailing 2s wrapped onto the first block, so periods
+    that differ only in where those 2s fall share a key.  A miss at n == 1 builds the base cycle of the period:
+    x is conjugate to m**k, m the monodromy of the period, so its cycle is
+    the period repeated k times.  `_canonical` takes the blocks to their
+    least rotation once, with no entry scan; those blocks give m, k is found
+    by multiplying by m until the trace reaches t (m has trace >= 3, so the
+    traces of its powers strictly increase and the search ends), and
+    `_repeated` sets k copies.  m**k is the product over the result's
+    blocks, and rotation keeps the trace, so m**k having trace t proves
+    trace(monodromy_of(result)) == t; a mismatch raises ExpansionError.
+    Every induced action is P^-1 A P, of trace t, so that check covers every
+    record with the period; for det 1 the trace of x**n is a fixed
+    polynomial in trace(x), so it covers the repetition too.  A miss at
+    n > 1 is `_repeated` of the n == 1 cycle: x**n fixes x's expanding
+    slope, so its cycle is x's repeated n times.  The table holds no Cycle
+    as a key, so no lookup compares a Cycle with a tuple key.
     """
 
     def __init__(self, t: int) -> None:
         self.t = t
-        self.interned: dict[Cycle, Cycle] = {}
+
+    def __call__(self, x: Mat2, n: int) -> Cycle:
+        return self[expand(x)[1], n]
 
     def __missing__(self, key: tuple[tuple[int, ...], int]) -> Cycle:
         blocks, n = key
-        c = _base_cycle(blocks, self.t) if n == 1 else _repeated(self[blocks, 1], n)
-        c = self[key] = self.interned.setdefault(c, c)
+        if n > 1:
+            c = self[blocks, 1]
+        else:
+            # The base cycle: n counts up to the k with trace(m**k) == t.
+            c = _canonical(blocks, 1)
+            m = mn = monodromy_of(c)
+            while mn.trace < self.t:
+                mn = mul(mn, m)
+                n += 1
+            if mn.trace != self.t:
+                raise ExpansionError(f"no power of the period matrix has trace {self.t}; expansion is inconsistent")
+        c = self[key] = _repeated(c, n)
         return c
 
 

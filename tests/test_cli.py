@@ -14,6 +14,7 @@ import cuspcovers.covers
 import cuspcovers.intmath
 import cuspcovers.verifier
 from cuspcovers import Certificate, CoverRecord, Cycle, Lattice2, cycle_of, dual_cycle, monodromy_of, verify
+from cuspcovers.cfrac import expand
 from cuspcovers.cli import certificate_to_json, certificate_to_text, main
 from cuspcovers.cycles import _repeated
 from cuspcovers.intmath import factorize
@@ -158,7 +159,7 @@ def test_certificate_json_matches_stdlib_encoder():
 
 
 def test_json_memos_keep_the_stdlib_bytes_for_shared_and_equal_values(monkeypatch):
-    # The writer keeps one record head per (cycle object, degree) and writes
+    # The writer keeps one record head per (word, copies, degree) and writes
     # each word's text once, keyed by the word's value.  A hand-built
     # certificate whose records hold equal but distinct cycles, one cycle
     # object at several degrees, and one induced matrix at several fibers, as
@@ -181,9 +182,16 @@ def test_json_memos_keep_the_stdlib_bytes_for_shared_and_equal_values(monkeypatc
     for witness in (None, 2):
         hand = Certificate(a, cert.cycle, records, witness)
         assert certificate_to_json(hand) == certificate_to_json_oracle(hand)
-    # The census gives equal cycles one object, so the writer, keyed by
-    # identity and degree, writes one head per distinct cycle of the flagship.
-    assert len({id(r.cycle) for r in cert.covers}) == len({r.cycle for r in cert.covers}) == 24
+    # The census shares one cycle object per (expanded period, degree), and
+    # periods that are rotations of one another build equal cycles, so the
+    # flagship's 58 records hold 39 cycle objects for 24 distinct cycles; the
+    # writer, keyed by value and degree, writes one head per distinct cycle
+    # (test_duals_are_built_only_on_demand counts the duals those heads build).
+    assert len({r.cycle for r in cert.covers}) == 24
+    shared: dict = {}
+    for r in cert.covers:
+        assert shared.setdefault((expand(r.induced)[1], r.base_degree), r.cycle) is r.cycle
+    assert len(shared) == 39
 
     c = second.cycle
     lat = iter(Lattice2(x, y, z) for x in (1, 2, 3) for z in (1, 2, 3, 4) for y in range(x))
@@ -192,6 +200,9 @@ def test_json_memos_keep_the_stdlib_bytes_for_shared_and_equal_values(monkeypatc
     runs = [CoverRecord(n, next(lat), ind, c) for n in (1, 1, 2, 1)]
     # One word at copies 1, 2 and 3: one word text, joined 1, 2 and 3 times.
     runs += [CoverRecord(n, next(lat), ind, _repeated(c, n)) for n in (1, 2, 3)]
+    # One word at copies 1 and 2 at one degree: the head key holds the
+    # copies, so the second record does not take the first one's head.
+    runs += [CoverRecord(4, next(lat), ind, _repeated(c, n)) for n in (1, 2)]
     # Distinct cycles whose duals have equal words, in distinct tuples: each
     # dual is built once per cycle object and freed after its layout, so a
     # text keyed by the tuple's identity could be read for another word that
@@ -313,10 +324,10 @@ def test_duals_are_built_only_on_demand(capsys, monkeypatch):
     assert len(built) == 0
     certificate_to_text(cert)
     assert len(built) == 1
-    # JSON builds one dual per record head, keyed by (cycle, degree), and the
-    # certificate's.  No cycle spans two degrees (its trace is that of A**n),
-    # so that is one dual per distinct cover cycle; the heads live for one
-    # call, so a second call builds them again.
+    # JSON builds one dual per record head, keyed by the cycle's value and
+    # the degree, and the certificate's.  No cycle spans two degrees (its
+    # trace is that of A**n), so that is one dual per distinct cover cycle;
+    # the heads live for one call, so a second call builds them again.
     distinct = len({r.cycle for r in cert.covers})
     for _ in range(2):
         built.clear()

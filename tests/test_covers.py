@@ -9,7 +9,7 @@ import pytest
 
 import cuspcovers.covers
 import cuspcovers.cycles
-from cuspcovers.cfrac import ExpansionError
+from cuspcovers.cfrac import ExpansionError, expand
 from cuspcovers.cli import main
 from cuspcovers.covers import (
     Lattice2,
@@ -486,7 +486,6 @@ def test_enumeration_canonicalizes_only_primitive_periods(monkeypatch):
         return least_rotation(blocks)
 
     periods = []
-    expand = cuspcovers.covers.expand
 
     def expanded(a):
         out = expand(a)
@@ -494,7 +493,7 @@ def test_enumeration_canonicalizes_only_primitive_periods(monkeypatch):
         return out
 
     monkeypatch.setattr(cuspcovers.cycles, "_least_rotation", recorded)
-    monkeypatch.setattr(cuspcovers.covers, "expand", expanded)
+    monkeypatch.setattr(cuspcovers.cycles, "expand", expanded)
     records = enumerate_covers(PAPER_A, 4)
     assert any(r.base_degree > 1 for r in records)
     assert len(records) == len(periods) == 58
@@ -515,7 +514,7 @@ def test_trace_check_guards_the_shared_period_path(monkeypatch, capsys):
     # later records with that period share its cycle.  An expansion that gives
     # every fiber the period (4,), whose power traces 4, 14, 52, 194, 724, 2702
     # skip 1621, must still be caught on the record path.
-    monkeypatch.setattr(cuspcovers.covers, "expand", lambda a: (0, (0, 4)))
+    monkeypatch.setattr(cuspcovers.cycles, "expand", lambda a: (0, (0, 4)))
     with pytest.raises(ExpansionError):
         enumerate_covers(PAPER_A)
     assert main(["verify", "-m", "1640", "221", "-141", "-19"]) == 1
@@ -541,50 +540,52 @@ def test_fiber_and_record_checks_run_on_the_census_path(monkeypatch):
     with pytest.raises(ValueError, match="not a Hermite normal form triple"):
         invariant_sublattices_between(PAPER_A, 1)
     monkeypatch.setattr(cuspcovers.covers, "_intersect_part", intersect)
-    period = cuspcovers.covers.expand(PAPER_A)[1]
+    period = cuspcovers.cycles.expand(PAPER_A)[1]
     monkeypatch.setattr(cuspcovers.covers, "induced_action", lambda lat, a: Mat2(1620, 0, 0, 1))
-    monkeypatch.setattr(cuspcovers.covers, "expand", lambda a: (0, period))
+    monkeypatch.setattr(cuspcovers.cycles, "expand", lambda a: (0, period))
     with pytest.raises(ValueError, match=r"induced action \[\[1620, 0\], \[0, 1\]\] has determinant 1620, not 1"):
         enumerate_covers(PAPER_A)
     # An induced action of another trace, here [[2, 0], [0, 1]] with the
     # period (3,) of its trace 3, stops at the trace check first: no power
     # of the period's matrix has trace 1621.
     monkeypatch.setattr(cuspcovers.covers, "induced_action", lambda lat, a: Mat2(2, 0, 0, 1))
-    monkeypatch.setattr(cuspcovers.covers, "expand", lambda a: (0, (0, 3)))
+    monkeypatch.setattr(cuspcovers.cycles, "expand", lambda a: (0, (0, 3)))
     with pytest.raises(ExpansionError, match="trace 1621"):
         enumerate_covers(PAPER_A)
 
 
 def test_records_share_one_cycle_per_period_and_degree():
-    # Records with equal cycles share one Cycle: the flagship's 58 records
-    # hold 24 cycle objects, one per distinct cycle (40 when periods that are
-    # rotations of one another built separate cycles), the 3284 of
-    # (2, 6, 2, 6) hold 96 (324 before), and (1621)'s 58 hold 24 (38 before).
-    # Each record's cycle is still its fiber's cycle repeated n times, and the
-    # dict that shares them lives for one call.
-    for cycle, records, objects, held in (
+    # Records of one expanded period and degree share one Cycle object: the
+    # flagship's 58 records hold 39 objects for 24 distinct cycles, the 3284
+    # of (2, 6, 2, 6) hold 160 for 96, and (1621)'s 58 hold 33 for 24.
+    # Periods that are rotations of one another build equal cycles, which
+    # the JSON writer shares by value.  Each record's cycle is still its
+    # fiber's cycle repeated n times, and the table that shares them lives
+    # for one call.
+    for cycle, records, values, held in (
         ((8, 2, 4, 3, 12), 58, 24, 1794),
         ((2, 6, 2, 6), 3284, 96, 2968),
         ((1621,), 58, 24, 20080),
     ):
         first = enumerate_covers(monodromy_of(cycle), 4)
-        shared = {id(r.cycle): r.cycle for r in first}
+        distinct = {r.cycle for r in first}
         assert len(first) == records
-        assert len(shared) == len(set(shared.values())) == objects
-        assert sum(map(len, shared.values())) == held
+        assert len(distinct) == values
+        assert sum(map(len, distinct)) == held
+        shared: dict = {}
         for r in first:
+            assert shared.setdefault((expand(r.induced)[1], r.base_degree), r.cycle) is r.cycle
             assert r.cycle == Cycle(cycle_of(r.induced).entries * r.base_degree)
         second = enumerate_covers(monodromy_of(cycle), 4)
         assert second == first
-        assert shared.keys().isdisjoint(id(r.cycle) for r in second)
+        assert {id(r.cycle) for r in first}.isdisjoint(id(r.cycle) for r in second)
 
 
 def test_cycle_table_never_compares_a_cycle_with_a_key(monkeypatch):
-    # `enumerate_covers` looks periods up by (blocks, n) tuples in a
-    # `cycles._CoverCycles`, which interns cycles by value in a second dict
-    # of its own.  A Cycle hashes as its
-    # (word, copies) tuple, which is the key of its own canonical period at
-    # n == copies, so while one dict held both, each such lookup called
+    # `cycles._CoverCycles` looks periods up by (blocks, n) tuples and holds
+    # no Cycle as a key.  A Cycle hashes as its (word, copies) tuple, which
+    # is the key of its own canonical period at n == copies, so while one
+    # dict also interned cycles by value, each such lookup called
     # Cycle.__eq__ against the tuple: 51 times for the flagship, 2533 for
     # (2, 6, 2, 6) and 68 for (1621).
     eq = Cycle.__eq__
@@ -602,12 +603,12 @@ def test_cycle_table_never_compares_a_cycle_with_a_key(monkeypatch):
 
 
 def test_records_hold_their_cycles_as_blocks():
-    # (6661)'s 58 records hold 24 cycles with 80660 entries in 224 blocks,
-    # stored as 68 blocks of primitive words with their repeat counts.
-    # Stored so and shared by value, they keep about 34 kB alive
-    # (tracemalloc, Python 3.11); held as entry tuples, one per (expanded
-    # period, degree), they kept 1.12 MB.  The bound leaves room for other
-    # Python versions' object sizes.
+    # (6661)'s 58 records hold 24 distinct cycles with 80660 entries in 224
+    # blocks, stored as 68 blocks of primitive words with their repeat
+    # counts.  Stored so, one Cycle per (expanded period, degree), they keep
+    # about 34 kB alive (tracemalloc, Python 3.11); held as entry tuples,
+    # one per (expanded period, degree), they kept 1.12 MB.  The bound
+    # leaves room for other Python versions' object sizes.
     a = monodromy_of((6661,))
     tracemalloc.start()
     try:
@@ -616,11 +617,14 @@ def test_records_hold_their_cycles_as_blocks():
     finally:
         tracemalloc.stop()
     assert held < 80_000
-    cycles = {id(r.cycle): r.cycle for r in records}
+    cycles = {r.cycle for r in records}
     assert len(records) == 58 and len(cycles) == 24
-    assert sum(map(len, cycles.values())) == 80660
-    assert sum(len(c.blocks) // 2 for c in cycles.values()) == 224
-    assert sum(len(c.word) // 2 for c in cycles.values()) == 68
+    assert sum(map(len, cycles)) == 80660
+    assert sum(len(c.blocks) // 2 for c in cycles) == 224
+    assert sum(len(c.word) // 2 for c in cycles) == 68
+    shared: dict = {}
+    for r in records:
+        assert shared.setdefault((expand(r.induced)[1], r.base_degree), r.cycle) is r.cycle
 
 
 def test_self_checks_hold_under_python_optimize():

@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from cuspcovers import verifier
 from cuspcovers.cfrac import expand
-from cuspcovers.cycles import Cycle, cycle_of, monodromy_of
+from cuspcovers.cycles import Cycle, cycle_of, dual_cycle, monodromy_of
 from cuspcovers.intmath import is_prime
 from cuspcovers.matrices import Mat2, inverse
 from cuspcovers.verifier import (
@@ -20,6 +21,7 @@ from helpers import (
     conjugated,
     random_cycle,
     random_unimodular,
+    reversed_cycle,
 )
 
 PAPER_A = Mat2(1640, 221, -141, -19)
@@ -95,16 +97,29 @@ def test_witness_recheck():
 
 
 def test_verify_agrees_with_inverse():
+    # A lattice is A-invariant iff it is A^-1-invariant, and
+    # (A^-n - I)Z^2 = A^-n (I - A^n)Z^2 = (A^n - I)Z^2, so A^-1 has A's fibers
+    # at every degree, in the same order, with induced actions X^-1.  The
+    # cycle of X^-1 is the dual of X's: the dual cusp's link is the same
+    # torus bundle with the other orientation.  is_ci_link is symmetric in
+    # cycle and dual, so the witness is the same record.
     rng = random.Random(89)
-    for _ in range(15):
-        a = small_cusp(rng)
-        assert verify(a).verdict == verify(inverse(a)).verdict
+    for a in [PAPER_A] + [small_cusp(rng) for _ in range(15)]:
+        base, inv = verify(a), verify(inverse(a))
+        assert (inv.verdict, inv.witness) == (base.verdict, base.witness)
+        assert inv.cycle == dual_cycle(base.cycle)
+        assert len(inv.covers) == len(base.covers)
+        for r, s in zip(base.covers, inv.covers):
+            assert (s.base_degree, s.fiber, s.induced) == (r.base_degree, r.fiber, inverse(r.induced))
+            assert s.cycle == dual_cycle(r.cycle)
 
 
 def test_conjugation_invariance_of_certificates():
+    # The flagship, after the seeded cusps: its cycle is not a rotation of
+    # its reversal, and the small cusps' record multisets can be closed
+    # under reversal.
     rng = random.Random(97)
-    for _ in range(20):
-        a = small_cusp(rng)
+    for a in itertools.chain((small_cusp(rng) for _ in range(20)), [PAPER_A]):
         u = random_unimodular(rng, det=1)
         base = verify(a)
         moved = verify(conjugated(a, u))
@@ -115,6 +130,15 @@ def test_conjugation_invariance_of_certificates():
         # orientation-reversing base change still cannot move the verdict
         flipped = verify(conjugated(a, random_unimodular(rng, det=-1)))
         assert flipped.verdict == base.verdict
+        # With D = diag(1, -1), the fibers of DAD are the mirrored lattices
+        # D L, with HNF (x, -y mod x, z), and their cycles the duals of the
+        # reversed cycles.  The induced entries differ: the HNF basis of D L
+        # is not D times that of L.
+        mirrored = verify(conjugated(a, Mat2(1, 0, 0, -1)))
+        assert mirrored.verdict == base.verdict
+        assert sorted((r.base_degree, r.fiber, r.cycle.entries) for r in mirrored.covers) == sorted(
+            (n, (x, -y % x, z), dual_cycle(reversed_cycle(c)).entries) for n, (x, y, z), _, c in base.covers
+        )
 
 
 def test_admissible_traces():
