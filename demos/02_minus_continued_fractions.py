@@ -6,7 +6,8 @@ period of the expanding fixed slope (a - d + sqrt(t^2 - 4))/(2b) of a
 monodromy matrix [[a, b], [c, d]] of trace t is exactly its resolution
 cycle.  `expand` counts the preperiod digits and returns the period as the
 blocks of a `Cycle`: a run of k 2s, then a digit >= 3, per block.  The
-digits themselves come one at a time from `step`.  Everything below runs on
+digits themselves come one at a time from `step`, which carries x as the
+binary quadratic form (p, q, r) with p^2 - q r = d.  Everything below runs on
 integers; no floating point is involved even when d has 26 digits.
 """
 
@@ -20,12 +21,13 @@ from cuspcovers import Cycle, Mat2, expand, power, step
 
 
 def digits(a: Mat2, count: int) -> list[int]:
-    """The first count digits of a's fixed slope, one `step` each."""
-    p, q, d = a.a - a.d, 2 * a.b, a.trace**2 - 4
-    s = isqrt(d)
+    """The first count digits of a's fixed slope, one `step` each, from its
+    form (a - d, 2b, -2c)."""
+    p, q, r = a.a - a.d, 2 * a.b, -2 * a.c
+    s = isqrt(a.trace**2 - 4)
     out = []
     for _ in range(count):
-        digit, p, q = step(p, q, d, s)
+        digit, p, q, r = step(p, q, r, s)
         out.append(digit)
     return out
 
@@ -36,15 +38,16 @@ def length(blocks: tuple[int, ...]) -> int:
 
 
 # The golden ratio (1 + sqrt 5)/2 is the fixed slope of [[2, 1], [1, 1]]:
-# p = 2 - 1, q = 2 * 1, d = 3^2 - 4.  One step runs on the integer state
-# (p, q) with d and s = isqrt(d) fixed: the digit is the exact ceiling of x,
-# and the next value is (p' + sqrt d)/q'.
+# p = 2 - 1, q = 2 * 1, d = 3^2 - 4, and r = -2 * 1, so that p^2 - q r = d.
+# One step runs on the integer form (p, q, r) with s = isqrt(d) fixed: the
+# digit is the exact ceiling of x, the next value is (p' + sqrt d)/q', and
+# the next r is the old q.
 g = Mat2(2, 1, 1, 1)
-p, q, d = g.a - g.d, 2 * g.b, g.trace**2 - 4
-digit, p2, q2 = step(p, q, d, isqrt(d))
+p, q, r, d = g.a - g.d, 2 * g.b, -2 * g.c, g.trace**2 - 4
+digit, p2, q2, r2 = step(p, q, r, isqrt(d))
 print(f"fixed slope of {g}: x = ({p} + sqrt({d}))/{q}, ceil(x) = {digit}")
-print(f"one step on (p, q) = ({p}, {q}): digit {digit}, next state ({p2}, {q2}),")
-print(f"  next value ({p2} + sqrt({d}))/{q2}")
+print(f"one step on (p, q, r) = ({p}, {q}, {r}): digit {digit}, next form ({p2}, {q2}, {r2}),")
+print(f"  next value ({p2} + sqrt({d}))/{q2}, and {p2}^2 - {q2} * {r2} = {p2 * p2 - q2 * r2}")
 preperiod, blocks = expand(g)
 print(f"expansion: preperiod {tuple(digits(g, preperiod))}, period blocks {blocks}")
 print(f"purely periodic? {preperiod == 0}")

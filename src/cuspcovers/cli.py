@@ -3,7 +3,10 @@
 Exit codes: 0 for a completed computation (whatever the verdict), 2 for
 invalid input (bad matrix, bad cycle, malformed arguments), 1 for an
 internal failure: any `RuntimeError`, printed as one `internal error:` line,
-and a `MemoryError`, printed as `internal error: out of memory`.  The
+a `MemoryError`, printed as `internal error: out of memory`, and an
+`OverflowError`, printed as `internal error: too large: ...`: a size past
+what one Python object can index, such as the 10**20 - 3 entries of the dual
+of the valid cycle (10**20), whose text `cycle` and `dual` cannot build.  The
 `RuntimeError`s are a failed self-check (a factorization whose primes do not
 multiply back, a congruence root that is no root, a sieve that disagrees
 with trial division) and a `cfrac.ExpansionError`: a period whose powers
@@ -254,6 +257,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except MemoryError:
         print("internal error: out of memory", file=sys.stderr)
+        return 1
+    except OverflowError as exc:
+        print(f"internal error: too large: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:
         return 0

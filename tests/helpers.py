@@ -137,7 +137,8 @@ def random_state(rng, max_d, max_p=100, max_q=50, sign=None) -> tuple[int, int, 
 
 def fixed_slope(a: Mat2) -> tuple[int, int, int]:
     """The expanding fixed slope (a - d + sqrt(t^2 - 4)) / (2b) of a monodromy,
-    as the state (p, d, q) from which `cfrac.expand(a)` starts."""
+    as the state (p, d, q); `cfrac.expand(a)` starts from its form
+    (p, q, (p^2 - d) / q) = (a - d, 2b, -2c)."""
     t = a.trace
     return a.a - a.d, t * t - 4, 2 * a.b
 
@@ -152,8 +153,9 @@ def ceil_quad(p: int, d: int, q: int) -> int:
 
 def step_by_ceiling(p: int, d: int, q: int) -> tuple[int, int, int]:
     """One expansion step on x = (p + sqrt(d)) / q with q | d - p^2: returns
-    (digit, p', q') with x = digit - 1/x', x' = (p' + sqrt(d)) / q' > 1.
-    `cfrac.step` must give the same digit and next state."""
+    (digit, p', q') with x = digit - 1/x', x' = (p' + sqrt(d)) / q' > 1, the
+    next q by the exact division (p'^2 - d) / q.  `cfrac.step` on the form
+    (p, q, (p^2 - d) / q) must give the same digit and next state."""
     digit = ceil_quad(p, d, q)
     p2 = digit * q - p
     q2 = (p2 * p2 - d) // q
@@ -175,11 +177,18 @@ def expand_by_state_table(p: int, d: int, q: int) -> tuple[tuple[int, ...], tupl
 
 
 def is_reduced_by_isqrt(p: int, d: int, q: int) -> bool:
-    """Whether (p + sqrt(d)) / q is reduced, x > 1 > conj(x) > 0, by the
-    integer test that `cfrac.expand` runs inline, with s = isqrt(d): q > 0,
-    s < p and |p - q| <= s."""
+    """Whether (p + sqrt(d)) / q is reduced, x > 1 > conj(x) > 0, by isqrt
+    bounds on the state, with s = isqrt(d): q > 0, s < p and |p - q| <= s.
+    `cfrac.expand` runs the form test `is_reduced_form` instead."""
     s = isqrt(d)
     return q > 0 and s < p and abs(p - q) <= s
+
+
+def is_reduced_form(p: int, d: int, q: int) -> bool:
+    """Zagier's reduced test that `cfrac.expand` runs inline on the form
+    (p, q, r), r = (p^2 - d) / q: q > 0, r > 0 and q + r < 2p."""
+    r = (p * p - d) // q
+    return q > 0 and r > 0 and q + r < 2 * p
 
 
 def is_reduced_by_ceilings(p: int, d: int, q: int) -> bool:

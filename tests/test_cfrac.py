@@ -21,6 +21,7 @@ from helpers import (
     fixed_slope,
     is_reduced_by_ceilings,
     is_reduced_by_isqrt,
+    is_reduced_form,
     random_cycle,
     random_hyperbolic,
     random_state,
@@ -47,6 +48,7 @@ def test_fixed_point_examples():
         assert (p, d, q) == state
         assert a.b * (p * p + d) + (a.d - a.a) * p * q - a.c * q * q == 0
         assert 2 * a.b * p + (a.d - a.a) * q == 0
+        assert p * p - d == q * -2 * a.c  # the form (p, q, -2c) of discriminant d
         pre, period = expand_by_state_table(p, d, q)
         assert expand(a) == (len(pre), blocks_by_entries(period))
 
@@ -68,22 +70,25 @@ def test_ceil_quad():
     assert ceil_quad(-3, 5, 2) == 0   # (-3 + sqrt 5)/2 ~ -0.38
 
 
-def _step(p: int, d: int, q: int) -> tuple[int, int, int]:
-    return step(p, q, d, isqrt(d))
+def _step(p: int, d: int, q: int) -> tuple[int, int, int, int]:
+    """`step` on the oracles' state (p, d, q), as its form (p, q, (p^2 - d) / q)."""
+    return step(p, q, (p * p - d) // q, isqrt(d))
 
 
 def test_step_examples():
-    assert _step(3, 5, 2) == (3, 3, 2)  # fixed point of its own step
-    assert _step(1, 5, 2) == (2, 3, 2)
-    assert _step(0, 2, -1) == (-1, 1, 1)  # -sqrt(2) = -1 - 1/(1 + sqrt 2)
+    assert _step(3, 5, 2) == (3, 3, 2, 2)  # fixed point of its own step
+    assert _step(1, 5, 2) == (2, 3, 2, 2)
+    assert _step(0, 2, -1) == (-1, 1, 1, -1)  # -sqrt(2) = -1 - 1/(1 + sqrt 2)
 
 
 def test_step_keeps_discriminant_and_invariant():
     rng = random.Random(37)
     for _ in range(300):
         p, d, q = random_state(rng, 10**6)
-        digit, p2, q2 = _step(p, d, q)
+        digit, p2, q2, r2 = _step(p, d, q)
         assert q2 != 0
+        assert r2 == q
+        assert p2 * p2 - q2 * r2 == d
         assert (d - p2 * p2) % q2 == 0
         # next > 1 always
         assert ceil_quad(p2, d, q2) >= 2
@@ -98,7 +103,9 @@ def test_step_matches_the_quadirr_step_for_both_signs_of_q():
         sign = 1 if i % 2 else -1
         max_d = 10**6 if i % 4 < 2 else 10**27
         p, d, q = random_state(rng, max_d, max_p=10**4, max_q=10**3, sign=sign)
-        assert _step(p, d, q) == step_by_ceiling(p, d, q)
+        digit, p2, q2, r2 = _step(p, d, q)
+        assert (digit, p2, q2) == step_by_ceiling(p, d, q)
+        assert r2 == q and p2 * p2 - q2 * r2 == d
         checked[sign] += 1
     assert checked == {1: 300, -1: 300}
 
@@ -197,9 +204,9 @@ def test_expand_calls_step_once_per_digit(monkeypatch):
         cusps += [r.induced for r in enumerate_covers(monodromy_of((x,)), 4)]
     calls = []
 
-    def counted(p, q, d, s, step=step):
+    def counted(p, q, r, s, step=step):
         calls.append(None)
-        return step(p, q, d, s)
+        return step(p, q, r, s)
 
     monkeypatch.setattr(cuspcovers.cfrac, "step", counted)
     preperiodic = 0
@@ -217,12 +224,12 @@ def test_expand_rejects_a_period_that_is_no_cycle(monkeypatch, capsys):
     # A period is a cycle: every digit >= 2, one of them >= 3.  A step that
     # emits digit 1, or 2 in place of every digit >= 3 (keeping the true next
     # state), makes an inconsistent expansion, an internal error.
-    def faulty(p, q, d, s, step=step):
-        return 1, *step(p, q, d, s)[1:]
+    def faulty(p, q, r, s, step=step):
+        return 1, *step(p, q, r, s)[1:]
 
-    def flattened(p, q, d, s, step=step):
-        digit, p2, q2 = step(p, q, d, s)
-        return min(digit, 2), p2, q2
+    def flattened(p, q, r, s, step=step):
+        digit, p2, q2, r2 = step(p, q, r, s)
+        return min(digit, 2), p2, q2, r2
 
     monkeypatch.setattr(cuspcovers.cfrac, "step", faulty)
     with pytest.raises(ExpansionError, match="digit 1 < 2"):
@@ -234,9 +241,35 @@ def test_expand_rejects_a_period_that_is_no_cycle(monkeypatch, capsys):
         expand(PAPER_A)
 
 
+def test_expand_checks_the_closing_form(monkeypatch, capsys):
+    # step keeps p^2 - q r, so a form that goes wrong once stays off the
+    # discriminant, and the one check when the period closes raises.  Adding
+    # 1 to r' at the closing step of the flagship's 5-digit period leaves
+    # every digit right; adding it at the first preperiod step of a conjugate
+    # sends the expansion round a period of another discriminant (2574
+    # steps in all).  Without the check both would return blocks.
+    def corrupt_call(k):
+        calls = []
+
+        def corrupted(p, q, r, s, step=step):
+            calls.append(None)
+            digit, p2, q2, r2 = step(p, q, r, s)
+            return digit, p2, q2, r2 + (len(calls) == k)
+
+        return corrupted
+
+    for a, k in [(PAPER_A, 5), (PREPERIODIC_A, 1)]:
+        monkeypatch.setattr(cuspcovers.cfrac, "step", corrupt_call(k))
+        with pytest.raises(ExpansionError, match="left discriminant 2627637"):
+            expand(a)
+    monkeypatch.setattr(cuspcovers.cfrac, "step", corrupt_call(5))
+    assert main(["cycle", "-m", "1640", "221", "-141", "-19"]) == 1
+    assert capsys.readouterr().err.startswith("internal error: form (1659, 442, 283) left discriminant")
+
+
 def test_pure_periodicity_examples():
     for state in [(1, 5, 2), (1, 5, 4), (7, 5, 2), (-5, 5, -2), (3, 5, 2)]:
-        assert is_reduced_by_isqrt(*state) == is_reduced_by_ceilings(*state)
+        assert is_reduced_form(*state) == is_reduced_by_isqrt(*state) == is_reduced_by_ceilings(*state)
     assert is_reduced_by_isqrt(3, 5, 2)
     assert not is_reduced_by_isqrt(1, 5, 2)  # conjugate is negative
     assert not is_reduced_by_isqrt(1, 5, 4)  # x ~ 0.81 < 1
@@ -245,9 +278,26 @@ def test_pure_periodicity_examples():
     assert not is_reduced_by_isqrt(-5, 5, -2)
 
 
+def test_reduced_form_test_matches_the_isqrt_and_ceiling_tests():
+    # Zagier's form test q > 0, r > 0, q + r < 2p, which expand runs inline,
+    # against the isqrt bounds and the two ceilings, on the first 10 states
+    # of the orbits of random states of both signs of q, with discriminants
+    # up to 10**6 and 10**27; the orbits reach reduced states and stay there.
+    rng = random.Random(61)
+    seen = {True: 0, False: 0}
+    for i in range(200):
+        p, d, q = random_state(rng, 10**6 if i % 2 else 10**27, max_p=10**4, max_q=10**3)
+        for _ in range(10):
+            reduced = is_reduced_form(p, d, q)
+            assert reduced == is_reduced_by_isqrt(p, d, q) == is_reduced_by_ceilings(p, d, q)
+            seen[reduced] += 1
+            _, p, q = step_by_ceiling(p, d, q)
+    assert seen[False] > 250 and seen[True] > 1000
+
+
 def test_pure_periodicity_of_candidate_fixed_points():
     for m in candidate_matrices(50, 40) + candidate_matrices(1621, 40):
-        assert is_reduced_by_isqrt(*fixed_slope(m))
+        assert is_reduced_form(*fixed_slope(m)) and is_reduced_by_isqrt(*fixed_slope(m))
         preperiod, blocks = expand(m)
         assert preperiod == 0
         assert blocks and all(k >= 0 for k in blocks[::2]) and all(e >= 3 for e in blocks[1::2])
@@ -267,8 +317,9 @@ def test_pure_periodicity_iff_no_preperiod():
         assert q != 0 and (d - p * p) % q == 0 and isqrt(d) ** 2 != d
         split = expand_by_state_table(p, d, q)
         assert expand(a) == (len(split[0]), blocks_by_entries(split[1]))
-        assert is_reduced_by_isqrt(p, d, q) == is_reduced_by_ceilings(p, d, q) == (split[0] == ())
-        assert is_reduced_by_isqrt(p, d, q) == (expand(a)[0] == 0)
+        reduced = is_reduced_form(p, d, q)
+        assert reduced == is_reduced_by_isqrt(p, d, q) == is_reduced_by_ceilings(p, d, q) == (split[0] == ())
+        assert reduced == (expand(a)[0] == 0)
         negative_b += a.b < 0
         preperiodic += split[0] != ()
     assert negative_b > 0 and preperiodic > 0
@@ -308,10 +359,10 @@ def test_expansion_reassembles_to_the_value():
         # No 2s: every block is one digit, and the blocks read the period in order.
         assert not any(blocks[::2])
         p, d, q = fixed_slope(a)
-        s = isqrt(d)
+        r, s = (p * p - d) // q, isqrt(d)
         digits = []
         for _ in range(preperiod):
-            digit, p, q = step(p, q, d, s)
+            digit, p, q, r = step(p, q, r, s)
             digits.append(digit)
         period = blocks[1::2]
         digits += list(period) * (60 // len(period) + 1)

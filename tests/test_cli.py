@@ -437,6 +437,20 @@ def test_out_of_memory_exits_1_with_one_line(capsys, monkeypatch):
     assert "Traceback" not in captured.err
 
 
+def test_overflow_exits_1_with_one_line(capsys):
+    # The cycle (10**20) is valid input, and its dual has 10**20 - 3 entries,
+    # more than one str can index: writing either cycle line raises
+    # OverflowError before any output, which the CLI reports as one line with
+    # exit code 1, as it does a MemoryError.
+    for command in ("cycle", "dual"):
+        assert main([command, "-c", str(10**20)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("internal error: too large: ")
+        assert "Traceback" not in captured.err
+
+
 def test_missing_input_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify"])
