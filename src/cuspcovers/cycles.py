@@ -78,12 +78,11 @@ def _least_rotation(blocks: tuple[int, ...]) -> tuple[int, int]:
     factorization (1983) runs over these keys doubled; the last Lyndon
     factor starting before the first copy's end begins the least rotation,
     and the keys from there to the end are that factor repeated, so its
-    length j - m is the primitive period.
+    length j - m is the primitive period.  One block needs no case of its
+    own: its keys [k, k] end the loop at m = 1, j = 2, offset 0, period 2.
     """
     es = blocks[1::2]
     b = len(es)
-    if b == 1:
-        return 0, 2
     w = max(es) + 1
     keys = [e - k * w for k, e in zip(blocks[::2], es)]
     keys += keys

@@ -7,7 +7,7 @@ import json
 import operator
 import os
 from itertools import islice
-from math import isqrt
+from math import gcd, isqrt
 from typing import Sequence
 
 from cuspcovers import Cycle, Lattice2, Mat2, conjugate, inverse, monodromy_of, mul, power
@@ -391,6 +391,79 @@ def invariant_sublattices_by_walk(a: Mat2, n: int) -> list[Lattice2]:
         part = primary_part_lattices(a, shifted, ell)
         combos = [intersect_coprime(base, opt) for base in combos for opt in part]
     return sorted(combos, key=Lattice2.sort_key)
+
+
+def smith_form(m: Mat2) -> tuple[int, int, Mat2]:
+    """(d1, d2, U) for a nonsingular m: U m V = diag(d1, d2) for unimodular U
+    and V, with 0 < d1 | d2, by row and column operations.  Each round moves
+    the least nonzero |entry| to the corner and reduces its row and column by
+    it; a corner that does not divide the other diagonal entry takes that
+    entry's row as well, so the next corner is smaller.  V is kept only to
+    check the product."""
+    r = [[m.a, m.b], [m.c, m.d]]
+    u = [[1, 0], [0, 1]]
+    v = [[1, 0], [0, 1]]
+
+    def add_row(i, j, q):
+        for w in (r, u):
+            w[i] = [e + q * f for e, f in zip(w[i], w[j])]
+
+    def add_col(i, j, q):
+        for w in (r, v):
+            for row in w:
+                row[i] += q * row[j]
+
+    while True:
+        i, j = min(((i, j) for i in (0, 1) for j in (0, 1) if r[i][j]), key=lambda ij: abs(r[ij[0]][ij[1]]))
+        if i:
+            r.reverse()
+            u.reverse()
+        if j:
+            for row in r + v:
+                row.reverse()
+        p = r[0][0]
+        add_row(1, 0, -(r[1][0] // p))
+        add_col(1, 0, -(r[0][1] // p))
+        if r[1][0] or r[0][1]:
+            continue
+        if r[1][1] % p == 0:
+            break
+        add_row(0, 1, 1)
+    for i in (0, 1):
+        if r[i][i] < 0:
+            for w in (r, u):
+                w[i] = [-e for e in w[i]]
+    um, vm = Mat2(*u[0], *u[1]), Mat2(*v[0], *v[1])
+    assert abs(um.det) == abs(vm.det) == 1 and mul(mul(um, m), vm) == Mat2(r[0][0], 0, 0, r[1][1])
+    return r[0][0], r[1][1], um
+
+
+def invariant_sublattices_by_smith_form(a: Mat2, n: int) -> tuple[list[Lattice2], int]:
+    """(fibers, lattices): the A-invariant lattices between (A**n - I)Z^2 and
+    Z^2, sorted as `covers.invariant_sublattices_between` sorts them, and the
+    number of distinct lattices between, from the Smith form alone.
+
+    U (A**n - I) V = diag(d1, d2) makes x -> U x mod (d1, d2) an isomorphism
+    Z^2 / (A**n - I)Z^2 -> Z/d1 x Z/d2.  A subgroup is the image of a lattice
+    L' between diag(d1, d2)Z^2 and Z^2, listed by its HNF (x, y, z): x | d1,
+    z | d2 and x | y d2 / z, that is, y a multiple of x / gcd(x, d2 / z)
+    below x.  Their number is the sum of gcd(x, b) over x | d1 and b | d2
+    (Hampejs, Holighaus, Toth and Wiesmeyr 2014).  Each pulls back to
+    L = U^-1 L', reduced by `hermite_normal_form`, and L is a fiber when
+    `conjugate` of A by its basis is integral.  It shares no code with
+    `covers`: no lattice walk, closed-form induced action or CRT.
+    """
+    an = power(a, n)
+    d1, d2, u = smith_form(Mat2(an.a - 1, an.b, an.c, an.d - 1))
+    back = inverse(u)
+    lattices = {
+        from_basis(mul(back, Mat2(x, y, 0, z)))
+        for x in divisors(d1)
+        for z in divisors(d2)
+        for y in range(0, x, x // gcd(x, d2 // z))
+    }
+    fibers = [lat for lat in lattices if conjugate(a, lat.basis) is not None]
+    return sorted(fibers, key=Lattice2.sort_key), len(lattices)
 
 
 def admissible_traces_by_trial_division(limit: int) -> list[int]:

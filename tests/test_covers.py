@@ -30,6 +30,7 @@ from helpers import (
     FULL_LATTICE,
     blocks_by_entries,
     conjugated,
+    divisors,
     expand_by_state_table,
     fixed_slope,
     from_basis,
@@ -37,6 +38,7 @@ from helpers import (
     hermite_sum,
     index_formula,
     intersect_coprime,
+    invariant_sublattices_by_smith_form,
     invariant_sublattices_by_walk,
     lattice_contains,
     prime_index_lattices_by_roots,
@@ -44,6 +46,7 @@ from helpers import (
     random_hyperbolic,
     random_unimodular,
     reversed_cycle,
+    smith_form,
     sublattices_of_index,
     subprocess_env,
 )
@@ -308,6 +311,35 @@ def test_walk_matches_the_lattice_walk_oracle():
     fibers = [_walk_matches(a) for a in cusps]
     assert fibers[0] == 58
     assert min(fibers[1:4]) > 58
+
+
+def test_walk_matches_the_smith_form_oracle_at_degrees_1_to_4():
+    # Against an oracle that shares no reachability argument with the walk:
+    # every lattice between (A**n - I)Z^2 and Z^2, one per subgroup of
+    # Z/d1 x Z/d2 from the Smith form, kept when A-invariant.  Their number
+    # is the sum of gcd(x, b) over x | d1 and b | d2.  The flagship, the four
+    # trace-63 classes with no CI cover and seeded cusps of trace <= 300.  At
+    # trace 63, x^2 - 63 x + 1 has no root mod 2, 3 or 7, so Z^2 has no
+    # invariant sublattice of those prime indices, and the walk reaches the
+    # fibers inside 2Z^2 (degree 3) and 3Z^2 and 7Z^2 (degree 4) only
+    # through its scalar children.
+    rng = random.Random(101)
+    trace_63 = ((2, 2, 4, 2, 5), (2, 2, 5, 2, 4), (2, 2, 2, 2, 3, 7), (2, 2, 2, 2, 7, 3))
+    cusps = [PAPER_A] + [monodromy_of(c) for c in trace_63]
+    while len(cusps) < 13:
+        m = monodromy_of(random_cycle(rng, max_len=4, max_entry=8))
+        if m.trace <= 300:
+            cusps.append(conjugated(m, random_unimodular(rng, steps=3)))
+    sizes = []
+    for a in cusps:
+        for n in (1, 2, 3, 4):
+            fibers, lattices = invariant_sublattices_by_smith_form(a, n)
+            assert invariant_sublattices_between(a, n) == fibers, (a, n)
+            d1, d2, _ = smith_form(shifted(a, n))
+            assert lattices == sum(gcd(x, b) for x in divisors(d1) for b in divisors(d2)), (a, n)
+            sizes.append((len(fibers), lattices))
+    # (fibers, lattices between) at degrees 1..4: the flagship, then (2, 2, 4, 2, 5).
+    assert sizes[:8] == [(2, 2), (8, 8), (16, 8140), (32, 12992), (2, 2), (8, 8), (14, 734), (48, 1840)]
 
 
 def test_induced_action_matches_conjugation():

@@ -125,11 +125,18 @@ def test_block_least_rotation_matches_brute_force_at_the_edges():
 
 
 def test_block_least_rotation_matches_duval_on_long_cycles():
+    # Long cycles, and words of one block, or one block repeated, which take
+    # the same Duval loop as the rest: its period is the smallest shift that
+    # fixes the blocks.
     rng = random.Random(89)
-    for seq in ((3,) + (2,) * 20000, ((3,) + (2,) * 1600 + (5,) + (2,) * 1600) * 4):
+    one_block = ((3,), (1621,), (2,) * 40 + (7,), (2, 2, 5) * 3)
+    for seq in ((3,) + (2,) * 20000, ((3,) + (2,) * 1600 + (5,) + (2,) * 1600) * 4, *one_block):
         for rot in rotations(seq, rng):
             j = least_rotation_by_duval(rot)
             assert Cycle(rot).entries == rot[j:] + rot[:j]
+            blocks = blocks_by_entries(rot)
+            shifts = [s for s in range(2, len(blocks) + 1, 2) if blocks[s:] + blocks[:s] == blocks]
+            assert _least_rotation(blocks)[1] == shifts[0], rot
 
 
 def test_block_dual_matches_entry_dual():
