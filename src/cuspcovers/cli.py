@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .covers import CoverRecord, enumerate_covers
 from .cycles import Cycle, _word_text, cycle_of, dual_cycle, dual_length, monodromy_of
-from .matrices import Mat2, require_cusp
+from .matrices import Mat2
 from .verifier import Certificate, admissible_traces, candidate_matrices, verify
 
 
@@ -148,10 +148,11 @@ def _parse_cycle_arg(text: str) -> Cycle:
 
 
 def _input_matrix(args: argparse.Namespace) -> Mat2:
+    # A -m matrix is not checked here: every command that takes it rejects a
+    # non-cusp before any output, in `cfrac.expand` (cycle) or in
+    # `covers.invariant_sublattices_between` (covers, verify).
     if args.matrix is not None:
-        m = Mat2(*args.matrix)
-        require_cusp(m)
-        return m
+        return Mat2(*args.matrix)
     return monodromy_of(_parse_cycle_arg(args.cycle))
 
 

@@ -20,7 +20,7 @@ from math import isqrt
 from .covers import CoverRecord, enumerate_covers
 from .cycles import Cycle, cycle_of, dual_cycle, is_ci_link
 from .intmath import _odd_prime_table, is_prime
-from .matrices import Mat2, require_cusp
+from .matrices import Mat2
 
 CANDIDATE_SPAN = 10**4
 
@@ -54,8 +54,10 @@ class Certificate:
 
 
 def verify(a: Mat2) -> Certificate:
-    """Certificate for the cusp with monodromy a (det 1, trace >= 3)."""
-    require_cusp(a)
+    """Certificate for the cusp with monodromy a (det 1, trace >= 3).
+
+    A non-cusp raises ValueError from `invariant_sublattices_between`, the
+    first call of `enumerate_covers`, before any power, walk or expansion."""
     records = tuple(enumerate_covers(a, 4))
     witness = next((i for i, rec in enumerate(records) if is_ci_link(rec.cycle)), None)
     return Certificate(monodromy=a, cycle=cycle_of(a), covers=records, witness=witness)

@@ -105,11 +105,11 @@ def least_rotation_by_duval(seq) -> int:
     return start
 
 
-def dual_by_entries(c: Cycle) -> Cycle:
-    """The dual cycle by one backward pass over the entries, rotated to start at
-    an entry >= 3: count the run of 2s, and at each entry e >= 3 emit run + 3
-    then e - 3 twos.  The block `cycles.dual_cycle` must give the same cycle."""
-    seq = c.entries
+def dual_entries(seq) -> tuple[int, ...]:
+    """The dual of the cycle seq, a plain sequence of entries, up to rotation:
+    one backward pass over seq, rotated to start at an entry >= 3, counts the
+    run of 2s, and at each entry e >= 3 emits run + 3 then e - 3 twos."""
+    seq = tuple(seq)
     start = next(i for i, e in enumerate(seq) if e >= 3)
     out: list[int] = []
     run = 0
@@ -120,7 +120,13 @@ def dual_by_entries(c: Cycle) -> Cycle:
             out.append(run + 3)
             out.extend([2] * (e - 3))
             run = 0
-    return Cycle(tuple(out))
+    return tuple(out)
+
+
+def dual_by_entries(c: Cycle) -> Cycle:
+    """The dual cycle by `dual_entries`: the block `cycles.dual_cycle` must give
+    the same cycle."""
+    return Cycle(dual_entries(c.entries))
 
 
 def random_state(rng, max_d, max_p=100, max_q=50, sign=None) -> tuple[int, int, int]:
@@ -230,6 +236,23 @@ def monodromy_by_matrices(c) -> Mat2:
     for b in validated_by_entries(c):
         out = Mat2(b * out.a + out.c, b * out.b + out.d, -out.a, -out.b)
     return out
+
+
+def cycle_by_state_table(m: Mat2) -> tuple[int, ...]:
+    """The canonical entries of the cycle of m (det 1, trace >= 3), with no
+    package code: the period of m's fixed slope from `expand_by_state_table`,
+    repeated k times, where the k-th power of its `monodromy_by_matrices`
+    matrix has m's trace, at its least rotation (`least_rotation_brute`).
+    The state-table period is primitive, so k > 1 exactly when m's cycle is a
+    repetition, such as (2, 6, 2, 6) or the cycle of a power."""
+    _, period = expand_by_state_table(*fixed_slope(m))
+    step = mk = monodromy_by_matrices(period)
+    k = 1
+    while mk.trace < m.trace:
+        mk = mul(mk, step)
+        k += 1
+    assert mk.trace == m.trace, f"no power of the period matrix of {m} has its trace"
+    return least_rotation_brute(period * k)
 
 
 def certificate_to_json_oracle(cert) -> str:
@@ -464,6 +487,80 @@ def invariant_sublattices_by_smith_form(a: Mat2, n: int) -> tuple[list[Lattice2]
     }
     fibers = [lat for lat in lattices if conjugate(a, lat.basis) is not None]
     return sorted(fibers, key=Lattice2.sort_key), len(lattices)
+
+
+def check_certificate(text: str) -> str | None:
+    """None when the certificate JSON `text` holds from first principles, else
+    the first failure found.
+
+    It reads only the document, and trusts neither the lattice walk nor the
+    expansion: it calls no function of `covers`, `cycles`, `cfrac`,
+    `verifier` or `cli`, and builds only their value types.  With A the
+    input matrix, it checks that
+    - A is a cusp monodromy (det 1, trace >= 3) and `trace` is its trace;
+    - each record's degree n lies in 1..4, its `fiber_hnf` is an HNF triple
+      (x, y, z) with `fiber_index` x z, the columns of A**n - I lie in the
+      fiber, and `induced` is `conjugate_by_products` of A by the fiber's
+      basis, with det 1;
+    - each record's cycle is `cycle_by_state_table` of induced**n, built once
+      per distinct (induced, n), its dual is the least rotation of that
+      cycle's `dual_entries`, and `cycle_len` and `dual_len` are their
+      lengths; the top-level cycle and dual are A's, checked the same way;
+    - at each degree n the records list, in order, the fibers of
+      `invariant_sublattices_by_smith_form(A, n)`, so none is missing;
+    - the witness is the first record whose cycle or dual has length at
+      most 4, and the verdict is NO_CI_COVER exactly when there is none.
+    """
+    doc = json.loads(text)
+
+    def cycle_and_dual(m: Mat2) -> tuple[list[int], list[int]]:
+        c = cycle_by_state_table(m)
+        return list(c), list(least_rotation_brute(dual_entries(c)))
+
+    a = Mat2(*doc["input"]["matrix"])
+    if a.det != 1 or a.trace < 3:
+        return f"input {a} is not a cusp monodromy"
+    if doc["trace"] != str(a.trace):
+        return f"trace {doc['trace']} is not the input's, {a.trace}"
+    if (doc["cycle"], doc["dual_cycle"]) != cycle_and_dual(a):
+        return "the top-level cycle or dual is not the input's"
+    shifted = {}
+    for n in range(1, 5):
+        an = power(a, n)
+        shifted[n] = Mat2(an.a - 1, an.b, an.c, an.d - 1)
+    cycles: dict[tuple[Mat2, int], tuple[list[int], list[int]]] = {}
+    witness = None
+    for i, rec in enumerate(doc["covers"]):
+        n, (x, y, z) = rec["degree"], rec["fiber_hnf"]
+        if n not in shifted:
+            return f"record {i}: degree {n} is not in 1..4"
+        if not (x > 0 and z > 0 and 0 <= y < x) or rec["fiber_index"] != str(x * z):
+            return f"record {i}: fiber {(x, y, z)} is no HNF triple of index {rec['fiber_index']}"
+        fiber = Lattice2(x, y, z)
+        if not lattice_contains(fiber, shifted[n]):
+            return f"record {i}: the columns of A**{n} - I do not lie in the fiber {fiber}"
+        induced = Mat2(*map(int, rec["induced"]))
+        if conjugate_by_products(a, fiber.basis) != induced or induced.det != 1:
+            return f"record {i}: induced {induced} is not A in the fiber's basis"
+        key = induced, n
+        if key not in cycles:
+            cycles[key] = cycle_and_dual(power(induced, n))
+        cycle, dual = cycles[key]
+        if (rec["cycle"], rec["dual"]) != (cycle, dual):
+            return f"record {i}: the cycle or dual is not that of induced**{n}"
+        if (rec["cycle_len"], rec["dual_len"]) != (len(cycle), len(dual)):
+            return f"record {i}: the stated lengths are not those of the cycle and dual"
+        if witness is None and min(len(cycle), len(dual)) <= 4:
+            witness = i
+    listed = [(rec["degree"], tuple(rec["fiber_hnf"])) for rec in doc["covers"]]
+    fibers = [(n, tuple(lat)) for n in range(1, 5) for lat in invariant_sublattices_by_smith_form(a, n)[0]]
+    if listed != fibers:
+        return "the fibers are not the Smith-form fibers of degrees 1..4, in order"
+    if doc["witness"] != witness:
+        return f"witness {doc['witness']} is not the first CI record, {witness}"
+    if doc["verdict"] != ("NO_CI_COVER" if witness is None else "HAS_CI_COVER"):
+        return f"verdict {doc['verdict']} does not follow from the witness {witness}"
+    return None
 
 
 def admissible_traces_by_trial_division(limit: int) -> list[int]:

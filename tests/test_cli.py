@@ -379,15 +379,25 @@ def test_search_matrix(capsys):
         ("verify", "-c", "2,2,2"),                   # no entry >= 3
         ("verify", "-c", "8,x,4"),                   # malformed list
         ("cycle", "-c", "1,5"),                      # entry < 2
+        # -m is checked by the first call that needs a cusp: expand for
+        # cycle, invariant_sublattices_between for covers and verify.
+        ("cycle", "-m", "1", "0", "0", "1"),         # trace 2
+        ("covers", "-m", "3", "1", "1", "1", "--max-degree", "1"),  # det 2
+        ("verify", "-m", "1", "0", "0", "1", "--format", "json", "-o", "PATH"),
     ],
 )
-def test_invalid_input_exits_2(capsys, argv):
-    code = main(list(argv))
+def test_invalid_input_exits_2(capsys, tmp_path, argv):
+    # One error line, no output and no -o file: each rejection comes before
+    # any output is written.
+    path = tmp_path / "out.json"
+    code = main([str(path) if arg == "PATH" else arg for arg in argv])
     captured = capsys.readouterr()
     assert code == 2
-    assert "error:" in captured.err
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert not path.exists()
     if argv[1] == "-m":
-        m = Mat2(*map(int, argv[2:]))
+        m = Mat2(*map(int, argv[2:6]))
         assert f"determinant {m.det} and trace {m.trace};" in captured.err
 
 

@@ -1,10 +1,18 @@
 import itertools
+import json
 import random
+import sys
 
 import pytest
 
+import cuspcovers.cfrac
+import cuspcovers.cli
+import cuspcovers.covers
+import cuspcovers.cycles
 from cuspcovers import verifier
 from cuspcovers.cfrac import expand
+from cuspcovers.cli import certificate_to_json
+from cuspcovers.covers import Lattice2
 from cuspcovers.cycles import Cycle, cycle_of, dual_cycle, monodromy_of
 from cuspcovers.intmath import is_prime
 from cuspcovers.matrices import Mat2, inverse
@@ -18,6 +26,7 @@ from cuspcovers.verifier import (
 from helpers import (
     admissible_traces_by_trial_division,
     candidate_matrices_by_scan,
+    check_certificate,
     conjugated,
     random_cycle,
     random_unimodular,
@@ -65,7 +74,13 @@ def test_verify_trivial_ci():
     assert len(cert.covers[0].cycle) == 1
 
 
-def test_verify_rejects_bad_input():
+def test_verify_rejects_bad_input(monkeypatch):
+    # The ValueError comes before any power of the matrix or any expansion.
+    def unreachable(*args):
+        raise AssertionError("a non-cusp reached a power or an expansion")
+
+    monkeypatch.setattr(cuspcovers.covers, "power", unreachable)
+    monkeypatch.setattr(cuspcovers.cycles, "expand", unreachable)
     with pytest.raises(ValueError, match="determinant 1 and trace 2;"):
         verify(Mat2(1, 0, 0, 1))
     with pytest.raises(ValueError, match="determinant 4 and trace 4;"):
@@ -271,3 +286,84 @@ def test_no_ci_cover_begins_at_trace_63():
     }
     assert {classes[c].trace for c in without} == {63}
     assert 63 not in admissible_traces(63)
+
+
+# The flagship and the four trace-63 classes have no CI cover; (2, 6, 2, 6),
+# the census anchor, has 3284 records and a top-level cycle that repeats its
+# primitive period.
+CHECKED_CUSPS = {
+    "flagship": PAPER_A,
+    "2,2,4,2,5": monodromy_of((2, 2, 4, 2, 5)),
+    "2,2,5,2,4": monodromy_of((2, 2, 5, 2, 4)),
+    "2,2,2,2,3,7": monodromy_of((2, 2, 2, 2, 3, 7)),
+    "2,2,2,2,7,3": monodromy_of((2, 2, 2, 2, 7, 3)),
+    "2,6,2,6": monodromy_of((2, 6, 2, 6)),
+}
+
+
+@pytest.mark.parametrize("a", CHECKED_CUSPS.values(), ids=CHECKED_CUSPS.keys())
+def test_certificates_pass_the_first_principles_checker(a):
+    assert check_certificate(certificate_to_json(verify(a))) is None
+
+
+def _drop_a_record(doc):
+    del doc["covers"][30]
+
+
+def _swap_two_cycles_of_different_length(doc):
+    # Every cycle-derived member moves, so the lengths agree with the entries
+    # and only the cycle of induced**n can tell.
+    first, *rest = doc["covers"]
+    other = next(rec for rec in rest if rec["cycle_len"] != first["cycle_len"])
+    for key in ("cycle", "cycle_len", "dual", "dual_len"):
+        first[key], other[key] = other[key], first[key]
+
+
+def _change_an_induced_entry(doc):
+    induced = doc["covers"][-1]["induced"]
+    induced[1] = str(int(induced[1]) + 1)
+
+
+def _set_the_witness_to_0(doc):
+    doc["witness"] = 0
+
+
+@pytest.mark.parametrize(
+    "mutate, failure",
+    [
+        (_drop_a_record, "the fibers are not the Smith-form fibers"),
+        (_swap_two_cycles_of_different_length, "record 0: the cycle or dual is not that of induced**1"),
+        (_change_an_induced_entry, "record 57: induced"),
+        (_set_the_witness_to_0, "witness 0 is not the first CI record, None"),
+    ],
+    ids=("drop", "swap", "induced", "witness"),
+)
+def test_the_certificate_checker_fails_each_mutation(mutate, failure):
+    doc = json.loads(certificate_to_json(verify(PAPER_A)))
+    mutate(doc)
+    result = check_certificate(json.dumps(doc))
+    assert result is not None and result.startswith(failure), result
+
+
+def test_the_certificate_checker_calls_no_certificate_path_function():
+    # Every Python call into covers, cycles, cfrac, verifier or cli while the
+    # checker runs is a member of the Lattice2 value type.
+    text = certificate_to_json(verify(CHECKED_CUSPS["2,2,4,2,5"]))
+    path = {m.__file__ for m in (cuspcovers.covers, cuspcovers.cycles, cuspcovers.cfrac, verifier, cuspcovers.cli)}
+    value_type = {
+        f.__code__ for f in (Lattice2.__new__, Lattice2.index.fget, Lattice2.basis.fget, Lattice2.sort_key)
+    }
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename in path:
+            called.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        result = check_certificate(text)
+    finally:
+        sys.setprofile(None)
+    assert result is None
+    assert Lattice2.__new__.__code__ in called  # the profile sees calls into covers
+    assert called <= value_type, sorted(c.co_name for c in called - value_type)
