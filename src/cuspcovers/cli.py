@@ -1,19 +1,21 @@
 """Command-line surface: cycles, duals, cover tables, CI certificates, searches.
 
 Exit codes: 0 for a completed computation (whatever the verdict), 2 for
-invalid input (bad matrix, bad cycle, malformed arguments), 1 for an
-internal failure: any `RuntimeError`, printed as one `internal error:` line,
-a `MemoryError`, printed as `internal error: out of memory`, and an
-`OverflowError`, printed as `internal error: too large: ...`: a size past
-what one Python object can index, such as the 10**20 - 3 entries of the dual
-of the valid cycle (10**20), whose text `cycle` and `dual` cannot build.  The
-`RuntimeError`s are a failed self-check (a factorization whose primes do not
-multiply back, a congruence root that is no root, a sieve that disagrees
-with trial division) and a `cfrac.ExpansionError`: a period whose powers
-miss the trace in `cycles._CoverCycles`, or an expansion past the
-`cfrac.MAX_STEPS` = 10**6 step ceiling of `cfrac.expand`, which valid cusps
-such as (x) near trace 10**6 meet.  A closed output pipe ends the run with
-exit 0.
+invalid input (bad matrix, bad cycle, malformed arguments) and for a failed
+write, to the `-o` file or to standard output, printed as one `error: cannot
+write ...` line, 1 for an internal failure: any `RuntimeError`, printed as
+one `internal error:` line, a `MemoryError`, printed as `internal error: out
+of memory`, and an `OverflowError`, printed as `internal error: too large:
+...`: a size past what one Python object can index, such as the 10**20 - 3
+entries of the dual of the valid cycle (10**20), whose text `cycle` and
+`dual` cannot build.  The `RuntimeError`s are a failed self-check (a
+factorization whose primes do not multiply back, a congruence root that is
+no root, a sieve that disagrees with trial division) and a
+`cfrac.ExpansionError`: a period whose powers miss the trace in
+`cycles._CoverCycles`, or an expansion past the `cfrac.MAX_STEPS` = 10**6
+step ceiling of `cfrac.expand`, which valid cusps such as (x) near trace
+10**6 meet.  Every command builds its whole text and writes it through
+`_emit`; a closed output pipe ends the run with exit 0 and no message.
 
 `verify --format json` writes the bytes of json.dumps(doc, sort_keys=True,
 indent=2) followed by a newline, without the json module, with its memos
@@ -83,7 +85,7 @@ def certificate_to_json(cert: Certificate) -> str:
         key = cycle.word, cycle.copies, degree
         head = heads.get(key)
         if head is None:
-            dual = rec.dual
+            dual = dual_cycle(cycle)
             head = heads[key] = (
                 f'\n    {{\n      "cycle": {array(cycle)}{member}"cycle_len": {len(cycle)}{member}"degree": {degree}'
                 f'{member}"dual": {array(dual)}{member}"dual_len": {len(dual)}{member}"fiber_hnf": [\n        '
@@ -101,7 +103,8 @@ def certificate_to_json(cert: Certificate) -> str:
     witness = "null" if cert.witness is None else cert.witness
     top, sep = ",\n  ", ",\n    "
     out += (
-        f'{top}"cycle": [\n    ', cert.cycle.joined(sep), f'\n  ]{top}"dual_cycle": [\n    ', cert.dual.joined(sep),
+        f'{top}"cycle": [\n    ', cert.cycle.joined(sep),
+        f'\n  ]{top}"dual_cycle": [\n    ', dual_cycle(cert.cycle).joined(sep),
         f'\n  ]{top}"input": {{\n    "matrix": [\n      {a},\n      {b},\n      {c},\n      {d}\n    ]\n  }}'
         f'{top}"trace": "{a + d}"{top}"verdict": "{cert.verdict}"{top}"witness": {witness}\n}}\n',
     )
@@ -123,7 +126,7 @@ def certificate_to_text(cert: Certificate) -> str:
         f"monodromy: {cert.monodromy}",
         f"trace:     {cert.monodromy.trace}",
         f"cycle:     {cert.cycle}",
-        f"dual:      {cert.dual}",
+        f"dual:      {dual_cycle(cert.cycle)}",
         "",
     ]
     lines += _cover_table(cert.covers)
@@ -169,14 +172,22 @@ def _add_input_options(sub: argparse.ArgumentParser) -> None:
 
 
 def _emit(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
+    """Write text to the file at path, or to standard output when path is None.
+
+    Standard output is flushed here, so a write that fails in its buffer
+    fails inside the `try` too.  A `BrokenPipeError` passes on (`main` ends
+    the run quietly); any other `OSError` becomes one ValueError."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except BrokenPipeError:
+        raise
     except OSError as exc:
-        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot write {'standard output' if path is None else path}: {exc.strerror or exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -215,33 +226,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(args: argparse.Namespace) -> int:
+    path = None
     if args.command == "cycle":
-        a = _input_matrix(args)
-        c = cycle_of(a)
-        sys.stdout.write(f"cycle: {c}  dual: {dual_cycle(c)}\n")
+        c = cycle_of(_input_matrix(args))
+        text = f"cycle: {c}  dual: {dual_cycle(c)}\n"
     elif args.command == "monodromy":
-        sys.stdout.write(f"{monodromy_of(_parse_cycle_arg(args.cycle))}\n")
+        text = f"{monodromy_of(_parse_cycle_arg(args.cycle))}\n"
     elif args.command == "dual":
-        sys.stdout.write(f"{dual_cycle(_parse_cycle_arg(args.cycle))}\n")
+        text = f"{dual_cycle(_parse_cycle_arg(args.cycle))}\n"
     elif args.command == "covers":
-        a = _input_matrix(args)
-        records = enumerate_covers(a, args.max_degree)
-        sys.stdout.write("\n".join(_cover_table(records)) + "\n")
+        records = enumerate_covers(_input_matrix(args), args.max_degree)
+        text = "\n".join(_cover_table(records)) + "\n"
     elif args.command == "verify":
-        a = _input_matrix(args)
-        cert = verify(a)
-        if args.format == "json":
-            _emit(certificate_to_json(cert), args.output)
-        else:
-            _emit(certificate_to_text(cert), args.output)
+        cert = verify(_input_matrix(args))
+        text = certificate_to_json(cert) if args.format == "json" else certificate_to_text(cert)
+        path = args.output
     elif args.command == "search-traces":
-        for x in admissible_traces(args.limit):
-            sys.stdout.write(f"{x}\n")
+        text = "".join(f"{x}\n" for x in admissible_traces(args.limit))
     elif args.command == "search-matrix":
-        for m in candidate_matrices(args.trace, args.limit):
-            sys.stdout.write(f"{m}\n")
+        text = "".join(f"{m}\n" for m in candidate_matrices(args.trace, args.limit))
     else:  # pragma: no cover
         raise AssertionError(f"unhandled command {args.command}")
+    _emit(text, path)
     return 0
 
 

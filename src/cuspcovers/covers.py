@@ -36,7 +36,7 @@ from typing import Iterable, NamedTuple, Sequence
 # cycle_of is not called here (records build their cycles through
 # `_CoverCycles`), but stays bound as covers.cycle_of for code that reaches
 # the cycle names through this module.
-from .cycles import Cycle, _CoverCycles, cycle_of, dual_cycle  # noqa: F401
+from .cycles import Cycle, _CoverCycles, cycle_of  # noqa: F401
 from .intmath import factorize, is_prime, solve_quadratic_congruence
 from .matrices import Mat2, power, require_cusp
 
@@ -94,8 +94,7 @@ class CoverRecord(_CoverRecordFields):
     """One normal Galois cover: base degree, fiber lattice, induced action and
     cycle, as a tuple of those four.  `__new__` checks that the induced
     action has determinant 1, and `_make` (so `_replace` too) goes through
-    it.  `dual` is derived on each access, not stored; JSON reads it once per
-    distinct cycle."""
+    it.  A record stores no dual: `dual_cycle(record.cycle)` builds it."""
 
     __slots__ = ()
 
@@ -109,10 +108,6 @@ class CoverRecord(_CoverRecordFields):
     @classmethod
     def _make(cls, iterable: Iterable) -> CoverRecord:
         return cls(*iterable)
-
-    @property
-    def dual(self) -> Cycle:
-        return dual_cycle(self.cycle)
 
 
 def _contains(x: int, y: int, z: int, m: tuple[int, int, int, int]) -> bool:

@@ -13,10 +13,9 @@ then an entry e >= 3; the root's blocks are one flat int tuple, the `word`
 says how often the word repeats.  Length, dual length, dual, monodromy,
 equality, hashing, repetition and the decimal text cost O(word).  Only
 `Cycle(entries)` and `monodromy_of` of a raw sequence read entries, in one
-pass that also checks them, and `Cycle.blocks` and `Cycle.entries` build
-the full tuples on demand.  The cycle of a matrix never meets its entries:
-`cfrac.expand` returns its period as blocks, and `_CoverCycles`
-canonicalizes those.
+pass that also checks them, and `Cycle.entries` builds the full tuple on
+demand.  The cycle of a matrix never meets its entries: `cfrac.expand`
+returns its period as blocks, and `_CoverCycles` canonicalizes those.
 
 `Cycle.__post_init__(word, copies)` is the one canonicalizer, and it takes
 flat blocks only: `Cycle(entries)` calls it on the blocks it reads, and
@@ -136,11 +135,6 @@ class Cycle:
         object.__setattr__(self, "copies", copies * (len(word) // period))
 
     @property
-    def blocks(self) -> tuple[int, ...]:
-        """The flat blocks of the canonical entries, word * copies, built on each access."""
-        return self.word * self.copies
-
-    @property
     def entries(self) -> tuple[int, ...]:
         """The canonical entry tuple, built on each access."""
         out: list[int] = []
@@ -200,7 +194,7 @@ def monodromy_of(c: Cycle | Sequence[int]) -> Mat2:
     validated, read as blocks once and multiplied in the rotation given.
     Rotations have equal trace.
     """
-    blocks, tail = (c.blocks, 0) if isinstance(c, Cycle) else _blocks(c)
+    blocks, tail = (c.word * c.copies, 0) if isinstance(c, Cycle) else _blocks(c)
     k = blocks[0]
     p, q, r, s = k + 1, k, -k, 1 - k
     for e, j in zip(blocks[1::2], (*blocks[2::2], tail)):

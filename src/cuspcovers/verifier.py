@@ -18,7 +18,7 @@ from itertools import islice
 from math import isqrt
 
 from .covers import CoverRecord, enumerate_covers
-from .cycles import Cycle, cycle_of, dual_cycle, is_ci_link
+from .cycles import Cycle, cycle_of, is_ci_link
 from .intmath import _odd_prime_table, is_prime
 from .matrices import Mat2
 
@@ -35,9 +35,8 @@ class Certificate:
     covers holds every normal cover of base degree 1..4 in deterministic
     order; witness indexes the first record whose cycle or dual cycle has
     length at most 4, or is None when there is none.  The witness decides:
-    verdict is NO_CI_COVER when it is None and HAS_CI_COVER otherwise.  `dual`
-    is derived on each access, not stored; JSON reads it once, and the
-    records' duals once per distinct cycle."""
+    verdict is NO_CI_COVER when it is None and HAS_CI_COVER otherwise.  No
+    dual is stored: `dual_cycle(cert.cycle)` builds it."""
 
     monodromy: Mat2
     cycle: Cycle
@@ -47,10 +46,6 @@ class Certificate:
     @property
     def verdict(self) -> str:
         return NO_CI_COVER if self.witness is None else HAS_CI_COVER
-
-    @property
-    def dual(self) -> Cycle:
-        return dual_cycle(self.cycle)
 
 
 def verify(a: Mat2) -> Certificate:

@@ -10,7 +10,7 @@ from itertools import islice
 from math import gcd, isqrt
 from typing import Sequence
 
-from cuspcovers import Cycle, Lattice2, Mat2, conjugate, inverse, monodromy_of, mul, power
+from cuspcovers import Cycle, Lattice2, Mat2, conjugate, dual_cycle, inverse, monodromy_of, mul, power
 from cuspcovers.intmath import factorize, is_prime, solve_quadratic_congruence
 from cuspcovers.matrices import hermite_normal_form
 from cuspcovers.verifier import CANDIDATE_SPAN
@@ -72,8 +72,8 @@ def least_rotation_brute(seq) -> tuple:
 def blocks_by_entries(seq) -> tuple:
     """The flat blocks (k_1, e_1, ..., k_b, e_b) of seq, a run of k 2s then an
     entry e >= 3 each, read from its first entry, with the 2s after its last
-    entry >= 3 wrapped into k_1: one step per entry.  `Cycle(seq).blocks`
-    must equal this for the least rotation of seq."""
+    entry >= 3 wrapped into k_1: one step per entry.  For c = Cycle(seq),
+    c.word * c.copies must equal this for the least rotation of seq."""
     seq = tuple(seq)
     out: list[int] = []
     run = len(seq) - 1 - max(i for i, e in enumerate(seq) if e != 2)
@@ -261,7 +261,7 @@ def certificate_to_json_oracle(cert) -> str:
         "input": {"matrix": list(cert.monodromy.entries())},
         "trace": str(cert.monodromy.trace),
         "cycle": list(cert.cycle),
-        "dual_cycle": list(cert.dual),
+        "dual_cycle": list(dual_cycle(cert.cycle)),
         "covers": [
             {
                 "degree": rec.base_degree,
@@ -269,9 +269,9 @@ def certificate_to_json_oracle(cert) -> str:
                 "fiber_hnf": [rec.fiber.x, rec.fiber.y, rec.fiber.z],
                 "induced": [str(e) for e in rec.induced.entries()],
                 "cycle_len": len(rec.cycle),
-                "dual_len": len(rec.dual),
+                "dual_len": len(dual_cycle(rec.cycle)),
                 "cycle": list(rec.cycle),
-                "dual": list(rec.dual),
+                "dual": list(dual_cycle(rec.cycle)),
             }
             for rec in cert.covers
         ],

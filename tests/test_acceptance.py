@@ -91,8 +91,8 @@ def test_criterion_1_flagship(cert):
     assert cert.verdict == NO_CI_COVER
     assert cert.witness is None
     assert cert.cycle == Cycle((8, 2, 4, 3, 12))
-    assert len(cert.dual) == 19
-    assert all(min(len(r.cycle), len(r.dual)) >= 5 for r in cert.covers)
+    assert len(dual_cycle(cert.cycle)) == 19
+    assert all(min(len(r.cycle), len(dual_cycle(r.cycle))) >= 5 for r in cert.covers)
     print("criterion 1 PASS: (8,2,4,3,12) cusp has no CI Galois cover")
 
 
@@ -101,7 +101,7 @@ def test_criterion_2_degree_2(cert):
     rec = record(cert, 2, Lattice2(1, 0, 3))
     assert rec.induced == A3_PRINTED
     assert same_gl2_class(rec.induced, A3_PRINTED)
-    assert (len(rec.cycle), len(rec.dual)) == (8, 84)
+    assert (len(rec.cycle), len(dual_cycle(rec.cycle))) == (8, 84)
     print("criterion 2 PASS: unique index-3 fiber, squared lengths (8, 84)")
 
 
@@ -124,8 +124,8 @@ def test_criterion_4_degree_3(cert):
     assert (len(c1), len(d1)) == (447, 9)
     assert (len(c2), len(d2)) == (42, 36)
     # the HNF-based records carry the same unordered pairs (mirror class)
-    assert {len(rec1.cycle), len(rec1.dual)} == {447, 9}
-    assert {len(rec2.cycle), len(rec2.dual)} == {42, 36}
+    assert {len(rec1.cycle), len(dual_cycle(rec1.cycle))} == {447, 9}
+    assert {len(rec2.cycle), len(dual_cycle(rec2.cycle))} == {42, 36}
     # unique index-s^2 fiber is the scalar lattice, acted on by A itself
     s2 = [r for r in cert.covers if r.base_degree == 3 and r.fiber.index == S * S]
     assert [r.fiber for r in s2] == [Lattice2(S, 0, S)]
@@ -152,10 +152,10 @@ def test_criterion_5_degree_4(cert):
         c, d = cycle_pair(power(m, 4))
         assert (len(c), len(d)) == lens
     # records: rp fibers share the printed orientation, p fibers mirror it
-    assert (len(rec_rp1.cycle), len(rec_rp1.dual)) == (32, 40)
-    assert (len(rec_rp2.cycle), len(rec_rp2.dual)) == (32, 136)
-    assert {len(rec_p1.cycle), len(rec_p1.dual)} == {48, 40}
-    assert {len(rec_p2.cycle), len(rec_p2.dual)} == {404, 12}
+    assert (len(rec_rp1.cycle), len(dual_cycle(rec_rp1.cycle))) == (32, 40)
+    assert (len(rec_rp2.cycle), len(dual_cycle(rec_rp2.cycle))) == (32, 136)
+    assert {len(rec_p1.cycle), len(dual_cycle(rec_p1.cycle))} == {48, 40}
+    assert {len(rec_p2.cycle), len(dual_cycle(rec_p2.cycle))} == {404, 12}
     print("criterion 5 PASS: degree-4 fibers, lengths (48,40), (404,12), (32,40), (32,136)")
 
 

@@ -15,7 +15,7 @@ Names that only tests and package internals use stay out of the root:
 from pathlib import Path
 
 import cuspcovers
-from cuspcovers import Lattice2
+from cuspcovers import Certificate, CoverRecord, Cycle, Lattice2, dual_cycle
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -95,6 +95,17 @@ def test_lattice_has_no_hermite_constructors():
     assert not hasattr(Lattice2, "from_columns")
 
 
+def test_records_certificates_and_cycles_hold_no_derived_views():
+    # A dual is built by dual_cycle(x.cycle) and a cycle's flat blocks are
+    # c.word * c.copies; no member repeats either call.
+    assert not hasattr(CoverRecord, "dual")
+    assert not hasattr(Certificate, "dual")
+    assert not hasattr(Cycle, "blocks")
+    assert not hasattr(Cycle((3, 2, 4)), "blocks")
+    for module in (cuspcovers.covers, cuspcovers.verifier):
+        assert not hasattr(module, "dual_cycle"), module.__name__
+
+
 def test_readme_library_block_runs():
     text = README.read_text(encoding="utf-8")
     section = text.split("## Library in one minute", 1)[1]
@@ -103,4 +114,4 @@ def test_readme_library_block_runs():
     exec(block, namespace)
     assert len(namespace["records"]) == 58
     assert namespace["cert"].verdict == "NO_CI_COVER"
-    assert len(namespace["cert"].dual) == 19
+    assert len(namespace["dual"]) == len(dual_cycle(namespace["cert"].cycle)) == 19

@@ -1,10 +1,13 @@
 import dataclasses
+import errno
 import hashlib
 import json
+import os
 import random
 import shlex
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -229,7 +232,7 @@ def test_json_memos_keep_the_stdlib_bytes_for_shared_and_equal_values(monkeypatc
     for doc in (cert, hand):
         texts.clear()
         certificate_to_json(doc)
-        words = {r.cycle.word for r in doc.covers} | {r.dual.word for r in doc.covers}
+        words = {r.cycle.word for r in doc.covers} | {dual_cycle(r.cycle).word for r in doc.covers}
         assert len(texts) == len(words) == len(set(texts))
 
 
@@ -312,13 +315,15 @@ def test_covers_command(capsys):
 
 
 def test_duals_are_built_only_on_demand(capsys, monkeypatch):
-    # Records and certificates store no dual; only serializing one builds it.
+    # Records and certificates store no dual; only serializing one builds it,
+    # through the writer's own dual_cycle binding.
     built = []
-    for module in (cuspcovers.covers, cuspcovers.verifier):
-        def counting(c, dual_cycle=module.dual_cycle):
-            built.append(c)
-            return dual_cycle(c)
-        monkeypatch.setattr(module, "dual_cycle", counting)
+
+    def counting(c, dual_cycle=cuspcovers.cli.dual_cycle):
+        built.append(c)
+        return dual_cycle(c)
+
+    monkeypatch.setattr(cuspcovers.cli, "dual_cycle", counting)
 
     cert = verify(monodromy_of((8, 2, 4, 3, 12)))
     assert len(built) == 0
@@ -357,6 +362,26 @@ def test_output_file_unwritable_exits_2(tmp_path, capsys, where):
     code, out, err = run_cli(capsys, "verify", "-c", "3", "-o", str(target))
     assert code == 2 and out == ""
     assert err.startswith("error: cannot write")
+
+
+def _full_device(*args):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("fails", ["write", "flush"])
+@pytest.mark.parametrize("argv", [("dual", "-c", "3"), ("search-traces", "100"), ("verify", "-c", "3")])
+def test_failed_write_to_standard_output_exits_2_with_one_line(capsys, monkeypatch, argv, fails):
+    # Standard output on a full device: the write fails, or, when the text
+    # fits in the buffer, the flush does.  Either way the run ends as a bad
+    # -o path does, with exit 2 and one error line.
+    stdout = types.SimpleNamespace(write=len, flush=lambda: None)
+    setattr(stdout, fails, _full_device)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == [f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}"]
+    assert "Traceback" not in err
 
 
 def test_search_traces(capsys):

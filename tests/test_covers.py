@@ -433,7 +433,7 @@ def test_enumerate_covers_record_invariants():
         assert r.induced.trace == PAPER_A.trace
         assert r.cycle == cycle_of(power(r.induced, r.base_degree))
         assert len(r.cycle) == r.base_degree * len(cycle_of(r.induced))
-        assert len(r.dual) == sum(e - 2 for e in r.cycle)
+        assert len(dual_cycle(r.cycle)) == sum(e - 2 for e in r.cycle)
 
 
 def test_enumerate_covers_duality_closure_up_to_reversal():
@@ -443,10 +443,10 @@ def test_enumerate_covers_duality_closure_up_to_reversal():
     records = enumerate_covers(PAPER_A, 4)
     for n in (1, 2, 3, 4):
         cycles = {r.cycle for r in records if r.base_degree == n}
-        pairs = {(len(r.cycle), len(r.dual)) for r in records if r.base_degree == n}
+        pairs = {(len(r.cycle), len(dual_cycle(r.cycle))) for r in records if r.base_degree == n}
         for r in (r for r in records if r.base_degree == n):
-            assert reversed_cycle(r.dual) in cycles
-            assert (len(r.dual), len(r.cycle)) in pairs
+            assert reversed_cycle(dual_cycle(r.cycle)) in cycles
+            assert (len(dual_cycle(r.cycle)), len(r.cycle)) in pairs
 
 
 def test_enumerate_covers_small_cusp():
@@ -652,7 +652,7 @@ def test_records_hold_their_cycles_as_blocks():
     cycles = {r.cycle for r in records}
     assert len(records) == 58 and len(cycles) == 24
     assert sum(map(len, cycles)) == 80660
-    assert sum(len(c.blocks) // 2 for c in cycles) == 224
+    assert sum(len(c.word * c.copies) // 2 for c in cycles) == 224
     assert sum(len(c.word) // 2 for c in cycles) == 68
     shared: dict = {}
     for r in records:
