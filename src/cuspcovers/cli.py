@@ -26,6 +26,7 @@ one object; see `certificate_to_json` for how.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Sequence
 
@@ -175,8 +176,8 @@ def _emit(text: str, path: str | None) -> None:
     """Write text to the file at path, or to standard output when path is None.
 
     Standard output is flushed here, so a write that fails in its buffer
-    fails inside the `try` too.  A `BrokenPipeError` passes on (`main` ends
-    the run quietly); any other `OSError` becomes one ValueError."""
+    fails inside the `try` too.  A `BrokenPipeError` ends the write quietly
+    (the run exits 0); any other `OSError` becomes one ValueError."""
     try:
         if path is None:
             sys.stdout.write(text)
@@ -184,10 +185,14 @@ def _emit(text: str, path: str | None) -> None:
         else:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-    except BrokenPipeError:
-        raise
     except OSError as exc:
-        raise ValueError(f"cannot write {'standard output' if path is None else path}: {exc.strerror or exc}") from exc
+        if path is None:
+            # The buffer keeps the bytes that failed and the interpreter
+            # flushes them again at exit, which would fail again (exit 120):
+            # point the descriptor at the null device so that flush succeeds.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            raise ValueError(f"cannot write {'standard output' if path is None else path}: {exc.strerror or exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -268,8 +273,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OverflowError as exc:
         print(f"internal error: too large: {exc}", file=sys.stderr)
         return 1
-    except BrokenPipeError:
-        return 0
 
 
 if __name__ == "__main__":

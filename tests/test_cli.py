@@ -14,6 +14,7 @@ import pytest
 
 import cuspcovers.cli
 import cuspcovers.covers
+import cuspcovers.cycles
 import cuspcovers.intmath
 import cuspcovers.verifier
 from cuspcovers import Certificate, CoverRecord, Cycle, Lattice2, cycle_of, dual_cycle, monodromy_of, verify
@@ -323,7 +324,10 @@ def test_duals_are_built_only_on_demand(capsys, monkeypatch):
         built.append(c)
         return dual_cycle(c)
 
+    # cli's own binding counts the writer's duals; the cycles binding counts
+    # any dual that verify or enumerate_covers would build.
     monkeypatch.setattr(cuspcovers.cli, "dual_cycle", counting)
+    monkeypatch.setattr(cuspcovers.cycles, "dual_cycle", counting)
 
     cert = verify(monodromy_of((8, 2, 4, 3, 12)))
     assert len(built) == 0
@@ -370,18 +374,46 @@ def _full_device(*args):
 
 @pytest.mark.parametrize("fails", ["write", "flush"])
 @pytest.mark.parametrize("argv", [("dual", "-c", "3"), ("search-traces", "100"), ("verify", "-c", "3")])
-def test_failed_write_to_standard_output_exits_2_with_one_line(capsys, monkeypatch, argv, fails):
+def test_failed_write_to_standard_output_exits_2_with_one_line(tmp_path, capsys, monkeypatch, argv, fails):
     # Standard output on a full device: the write fails, or, when the text
     # fits in the buffer, the flush does.  Either way the run ends as a bad
-    # -o path does, with exit 2 and one error line.
-    stdout = types.SimpleNamespace(write=len, flush=lambda: None)
-    setattr(stdout, fails, _full_device)
-    monkeypatch.setattr(sys, "stdout", stdout)
-    code = main(list(argv))
+    # -o path does, with exit 2 and one error line, and the descriptor now
+    # points at the null device, so the interpreter's flush at exit succeeds.
+    with open(tmp_path / "stdout", "w") as fh:
+        stdout = types.SimpleNamespace(write=len, flush=lambda: None, fileno=fh.fileno)
+        setattr(stdout, fails, _full_device)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main(list(argv))
+        redirected = os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
     err = capsys.readouterr().err
     assert code == 2
     assert err.splitlines() == [f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}"]
     assert "Traceback" not in err
+    assert redirected
+
+
+def _run_on(stdout, *argv):
+    repo = Path(__file__).resolve().parent.parent
+    return subprocess.run(
+        [sys.executable, "-m", "cuspcovers", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        cwd=repo,
+        env=subprocess_env(repo / "src"),
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [("dual", "-c", "3"), ("search-traces", "100000")])
+def test_full_device_exits_2_with_one_line(argv):
+    # In a real process standard output is buffered: the interpreter's flush
+    # at exit must not fail again and turn exit 2 into 120 with more lines.
+    with open("/dev/full", "w") as full:
+        proc = _run_on(full, *argv)
+    assert proc.returncode == 2
+    assert proc.stderr.decode().splitlines() == [
+        f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}"
+    ]
 
 
 def test_search_traces(capsys):
@@ -543,3 +575,14 @@ def test_closed_output_pipe_exits_0_quietly():
     assert head == b'{\n  "cover'
     assert proc.returncode == 0
     assert err == b""
+
+
+def test_pipe_closed_before_a_small_write_exits_0_quietly():
+    # The reader is gone before the run starts, so the one write of "(3)"
+    # fails; the interpreter's flush at exit must not fail again (exit 120).
+    read, write = os.pipe()
+    os.close(read)
+    with os.fdopen(write, "w") as pipe:
+        proc = _run_on(pipe, "dual", "-c", "3")
+    assert proc.returncode == 0
+    assert proc.stderr == b""
