@@ -190,7 +190,11 @@ def _emit(text: str, path: str | None) -> None:
             # The buffer keeps the bytes that failed and the interpreter
             # flushes them again at exit, which would fail again (exit 120):
             # point the descriptor at the null device so that flush succeeds.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            null = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(null, sys.stdout.fileno())
+            finally:
+                os.close(null)
         if not isinstance(exc, BrokenPipeError):
             raise ValueError(f"cannot write {'standard output' if path is None else path}: {exc.strerror or exc}") from exc
 

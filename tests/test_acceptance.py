@@ -13,7 +13,6 @@ reversals of the reference's dual and cycle.  Those checks accept exactly
 the two orientations of one GL(2, Z) class and nothing else.
 """
 
-import hashlib
 import json
 import random
 
@@ -36,7 +35,7 @@ from cuspcovers import (
     solve_quadratic_congruence,
     verify,
 )
-from cuspcovers.cli import certificate_to_json, certificate_to_text, main
+from cuspcovers.cli import main
 from cuspcovers.intmath import is_prime
 from helpers import (
     conjugated,
@@ -260,16 +259,3 @@ def test_criterion_10_certificate_determinism(capsys):
     assert first == second  # byte-identical
     assert json.loads(first)["verdict"] == "NO_CI_COVER"
     print("criterion 10 PASS: byte-identical certificates")
-
-
-def test_flagship_certificate_bytes(cert):
-    # Both outputs pinned across commits, not just across two runs.
-    for text, size, digest in (
-        (certificate_to_json(cert), 113514,
-         "eb14148b8187c3de0b3f2603659534eb85a73d0d2b9a3fc858e45120faf8eccc"),
-        (certificate_to_text(cert), 3900,
-         "13ca69390c316f8a2585352ada3cba25828cdb115610eb2168351650e806f02a"),
-    ):
-        data = text.encode()
-        assert len(data) == size
-        assert hashlib.sha256(data).hexdigest() == digest

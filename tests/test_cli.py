@@ -42,6 +42,87 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# Every CLI output pin: (bytes, sha256, arguments) of one command's standard
+# output.  A pin changes only in a change that alters output bytes on purpose.
+PINS = [
+    # verify --format json.  (1621) has long cycles; (2, 6, 2, 6), the census
+    #   anchor with the most fibers, pins fiber order, HNF triples and induced
+    #   entries, and has 3284 records, most of them sharing a cycle laid out once
+    #   per document; (6661) has the longest cover cycles, of up to 26636 entries;
+    #   [[1622, 3], [-541, -1]] shares expanded periods and induced matrices across
+    #   fibers, for the writer's shared record heads; (2, 2, 2, 3) * 2 is two copies
+    #   of the word (3, 3), so its covers' cycles are repetitions of repetitions.
+    #   A degree-n cover's cycle is its fiber's word at n times the copies and
+    #   (3, 3) is the word (3) twice: the writer lays out each word's text once per
+    #   document, so (3, 3), (3, 4, 5) and (2, 2, 3, 2, 2, 2, 4) pin its repeated
+    #   joins, and (3, 3) and (2, 2, 2, 3) * 2 are repetitions even at depth 1.
+    #   (3, 4, 5) has no 2s, and the run of 2s of (2, 2, 3, 2, 2, 2, 4) wraps
+    #   around, for the block writer of cycle arrays.  (2, 2, 5, 2, 6) is the one
+    #   pinned document whose witness is an int (31, a degree-4 cover), not null.
+    #   The flagship and (8, 2, 4, 3, 12) have conjugate monodromies, so their
+    #   documents differ; every rotation of a cycle gives the latter's bytes.
+    (1472822, "93336817cea8f367b1cd928345237646c444f24f4f9fcfc05cbb9164ad971a16", "verify -c 1621 --format json"),
+    (3607301, "c353be6ccbfa34dd20d496d112428123d90af07e01637481fdb4da972b9db6b0", "verify -c 2,6,2,6 --format json"),
+    (5911174, "13b290dd131ab24e4041aab70a87f26d957a64104928dbc2efa3fd10c95f17ff", "verify -c 6661 --format json"),
+    (1155974, "82ab3726ee7cfc468b1906ff02c5161f16873350fa335f30ed70af372243b747", "verify -m 1622 3 -541 -1 --format json"),
+    (1063452, "e6896416811a4608b45dcfd9d0357bcb552a11f0a34a23540bdfda4b133d3e84", "verify -c 2,2,2,3,2,2,2,3 --format json"),
+    (22006, "926638c863a8cc3df9840f9862bb428a533e88edffd5d6ef8d0c1504fcb7a2f4", "verify -c 3,3 --format json"),
+    (149691, "65e6b5936bfe606b75f2810ddda8ed423a9b74ea9dd6364afd19b30f47e8928b", "verify -c 3,4,5 --format json"),
+    (112735, "86bb223cd874a11d6e39ca85d0f98929a22ce21efbb6809bb91c961fb43f745f", "verify -c 2,2,3,2,2,2,4 --format json"),
+    (87128, "aa5fab68fbd027b5a63fd8ca6f5f8769a332def068469f39718166044218b771", "verify -c 2,2,5,2,6 --format json"),
+    (113514, "eb14148b8187c3de0b3f2603659534eb85a73d0d2b9a3fc858e45120faf8eccc", "verify -m 1640 221 -141 -19 --format json"),
+    (113604, "d07ed2f430cdeab43a0a621cbb25164a50aed558e3b306607c13340b79cf7620", "verify -c 8,2,4,3,12 --format json"),
+    # verify, text.  (1621) prints its 1619-entry dual; the covers of
+    #   [[200003, 1], [-1, 0]] expand periods of hundreds of thousands of digits,
+    #   which the expansion run-length-codes into blocks as it steps.
+    #   (2, 2, 4, 2, 5), (2, 2, 5, 2, 4), (2, 2, 2, 2, 3, 7) and (2, 2, 2, 2, 7, 3)
+    #   are the four trace-63 classes, the smallest trace with no CI cover: the 72
+    #   covers of each have cycle and dual length >= 5, so each prints NO_CI_COVER.
+    #   CI also checks the flagship's text as printed by the installed console script.
+    (8707, "ec2629e31aab0ecd3787b5aea1eb3cea9249b61582ee6226236493c8dfe558b8", "verify -c 1621"),
+    (650480, "631b5a6366392f4970a3b6bdaf1e6ff4ffd14b4851b5185051f5cbc3d9cb0be4", "verify -m 200003 1 -1 0"),
+    (4699, "184327a8701158389deebc903eb4751a6b874b90b0b97ba523630ead9e0267f0", "verify -c 2,2,4,2,5"),
+    (4699, "5351f4ad24ce2c64f053c6faf3df4303740b30aae48cea61da1871721df8b4e3", "verify -c 2,2,5,2,4"),
+    (4704, "97c4ac27f74430305ff7a6a5f59780dd78a292b7ef9d0759c494032b13a2f95d", "verify -c 2,2,2,2,3,7"),
+    (4705, "842df3dfa46cdab49ae743edb02c1e704ee4641ba557aecc5c9809ffe45dd17c", "verify -c 2,2,2,2,7,3"),
+    (3900, "13ca69390c316f8a2585352ada3cba25828cdb115610eb2168351650e806f02a", "verify -m 1640 221 -141 -19"),
+    # cycle and dual read their entries through Cycle(entries), which reads them
+    #   as blocks, wraps the 2s after the last entry >= 3 onto the first block and
+    #   canonicalizes the blocks in Cycle.__post_init__.  The run of 2s of
+    #   (2, 2, 3, 2, 2, 2, 4) wraps in its least rotation, (3, 2, 2, 4, 2, 2) ends
+    #   in 2s, the dual of (6661) has 6659 entries, and (2, 2, 2, 3) * 2 is a
+    #   repetition.
+    (46, "060d747bc182c51afbe3ca1797ec7c469408c44c910973044189cae0e26a6fc4", "cycle -c 2,2,3,2,2,2,4"),
+    (10, "6a029e7cc76db0218c79451bdb0e6252700e6a1902d1702e89d93d78af804be8", "dual -c 2,2,3,2,2,2,4"),
+    (10, "335dd2e0c39aeab7ebb4987162edc7ec5d016f5dfa0bc8d7a479ba411d197986", "dual -c 3,2,2,4,2,2"),
+    (19978, "9fdf8d955ad152fec02e71a45e16a3f0bf745b395ea6064045c055ff4d7fa605", "dual -c 6661"),
+    (46, "88b7a92c21ca64011675720797378a9f994a02e4445852f4ea34cf81cdb976b0", "cycle -c 2,2,2,3,2,2,2,3"),
+    # covers: a header line and the 3284 records of (2, 6, 2, 6), the fiber
+    #   order, index and HNF triple of every fiber with no certificate around them.
+    (203670, "9fd069fa2f34cacc56f143d290cc758503ead11a6a401b44f54dd07d3ef0ead9", "covers -c 2,6,2,6"),
+    # search-traces: the 54 admissible traces up to 10**6, read from the prime
+    #   sieve and rechecked by trial division.  search-matrix: the first 64
+    #   candidates of trace 94441, the largest admissible trace below 10**5, from
+    #   divisor pairs.
+    (359, "e0d9f85a7b44814881fd53c0803eedd2c1ccad244c9c423ecb96a5a22b2140f5", "search-traces 1000000"),
+    (1815, "e03f2fdf7559d9d01537db3a482a30024e12b258e3143c2284ba49f3c5dfb715", "search-matrix 94441 --limit 64"),
+]
+
+
+@pytest.mark.parametrize("size, digest, args", PINS, ids=[args for _, _, args in PINS])
+def test_cli_output_is_pinned(capsys, size, digest, args):
+    code, out, err = run_cli(capsys, *args.split())
+    assert (code, err) == (0, "")
+    data = out.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+    if "--format json" in args:
+        # The stdlib encoder's key-sorted indent-2 layout, as json.tool writes it;
+        # compared outside the assert, since pytest's diff of megabyte documents
+        # runs for minutes.
+        stdlib_layout = json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n" == out
+        assert stdlib_layout
+
+
 def test_cycle_command_text(capsys):
     code, out, err = run_cli(capsys, "cycle", "-m", "3", "1", "-1", "0")
     assert code == 0
@@ -128,11 +209,7 @@ def test_certificate_json_matches_stdlib_encoder():
         return cert
 
     assert same(verify(Mat2(1640, 221, -141, -19))).witness is None  # the flagship
-    long_json = certificate_to_json(same(verify(Mat2(1621, 1, -1, 0)))).encode()
-    assert len(long_json) == 1472822
-    assert hashlib.sha256(long_json).hexdigest() == (
-        "93336817cea8f367b1cd928345237646c444f24f4f9fcfc05cbb9164ad971a16"
-    )
+    same(verify(Mat2(1621, 1, -1, 0)))  # long cycles
     assert same(verify(Mat2(3, 1, -1, 0))).witness == 0
     # The canonical cycle (2, 2, 2, 4, 2, 2, 3) opens with a run of 2s.  A
     # canonical rotation never ends in 2 (it starts after an entry >= 3), so
@@ -275,15 +352,11 @@ def test_certificate_with_no_covers_is_valid_json():
 
 def test_text_certificate_of_a_long_cycle_is_pinned(capsys):
     # The text writer prints each cycle from its blocks.  (1621) prints the
-    # 1619-entry dual of its cycle (1621): 1618 2s, then a 3.
+    # 1619-entry dual of its cycle (1621): 1618 2s, then a 3.  Its bytes are
+    # the `verify -c 1621` row of PINS.
     code, out, _ = run_cli(capsys, "verify", "-c", "1621")
     assert code == 0
     assert "\ndual:      (" + "2, " * 1618 + "3)\n" in out
-    data = out.encode()
-    assert len(data) == 8707
-    assert hashlib.sha256(data).hexdigest() == (
-        "ec2629e31aab0ecd3787b5aea1eb3cea9249b61582ee6226236493c8dfe558b8"
-    )
 
 
 def test_verify_rotations_of_a_cycle_give_one_certificate(capsys):
@@ -293,9 +366,6 @@ def test_verify_rotations_of_a_cycle_give_one_certificate(capsys):
     _, second, _ = run_cli(capsys, "verify", "-c", "2,4,3,12,8", "--format", "json")
     assert first == second
     assert json.loads(first)["input"] == {"matrix": [1749, 1013, -221, -128]}
-    assert hashlib.sha256(first.encode()).hexdigest() == (
-        "d07ed2f430cdeab43a0a621cbb25164a50aed558e3b306607c13340b79cf7620"
-    )
 
 
 def test_verify_text_output(capsys):
@@ -392,7 +462,19 @@ def test_failed_write_to_standard_output_exits_2_with_one_line(tmp_path, capsys,
     assert redirected
 
 
-def _run_on(stdout, *argv):
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_failed_writes_to_standard_output_leave_no_open_descriptor(tmp_path, monkeypatch):
+    # Each failed write opens the null device to point standard output at it;
+    # that descriptor is closed again, so repeated failures open none.
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=_full_device, fileno=fh.fileno))
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(5):
+            assert main(["dual", "-c", "3"]) == 2
+        assert len(os.listdir("/proc/self/fd")) == before
+
+
+def _run_on(stdout, *argv, preexec_fn=None):
     repo = Path(__file__).resolve().parent.parent
     return subprocess.run(
         [sys.executable, "-m", "cuspcovers", *argv],
@@ -400,6 +482,7 @@ def _run_on(stdout, *argv):
         stderr=subprocess.PIPE,
         cwd=repo,
         env=subprocess_env(repo / "src"),
+        preexec_fn=preexec_fn,
     )
 
 
@@ -504,18 +587,37 @@ def test_out_of_memory_exits_1_with_one_line(capsys, monkeypatch):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS as Linux enforces it")
+def test_search_past_the_memory_limit_exits_1_with_one_line():
+    # The real limit: under a 1 GB address space, the 5 GB prime table of
+    # `search-traces 10000000000` is a MemoryError in a fresh interpreter.
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))
+
+    proc = _run_on(subprocess.PIPE, "search-traces", "10000000000", preexec_fn=limit)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr == b"internal error: out of memory\n"
+
+
 def test_overflow_exits_1_with_one_line(capsys):
     # The cycle (10**20) is valid input, and its dual has 10**20 - 3 entries,
     # more than one str can index: writing either cycle line raises
     # OverflowError before any output, which the CLI reports as one line with
-    # exit code 1, as it does a MemoryError.
+    # exit code 1, as it does a MemoryError; in-process and in a fresh
+    # interpreter alike.
     for command in ("cycle", "dual"):
         assert main([command, "-c", str(10**20)]) == 1
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1
-        assert captured.err.startswith("internal error: too large: ")
-        assert "Traceback" not in captured.err
+        proc = _run_on(subprocess.PIPE, command, "-c", str(10**20))
+        assert proc.returncode == 1
+        for out, err in ((captured.out, captured.err), (proc.stdout.decode(), proc.stderr.decode())):
+            assert out == ""
+            assert err.count("\n") == 1
+            assert err.startswith("internal error: too large: ")
+            assert "Traceback" not in err
 
 
 def test_missing_input_is_usage_error(capsys):
