@@ -6,8 +6,11 @@ Every test seeds its own random.Random so runs are reproducible.
 import json
 import operator
 import os
+import subprocess
+import sys
 from itertools import islice
 from math import gcd, isqrt
+from pathlib import Path
 from typing import Sequence
 
 from cuspcovers import Cycle, Lattice2, Mat2, conjugate, dual_cycle, inverse, monodromy_of, mul, power
@@ -18,6 +21,9 @@ from cuspcovers.verifier import CANDIDATE_SPAN
 # Z^2 itself, the fiber of every degree-1 cover and the root of each lattice walk.
 FULL_LATTICE = Lattice2(1, 0, 1)
 
+# The checkout: child interpreters run in it, on the package under its src.
+REPO = Path(__file__).resolve().parent.parent
+
 
 def subprocess_env(src) -> dict[str, str]:
     """The environment of a subprocess that runs the package from src: only
@@ -27,6 +33,12 @@ def subprocess_env(src) -> dict[str, str]:
     if "PYTHONDONTWRITEBYTECODE" in os.environ:
         env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
     return env
+
+
+def run_python(*args, **kwargs) -> subprocess.CompletedProcess:
+    """`subprocess.run` of this interpreter with args, in the repository and
+    with `subprocess_env`, so no other variable of the test run reaches it."""
+    return subprocess.run([sys.executable, *args], cwd=REPO, env=subprocess_env(REPO / "src"), **kwargs)
 
 
 def random_cycle(rng, max_len=8, max_entry=12) -> Cycle:

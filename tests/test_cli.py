@@ -8,7 +8,6 @@ import shlex
 import subprocess
 import sys
 import types
-from pathlib import Path
 
 import pytest
 
@@ -24,16 +23,18 @@ from cuspcovers.cycles import _repeated
 from cuspcovers.intmath import factorize
 from cuspcovers.matrices import Mat2
 from helpers import (
+    REPO,
     certificate_to_json_oracle,
     conjugated,
     random_cycle,
     random_hyperbolic,
     random_unimodular,
+    run_python,
     subprocess_env,
 )
 
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+README = REPO / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -475,15 +476,7 @@ def test_failed_writes_to_standard_output_leave_no_open_descriptor(tmp_path, mon
 
 
 def _run_on(stdout, *argv, preexec_fn=None):
-    repo = Path(__file__).resolve().parent.parent
-    return subprocess.run(
-        [sys.executable, "-m", "cuspcovers", *argv],
-        stdout=stdout,
-        stderr=subprocess.PIPE,
-        cwd=repo,
-        env=subprocess_env(repo / "src"),
-        preexec_fn=preexec_fn,
-    )
+    return run_python("-m", "cuspcovers", *argv, stdout=stdout, stderr=subprocess.PIPE, preexec_fn=preexec_fn)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -648,14 +641,7 @@ def test_readme_command_line_block_runs(tmp_path, monkeypatch, capsys):
 
 
 def test_module_entry_point():
-    repo = Path(__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, "-m", "cuspcovers", "cycle", "-m", "3", "1", "-1", "0"],
-        capture_output=True,
-        text=True,
-        cwd=repo,
-        env=subprocess_env(repo / "src"),
-    )
+    proc = run_python("-m", "cuspcovers", "cycle", "-m", "3", "1", "-1", "0", capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "cycle: (3)  dual: (3)\n"
 
@@ -663,13 +649,12 @@ def test_module_entry_point():
 def test_closed_output_pipe_exits_0_quietly():
     # A reader that stops after 10 bytes of the (6661) JSON document, 5.9 MB,
     # closes the pipe mid-write; the run ends with exit 0 and no message.
-    repo = Path(__file__).resolve().parent.parent
     with subprocess.Popen(
         [sys.executable, "-m", "cuspcovers", "verify", "-c", "6661", "--format", "json"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        cwd=repo,
-        env=subprocess_env(repo / "src"),
+        cwd=REPO,
+        env=subprocess_env(REPO / "src"),
     ) as proc:
         head = proc.stdout.read(10)
         proc.stdout.close()

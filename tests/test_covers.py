@@ -1,9 +1,6 @@
 import random
-import subprocess
-import sys
 import tracemalloc
 from math import gcd
-from pathlib import Path
 
 import pytest
 
@@ -46,9 +43,9 @@ from helpers import (
     random_hyperbolic,
     random_unimodular,
     reversed_cycle,
+    run_python,
     smith_form,
     sublattices_of_index,
-    subprocess_env,
 )
 
 PAPER_A = Mat2(1640, 221, -141, -19)
@@ -684,14 +681,7 @@ try:
 except ValueError as exc:
     print("record:", exc)
 """
-    repo = Path(__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True,
-        text=True,
-        cwd=repo,
-        env=subprocess_env(repo / "src"),
-    )
+    proc = run_python("-O", "-c", script, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "factorize: the factors of [1619, 1623] do not multiply to |det(A**2 - I)|",
