@@ -8,68 +8,15 @@ certifies whether any cover is a complete intersection, everything in
 unbounded integer arithmetic.
 """
 
-from .cfrac import ExpansionError, expand, step
-from .covers import (
-    CoverRecord,
-    Lattice2,
-    enumerate_covers,
-    induced_action,
-    invariant_sublattices_between,
-    prime_index_invariant_lattices,
-)
-from .cycles import (
-    Cycle,
-    cycle_of,
-    dual_cycle,
-    dual_length,
-    is_ci_link,
-    monodromy_of,
-)
-from .intmath import solve_quadratic_congruence
-from .matrices import (
-    Mat2,
-    conjugate,
-    inverse,
-    mul,
-    power,
-)
-from .verifier import (
-    HAS_CI_COVER,
-    NO_CI_COVER,
-    Certificate,
-    admissible_traces,
-    candidate_matrices,
-    verify,
-)
+# The root re-exports each module's __all__, cli's aside: `import cuspcovers` leaves cli unloaded.
+from . import cfrac, covers, cycles, intmath, matrices, verifier
+from .cfrac import *
+from .covers import *
+from .cycles import *
+from .intmath import *
+from .matrices import *
+from .verifier import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Certificate",
-    "CoverRecord",
-    "Cycle",
-    "ExpansionError",
-    "HAS_CI_COVER",
-    "Lattice2",
-    "Mat2",
-    "NO_CI_COVER",
-    "admissible_traces",
-    "candidate_matrices",
-    "conjugate",
-    "cycle_of",
-    "dual_cycle",
-    "dual_length",
-    "enumerate_covers",
-    "expand",
-    "induced_action",
-    "invariant_sublattices_between",
-    "inverse",
-    "is_ci_link",
-    "monodromy_of",
-    "mul",
-    "power",
-    "prime_index_invariant_lattices",
-    "solve_quadratic_congruence",
-    "step",
-    "verify",
-]
+__all__ = [name for module in (cfrac, covers, cycles, intmath, matrices, verifier) for name in module.__all__]

@@ -30,6 +30,8 @@ from math import isqrt
 
 from .matrices import Mat2, require_cusp
 
+__all__ = ["ExpansionError", "expand", "step"]
+
 MAX_STEPS = 10**6
 
 

@@ -35,6 +35,8 @@ from .cycles import Cycle, _word_text, cycle_of, dual_cycle, dual_length, monodr
 from .matrices import Mat2
 from .verifier import Certificate, admissible_traces, candidate_matrices, verify
 
+__all__ = ["certificate_to_json", "certificate_to_text", "main"]
+
 
 def certificate_to_json(cert: Certificate) -> str:
     """The certificate as JSON: the bytes of json.dumps(doc, sort_keys=True, indent=2), plus a newline.

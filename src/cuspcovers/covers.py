@@ -40,6 +40,9 @@ from .cycles import Cycle, _CoverCycles, cycle_of  # noqa: F401
 from .intmath import factorize, is_prime, solve_quadratic_congruence
 from .matrices import Mat2, power, require_cusp
 
+__all__ = ["CoverRecord", "Lattice2", "enumerate_covers", "induced_action", "invariant_sublattices_between",
+           "prime_index_invariant_lattices"]
+
 
 class _Lattice2Fields(NamedTuple):
     x: int

@@ -37,6 +37,8 @@ from typing import Iterable, Iterator, Sequence
 from .cfrac import ExpansionError, expand
 from .matrices import Mat2, mul
 
+__all__ = ["Cycle", "cycle_of", "dual_cycle", "dual_length", "is_ci_link", "monodromy_of"]
+
 
 def _blocks(entries: Iterable[int]) -> tuple[tuple[int, ...], int]:
     """entries, checked as a cycle, as flat blocks (k_1, e_1, ..., k_b, e_b)

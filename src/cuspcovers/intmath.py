@@ -15,6 +15,8 @@ modular powers.
 
 from math import isqrt
 
+__all__ = ["solve_quadratic_congruence"]
+
 
 def _least_factor(n: int, f: int) -> int:
     """The least prime factor of n >= 2, given that n has none below f, which

@@ -20,6 +20,8 @@ import operator
 from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
+__all__ = ["Mat2", "conjugate", "inverse", "mul", "power"]
+
 
 class Mat2(NamedTuple):
     """Row-major [[a, b], [c, d]] with unbounded integer entries."""

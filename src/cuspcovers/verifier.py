@@ -22,6 +22,8 @@ from .cycles import Cycle, cycle_of, is_ci_link
 from .intmath import _odd_prime_table, is_prime
 from .matrices import Mat2
 
+__all__ = ["Certificate", "HAS_CI_COVER", "NO_CI_COVER", "admissible_traces", "candidate_matrices", "verify"]
+
 CANDIDATE_SPAN = 10**4
 
 HAS_CI_COVER = "HAS_CI_COVER"

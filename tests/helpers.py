@@ -25,11 +25,11 @@ FULL_LATTICE = Lattice2(1, 0, 1)
 REPO = Path(__file__).resolve().parent.parent
 
 
-def subprocess_env(src) -> dict[str, str]:
-    """The environment of a subprocess that runs the package from src: only
-    PYTHONPATH and PATH, plus PYTHONDONTWRITEBYTECODE when it is set here, so
-    a run that forbids bytecode writes none under src."""
-    env = {"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"}
+def subprocess_env() -> dict[str, str]:
+    """The environment of a subprocess that runs the package from the
+    checkout's src: only PYTHONPATH and PATH, plus PYTHONDONTWRITEBYTECODE
+    when it is set here, so a run that forbids bytecode writes none under src."""
+    env = {"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"}
     if "PYTHONDONTWRITEBYTECODE" in os.environ:
         env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
     return env
@@ -38,7 +38,7 @@ def subprocess_env(src) -> dict[str, str]:
 def run_python(*args, **kwargs) -> subprocess.CompletedProcess:
     """`subprocess.run` of this interpreter with args, in the repository and
     with `subprocess_env`, so no other variable of the test run reaches it."""
-    return subprocess.run([sys.executable, *args], cwd=REPO, env=subprocess_env(REPO / "src"), **kwargs)
+    return subprocess.run([sys.executable, *args], cwd=REPO, env=subprocess_env(), **kwargs)
 
 
 def random_cycle(rng, max_len=8, max_entry=12) -> Cycle:

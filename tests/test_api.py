@@ -12,6 +12,8 @@ Names that only tests and package internals use stay out of the root:
 `covers._contains`, and Z^2 as a lattice is `Lattice2(1, 0, 1)`.
 """
 
+import importlib
+import re
 from pathlib import Path
 
 import cuspcovers
@@ -104,6 +106,22 @@ def test_records_certificates_and_cycles_hold_no_derived_views():
     assert not hasattr(Cycle((3, 2, 4)), "blocks")
     for module in (cuspcovers.covers, cuspcovers.verifier):
         assert not hasattr(module, "dual_cycle"), module.__name__
+
+
+def test_readme_layout_lists_each_module_all():
+    # Each `cuspcovers.<module>` row of README's Layout table ends in its
+    # "public names" column, which must be that module's __all__.
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Layout", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `cuspcovers."):
+            cells = line.strip("|").split("|")
+            rows[cells[0].strip(" `")] = set(re.findall(r"`([^`]+)`", cells[-1]))
+    modules = ["cfrac", "cli", "covers", "cycles", "intmath", "matrices", "verifier"]
+    assert sorted(rows) == [f"cuspcovers.{m}" for m in modules]
+    for name, names in rows.items():
+        assert names == set(importlib.import_module(name).__all__), name
 
 
 def test_readme_library_block_runs():

@@ -654,7 +654,7 @@ def test_closed_output_pipe_exits_0_quietly():
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         cwd=REPO,
-        env=subprocess_env(REPO / "src"),
+        env=subprocess_env(),
     ) as proc:
         head = proc.stdout.read(10)
         proc.stdout.close()
