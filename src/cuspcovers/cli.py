@@ -30,8 +30,8 @@ import os
 import sys
 from typing import Sequence
 
-from .covers import CoverRecord, enumerate_covers
-from .cycles import Cycle, _word_text, cycle_of, dual_cycle, dual_length, monodromy_of
+from .covers import MAX_DEGREE, CoverRecord, enumerate_covers
+from .cycles import CI_MAX_LENGTH, Cycle, _word_text, cycle_of, dual_cycle, dual_length, monodromy_of
 from .matrices import Mat2
 from .verifier import Certificate, admissible_traces, candidate_matrices, verify
 
@@ -135,7 +135,10 @@ def certificate_to_text(cert: Certificate) -> str:
     lines += _cover_table(cert.covers)
     lines.append("")
     if cert.witness is None:
-        lines.append(f"verdict: {cert.verdict} (all {len(cert.covers)} covers have cycle and dual length >= 5)")
+        lines.append(
+            f"verdict: {cert.verdict} (all {len(cert.covers)} covers have cycle and dual length"
+            f" >= {CI_MAX_LENGTH + 1})"
+        )
     else:
         w = cert.covers[cert.witness]
         lines.append(
@@ -219,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_covers = sub.add_parser("covers", help="table of normal Galois covers")
     _add_input_options(p_covers)
-    p_covers.add_argument("--max-degree", type=int, default=4, choices=(1, 2, 3, 4))
+    p_covers.add_argument("--max-degree", type=int, default=MAX_DEGREE, choices=range(1, MAX_DEGREE + 1))
 
     p_verify = sub.add_parser("verify", help="certify existence of a CI Galois cover")
     _add_input_options(p_verify)

@@ -4,7 +4,7 @@ A normal cover of the cusp with monodromy A decomposes into a degree-n cover
 in the base and a fiberwise cover with fiber an A-invariant sublattice L
 pinched between (A**n - I)Z^2 and Z^2.  This module enumerates those
 lattices exactly and packages their cycles as cover records for base
-degrees 1 through 4.
+degrees 1 through `MAX_DEGREE`.
 
 The enumeration runs on plain (x, y, z) int triples, the HNF basis
 [[x, y], [0, z]]: each prime-primary walk takes its children and the
@@ -36,12 +36,17 @@ from typing import Iterable, NamedTuple, Sequence
 # cycle_of is not called here (records build their cycles through
 # `_CoverCycles`), but stays bound as covers.cycle_of for code that reaches
 # the cycle names through this module.
-from .cycles import Cycle, _CoverCycles, cycle_of  # noqa: F401
+from .cycles import CI_MAX_LENGTH, Cycle, _CoverCycles, cycle_of  # noqa: F401
 from .intmath import factorize, is_prime, solve_quadratic_congruence
 from .matrices import Mat2, power, require_cusp
 
 __all__ = ["CoverRecord", "Lattice2", "enumerate_covers", "induced_action", "invariant_sublattices_between",
            "prime_index_invariant_lattices"]
+
+# A degree-n cover's cycle and dual are its fiber's, each repeated n times,
+# so from degree CI_MAX_LENGTH + 1 on both are longer than CI_MAX_LENGTH:
+# only base degrees 1..MAX_DEGREE can give a complete-intersection cover.
+MAX_DEGREE = CI_MAX_LENGTH
 
 
 class _Lattice2Fields(NamedTuple):
@@ -181,7 +186,7 @@ def prime_index_invariant_lattices(a: Mat2, ell: int) -> list[Lattice2]:
     """
     if not is_prime(ell):
         raise ValueError(f"index {ell} is not prime")
-    children = _prime_index_children(a.entries(), ell, 1, 0, 1)
+    children = _prime_index_children(a, ell, 1, 0, 1)
     return sorted((Lattice2(*t) for t in children), key=Lattice2.sort_key)
 
 
@@ -238,9 +243,10 @@ def _intersect_part(
 
 def _index_primes(shifted: tuple[int, int, int, int], trace: int, n: int) -> list[int]:
     # Primes of |det(A**n - I)| = |2 - P_n(trace)|, through its small
-    # algebraic factors for n in 1..4, each distinct factor factored once.
-    # The factorizations must multiply back to the index, checked under
-    # python -O too: a missing prime would drop its fibers from the census.
+    # algebraic factors, one list per n in 1..MAX_DEGREE, each distinct
+    # factor factored once.  The factorizations must multiply back to the
+    # index, checked under python -O too: a missing prime would drop its
+    # fibers from the census.
     pieces = {
         1: [trace - 2],
         2: [trace - 2, trace + 2],
@@ -256,7 +262,8 @@ def _index_primes(shifted: tuple[int, int, int, int], trace: int, n: int) -> lis
 
 def invariant_sublattices_between(a: Mat2, n: int) -> list[Lattice2]:
     """All A-invariant lattices L with (A**n - I)Z^2 <= L <= Z^2, inclusive,
-    for base degree n in 1..4.
+    for base degree n in 1..`MAX_DEGREE`, which is `cycles.CI_MAX_LENGTH`:
+    the degrees whose covers can pass the CI link test.
 
     The quotient is split into prime-primary parts; invariant lattices are
     enumerated within each part and recombined by intersection, which keeps
@@ -268,8 +275,8 @@ def invariant_sublattices_between(a: Mat2, n: int) -> list[Lattice2]:
     returned, through its checking `__new__` called directly.
     """
     require_cusp(a)
-    if not 1 <= n <= 4:
-        raise ValueError("base degree must lie in 1..4")
+    if not 1 <= n <= MAX_DEGREE:
+        raise ValueError(f"base degree must lie in 1..{MAX_DEGREE}")
     an = power(a, n)
     shifted = (an.a - 1, an.b, an.c, an.d - 1)
     combos = [(1, 1, 0, 1)]
@@ -280,7 +287,7 @@ def invariant_sublattices_between(a: Mat2, n: int) -> list[Lattice2]:
     return [new(Lattice2, x, y, z) for _, x, y, z in combos]
 
 
-def enumerate_covers(a: Mat2, max_degree: int = 4) -> list[CoverRecord]:
+def enumerate_covers(a: Mat2, max_degree: int = MAX_DEGREE) -> list[CoverRecord]:
     """Cover records for every base degree 1..max_degree and invariant fiber.
 
     Records come in degree order, then in the order
@@ -302,8 +309,8 @@ def enumerate_covers(a: Mat2, max_degree: int = 4) -> list[CoverRecord]:
     share one Cycle.  Each record is built through `CoverRecord`'s checking
     `__new__`, called directly.
     """
-    if not 1 <= max_degree <= 4:
-        raise ValueError("base degree must lie in 1..4")
+    if not 1 <= max_degree <= MAX_DEGREE:
+        raise ValueError(f"base degree must lie in 1..{MAX_DEGREE}")
     cycles = _CoverCycles(a.trace)
     records: list[CoverRecord] = []
     new = CoverRecord.__new__

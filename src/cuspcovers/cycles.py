@@ -39,6 +39,10 @@ from .matrices import Mat2, mul
 
 __all__ = ["Cycle", "cycle_of", "dual_cycle", "dual_length", "is_ci_link", "monodromy_of"]
 
+# A cusp is a complete intersection exactly when its cycle or its dual cycle
+# has at most this many entries: the CI link test of `is_ci_link`.
+CI_MAX_LENGTH = 4
+
 
 def _blocks(entries: Iterable[int]) -> tuple[tuple[int, ...], int]:
     """entries, checked as a cycle, as flat blocks (k_1, e_1, ..., k_b, e_b)
@@ -283,5 +287,5 @@ def dual_length(c: Cycle) -> int:
 
 
 def is_ci_link(c: Cycle) -> bool:
-    """Whether the cusp or its dual has cycle length <= 4 (the CI link test)."""
-    return min(len(c), dual_length(c)) <= 4
+    """Whether the cusp or its dual has cycle length at most `CI_MAX_LENGTH` (the CI link test)."""
+    return min(len(c), dual_length(c)) <= CI_MAX_LENGTH

@@ -2,8 +2,9 @@
 intersection?
 
 A cover is a CI exactly when its cycle or its dual cycle has length at most
-4, and covers of base degree 5 or more repeat a cycle five times, so
-checking every normal cover of degree 1..4 decides the question.  The trace
+`cycles.CI_MAX_LENGTH`, and a cover of base degree above that repeats its
+fiber's cycle and dual more than that many times, so checking every normal
+cover of degree 1..`covers.MAX_DEGREE` decides the question.  The trace
 and matrix searches used to hunt for candidate cusps live here too.  The
 trace filter reads its primality tests from `intmath`'s sieve of the odd
 numbers and checks each trace that passes again by trial division
@@ -13,9 +14,9 @@ numbers and checks each trace that passes again by trial division
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import islice
 from math import isqrt
+from typing import NamedTuple
 
 from .covers import CoverRecord, enumerate_covers
 from .cycles import Cycle, cycle_of, is_ci_link
@@ -30,13 +31,13 @@ HAS_CI_COVER = "HAS_CI_COVER"
 NO_CI_COVER = "NO_CI_COVER"
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """The full verdict document for one cusp monodromy.
+class Certificate(NamedTuple):
+    """The full verdict document for one cusp monodromy, as the tuple
+    (monodromy, cycle, covers, witness).
 
-    covers holds every normal cover of base degree 1..4 in deterministic
-    order; witness indexes the first record whose cycle or dual cycle has
-    length at most 4, or is None when there is none.  The witness decides:
+    covers holds every normal cover of base degree 1..`covers.MAX_DEGREE`
+    in deterministic order; witness indexes the first record that passes
+    the CI link test, or is None when there is none.  The witness decides:
     verdict is NO_CI_COVER when it is None and HAS_CI_COVER otherwise.  No
     dual is stored: `dual_cycle(cert.cycle)` builds it."""
 
@@ -55,7 +56,7 @@ def verify(a: Mat2) -> Certificate:
 
     A non-cusp raises ValueError from `invariant_sublattices_between`, the
     first call of `enumerate_covers`, before any power, walk or expansion."""
-    records = tuple(enumerate_covers(a, 4))
+    records = tuple(enumerate_covers(a))
     witness = next((i for i, rec in enumerate(records) if is_ci_link(rec.cycle)), None)
     return Certificate(monodromy=a, cycle=cycle_of(a), covers=records, witness=witness)
 

@@ -9,6 +9,7 @@ import cuspcovers.cycles
 from cuspcovers.cfrac import ExpansionError, expand
 from cuspcovers.cli import main
 from cuspcovers.covers import (
+    MAX_DEGREE,
     Lattice2,
     _contains,
     _index_primes,
@@ -21,7 +22,8 @@ from cuspcovers.covers import (
     invariant_sublattices_between,
     prime_index_invariant_lattices,
 )
-from cuspcovers.cycles import Cycle, cycle_of, dual_cycle, monodromy_of
+from cuspcovers.cycles import CI_MAX_LENGTH, Cycle, cycle_of, dual_cycle, is_ci_link, monodromy_of
+from cuspcovers.intmath import is_prime
 from cuspcovers.matrices import IDENTITY, Mat2, conjugate, mul, power
 from helpers import (
     FULL_LATTICE,
@@ -421,6 +423,26 @@ def test_enumerate_covers_counts_and_order():
     assert first.cycle == Cycle((8, 2, 4, 3, 12))
     with pytest.raises(ValueError):
         enumerate_covers(PAPER_A, 5)
+
+
+def test_one_bound_decides_the_ci_test_and_the_base_degrees(capsys):
+    # A degree-n cover repeats its fiber's cycle and dual n times, so the CI
+    # link test's bound on lengths is also the bound on base degrees.
+    assert MAX_DEGREE == CI_MAX_LENGTH
+    assert is_ci_link(Cycle((3, 3, 3, 3))) and not is_ci_link(Cycle((3,) * 5))
+    for enumerate_up_to in (enumerate_covers, invariant_sublattices_between):
+        with pytest.raises(ValueError, match=r"^base degree must lie in 1\.\.4$"):
+            enumerate_up_to(PAPER_A, MAX_DEGREE + 1)
+    with pytest.raises(SystemExit) as exc:
+        main(["covers", "-c", "3", "--max-degree", str(MAX_DEGREE + 1)])
+    assert exc.value.code == 2
+    assert "invalid choice: 5 (choose from 1, 2, 3, 4)" in capsys.readouterr().err
+    assert max(r.base_degree for r in enumerate_covers(PAPER_A)) == MAX_DEGREE
+    # _index_primes holds one factor list per degree, for each degree up to the bound.
+    for a in (PAPER_A, monodromy_of((2, 6, 2, 6))):
+        for n in range(1, MAX_DEGREE + 1):
+            primes = _index_primes(shifted(a, n), a.trace, n)
+            assert primes and all(is_prime(p) for p in primes)
 
 
 def test_enumerate_covers_record_invariants():

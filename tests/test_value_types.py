@@ -1,13 +1,15 @@
-"""The value types `Mat2`, `Lattice2` and `CoverRecord` are NamedTuples: the
-same field names, text and immutability as frozen dataclasses, the same
-checks on construction, and tuple equality, unpacking, length and order."""
+"""The value types `Mat2`, `Lattice2`, `CoverRecord` and `Certificate` are
+NamedTuples: the same field names, text and immutability as frozen
+dataclasses, the same checks on construction, and tuple equality,
+unpacking, length and order.  A `Cycle` is a frozen dataclass, immutable
+too."""
 
 import copy
 import pickle
 
 import pytest
 
-from cuspcovers import CoverRecord, Lattice2, Mat2, enumerate_covers
+from cuspcovers import HAS_CI_COVER, NO_CI_COVER, Certificate, CoverRecord, Lattice2, Mat2, enumerate_covers, verify
 from cuspcovers.cycles import Cycle
 
 PAPER_A = Mat2(1640, 221, -141, -19)
@@ -36,19 +38,26 @@ def test_text_and_fields_are_those_of_the_dataclasses():
     assert Mat2._fields == ("a", "b", "c", "d")
     assert Lattice2._fields == ("x", "y", "z")
     assert CoverRecord._fields == ("base_degree", "fiber", "induced", "cycle")
+    assert Certificate._fields == ("monodromy", "cycle", "covers", "witness")
+    cert = verify(PAPER_A)
+    assert repr(cert) == (
+        f"Certificate(monodromy={PAPER_A!r}, cycle={cert.cycle!r}, covers={cert.covers!r}, witness=None)"
+    )
     assert (PAPER_A.trace, PAPER_A.det, lat.index, lat.basis) == (1621, 1, 811, Mat2(811, 183, 0, 1))
 
 
 def test_values_are_immutable():
     rec = flagship_record()
-    for value, field in ((PAPER_A, "a"), (FIBER, "y"), (rec, "cycle")):
+    values = ((PAPER_A, "a"), (FIBER, "y"), (rec, "cycle"), (verify(PAPER_A), "witness"), (rec.cycle, "copies"))
+    for value, field in values:
         with pytest.raises(AttributeError):
             setattr(value, field, 0)
         with pytest.raises(AttributeError):
             value.extra = 0
         with pytest.raises(AttributeError):
             delattr(value, field)
-        assert not hasattr(value, "__dict__")
+        if not isinstance(value, Cycle):  # a frozen dataclass keeps its __dict__
+            assert not hasattr(value, "__dict__")
 
 
 def test_equal_values_hash_alike_and_equal_plain_tuples():
@@ -60,6 +69,9 @@ def test_equal_values_hash_alike_and_equal_plain_tuples():
     assert len({rec, CoverRecord(*rec), CoverRecord(1, FIBER, INDUCED, Cycle(rec.cycle.entries))}) == 1
     assert Mat2(2, 1, 1, 1) != Mat2(1, 1, 1, 2)
     assert Lattice2(1, 0, 2) != Lattice2(2, 0, 1)
+    cert = verify(PAPER_A)
+    assert cert == verify(PAPER_A) == (PAPER_A, cert.cycle, tuple(enumerate_covers(PAPER_A)), None)
+    assert hash(cert) == hash(tuple(cert))
 
 
 def test_values_unpack_have_a_length_and_order_as_tuples():
@@ -68,6 +80,10 @@ def test_values_unpack_have_a_length_and_order_as_tuples():
     degree, (x, y, z), induced, cycle = rec = flagship_record()
     assert (degree, x * z, induced, cycle) == (1, rec.fiber.index, INDUCED, rec.cycle)
     assert len(FIBER) == 3 and len(rec) == 4
+    monodromy, cycle, covers, witness = cert = verify(PAPER_A)
+    assert (monodromy, covers[1], witness, len(cert)) == (PAPER_A, rec, None, 4)
+    assert cycle == cert.cycle and cert.verdict == NO_CI_COVER
+    assert Certificate(monodromy, cycle, covers, 0).verdict == HAS_CI_COVER
     # Tuple order is lexicographic in (x, y, z); the fiber order is sort_key's.
     lats = [Lattice2(2, 1, 1), Lattice2(1, 0, 3), Lattice2(1, 0, 2)]
     assert sorted(lats) == [Lattice2(1, 0, 2), Lattice2(1, 0, 3), Lattice2(2, 1, 1)]
@@ -107,7 +123,7 @@ def test_record_rejects_an_induced_action_of_determinant_other_than_one():
 
 def test_values_survive_pickle_and_copy():
     rec = flagship_record()
-    for value in (PAPER_A, FIBER, rec, enumerate_covers(PAPER_A, 4)):
+    for value in (PAPER_A, FIBER, rec, enumerate_covers(PAPER_A, 4), verify(PAPER_A)):
         for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
             assert clone == value and type(clone) is type(value)
     assert type(pickle.loads(pickle.dumps(rec)).fiber) is Lattice2
