@@ -6,9 +6,10 @@ A cover is a CI exactly when its cycle or its dual cycle has length at most
 fiber's cycle and dual more than that many times, so checking every normal
 cover of degree 1..`covers.MAX_DEGREE` decides the question.  The trace
 and matrix searches used to hunt for candidate cusps live here too.  The
-trace filter reads its primality tests from `intmath`'s sieve of the odd
-numbers and checks each trace that passes again by trial division
-(`is_prime`); nothing else here uses the sieve.
+trace filter is the package's only question about a range of numbers, so
+its sieve of the odd numbers, `_odd_prime_table`, is written and read here
+and nowhere else; each trace the sieve passes is checked again by
+`intmath.is_prime`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import NamedTuple
 
 from .covers import CoverRecord, enumerate_covers
 from .cycles import Cycle, cycle_of, is_ci_link
-from .intmath import _odd_prime_table, is_prime
+from .intmath import is_prime
 from .matrices import Mat2
 
 __all__ = ["Certificate", "HAS_CI_COVER", "NO_CI_COVER", "admissible_traces", "candidate_matrices", "verify"]
@@ -61,6 +62,21 @@ def verify(a: Mat2) -> Certificate:
     return Certificate(monodromy=a, cycle=cycle_of(a), covers=records, witness=witness)
 
 
+def _odd_prime_table(limit: int) -> bytearray:
+    """Sieve of Eratosthenes over the odd numbers: limit // 2 + 1 bytes, byte i
+    is 1 exactly when 2i + 1 is prime, so every odd n <= limit is prime iff
+    byte n // 2 is set.  Each odd prime p crosses out p*p, p*p + 2p, ...,
+    which are p apart in the table."""
+    size = limit // 2 + 1
+    table = bytearray([1]) * size
+    table[0] = 0  # 1 is not prime
+    for i in range(1, (isqrt(2 * size - 1) + 1) // 2):
+        if table[i]:
+            p = 2 * i + 1
+            table[p * p // 2 :: p] = bytes(len(range(p * p // 2, size, p)))
+    return table
+
+
 def admissible_traces(limit: int) -> list[int]:
     """Traces x <= limit with x and x-2 prime, x+2 = 3*prime, x+1 = 2*prime.
 
@@ -70,8 +86,10 @@ def admissible_traces(limit: int) -> list[int]:
     x == 1 (mod 12): x + 2 = 3*prime makes x == 1 (mod 6), and x == 7 (mod 12)
     makes (x + 1)/2 even and above 2.  So x steps by 12 from 13, all four
     numbers are odd, and each is looked up in one sieve of the odd numbers
-    up to limit (`limit // 2 + 1` bytes).  Every trace the sieve passes is
-    checked again by trial division; a disagreement raises RuntimeError.
+    up to limit, `_odd_prime_table(limit)`: byte i stands for 2i + 1, so
+    (x + 2)/3, (x + 1)/2, x and x - 2 sit at bytes (x + 2) // 6,
+    (x + 1) // 4, x // 2 and x // 2 - 1.  Every trace the sieve passes is
+    checked again by `is_prime`; a disagreement raises RuntimeError.
     """
     if limit < 3:
         raise ValueError("limit must be >= 3")

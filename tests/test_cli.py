@@ -612,6 +612,19 @@ def test_overflow_exits_1_with_one_line(capsys):
             assert "Traceback" not in err
 
 
+def test_trace_with_two_large_index_primes_ends_at_the_step_ceiling():
+    # t - 2 = 10**22 + 1 has two prime factors near 10**9, past trial
+    # division's reach; rho splits it at once, and the run then ends at the
+    # expansion's step ceiling, `cfrac.MAX_STEPS`, with one line.
+    proc = run_python(
+        "-m", "cuspcovers", "verify", "-m", "10000000000000000000003", "1", "-1", "0",
+        capture_output=True, timeout=20,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr == b"internal error: state failed to repeat within 1000000 steps\n"
+
+
 def test_missing_input_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify"])

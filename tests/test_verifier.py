@@ -191,6 +191,13 @@ def test_admissible_traces_match_the_trial_division_oracle():
     assert len(traces) == 54
 
 
+def test_odd_prime_table_matches_is_prime():
+    table = verifier._odd_prime_table(19999)
+    assert len(table) == 19999 // 2 + 1
+    for n in range(1, 20000, 2):
+        assert table[n // 2] == is_prime(n)
+
+
 def test_a_wrong_prime_table_is_caught(monkeypatch):
     # 73, 71 and (73 + 1)/2 = 37 are prime, but (73 + 2)/3 = 25 is not: a
     # table that calls 25 prime must not let 73 through.
